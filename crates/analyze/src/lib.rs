@@ -118,17 +118,20 @@ pub fn analyze_source(label: &str, source: &str, passes: PassSet) -> FileReport 
 /// * `lock-order` and `atomic-ordering` run over `crates/serve/` — the
 ///   crate whose lock protocol and publication cells they encode;
 /// * `panic` runs over the serving hot-path modules (`engine`, `shard`,
-///   `batch`, and the tenancy `registry` every routed request resolves
-///   through) and the network front door's connection/frame hot path
+///   `batch`, the tenancy `registry` every routed request resolves
+///   through, and the `snapshot`/`durable` codecs a cold-tenant request
+///   decodes from disk) and the network front door's connection/frame hot path
 ///   (`mvi-net`'s `frame`, `server`, `client`) — the code a request
 ///   traverses, where a panic means a dropped request (or a dead
 ///   connection thread) instead of a typed error.
 pub fn workspace_passes(rel: &str) -> PassSet {
-    const HOT_PATH: [&str; 7] = [
+    const HOT_PATH: [&str; 9] = [
         "crates/serve/src/engine.rs",
         "crates/serve/src/shard.rs",
         "crates/serve/src/batch.rs",
         "crates/serve/src/registry.rs",
+        "crates/serve/src/snapshot.rs",
+        "crates/serve/src/durable.rs",
         "crates/net/src/frame.rs",
         "crates/net/src/server.rs",
         "crates/net/src/client.rs",

@@ -154,6 +154,8 @@ fn workspace_scoping_pins_panic_pass_to_serve_and_net_hot_paths() {
         "crates/serve/src/shard.rs",
         "crates/serve/src/batch.rs",
         "crates/serve/src/registry.rs",
+        "crates/serve/src/snapshot.rs",
+        "crates/serve/src/durable.rs",
         "crates/net/src/frame.rs",
         "crates/net/src/server.rs",
         "crates/net/src/client.rs",
@@ -161,7 +163,7 @@ fn workspace_scoping_pins_panic_pass_to_serve_and_net_hot_paths() {
         assert!(mvi_analyze::workspace_passes(rel).panic, "{rel} must be panic-checked");
     }
     // The cold paths stay out of scope; safety runs everywhere.
-    for rel in ["crates/net/src/lib.rs", "crates/serve/src/snapshot.rs", "src/lib.rs"] {
+    for rel in ["crates/net/src/lib.rs", "crates/serve/src/lib.rs", "src/lib.rs"] {
         let passes = mvi_analyze::workspace_passes(rel);
         assert!(!passes.panic, "{rel} must not be panic-checked");
         assert!(passes.safety, "{rel} must still be safety-checked");

@@ -38,4 +38,4 @@ pub use eval::{Eval, EvalVar, Evaluator};
 pub use graph::{Graph, VarId};
 pub use nn::{fill_positional_encoding, glorot, positional_encoding, randn};
 pub use nn::{Embedding, GruCell, Linear};
-pub use params::{AdamConfig, ParamId, ParamStore};
+pub use params::{AdamConfig, ParamId, ParamStore, Restore};

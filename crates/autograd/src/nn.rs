@@ -2,7 +2,7 @@
 
 use crate::eval::Evaluator;
 use crate::graph::{Graph, VarId};
-use crate::params::{ParamId, ParamStore};
+use crate::params::{ParamId, ParamStore, Restore};
 use mvi_tensor::Tensor;
 use rand::Rng;
 
@@ -85,6 +85,23 @@ impl Linear {
         Self { w, b: Some(b) }
     }
 
+    /// The layer [`Linear::new`] registers, with its weight and bias taken
+    /// from `source` instead of drawn.
+    ///
+    /// # Errors
+    /// Propagates a name/shape mismatch from [`Restore::add`].
+    pub fn restored(
+        store: &mut ParamStore,
+        source: &mut Restore,
+        name: &str,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> Result<Self, String> {
+        let w = source.add(store, format!("{name}.w"), &[in_dim, out_dim])?;
+        let b = source.add(store, format!("{name}.b"), &[out_dim])?;
+        Ok(Self { w, b: Some(b) })
+    }
+
     /// Registers a bias-free layer.
     pub fn new_no_bias(
         store: &mut ParamStore,
@@ -133,6 +150,21 @@ impl Embedding {
         let table = store
             .add(format!("{name}.table"), Tensor::from_fn(&[vocab, dim], |_| randn(rng) * std));
         Self { table }
+    }
+
+    /// The table [`Embedding::new`] registers, taken from `source` instead of
+    /// drawn.
+    ///
+    /// # Errors
+    /// Propagates a name/shape mismatch from [`Restore::add`].
+    pub fn restored(
+        store: &mut ParamStore,
+        source: &mut Restore,
+        name: &str,
+        vocab: usize,
+        dim: usize,
+    ) -> Result<Self, String> {
+        Ok(Self { table: source.add(store, format!("{name}.table"), &[vocab, dim])? })
     }
 
     /// Looks up a batch of member indices, yielding `[idx.len(), dim]`.

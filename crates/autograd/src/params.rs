@@ -259,6 +259,55 @@ pub struct StoreSnapshot {
     pub params: Vec<(String, Tensor)>,
 }
 
+/// Rebuilds a store from a [`StoreSnapshot`] without drawing (and then
+/// discarding) a fresh initialisation: a model lays out its parameters as
+/// usual, but each one is the snapshot's next tensor, **moved** in after its
+/// name and shape are checked against what the layout expects. See
+/// [`crate::Linear::restored`] / [`crate::Embedding::restored`].
+pub struct Restore {
+    params: std::vec::IntoIter<(String, Tensor)>,
+}
+
+impl Restore {
+    /// Takes ownership of the snapshot's tensors.
+    pub fn new(snap: StoreSnapshot) -> Self {
+        Self { params: snap.params.into_iter() }
+    }
+
+    /// Registers the snapshot's next tensor as parameter `name` of `shape`.
+    ///
+    /// # Errors
+    /// The snapshot has run out, or its next tensor has another name or shape.
+    pub fn add(
+        &mut self,
+        store: &mut ParamStore,
+        name: String,
+        shape: &[usize],
+    ) -> Result<ParamId, String> {
+        let Some((got, value)) = self.params.next() else {
+            return Err(format!("snapshot ends before parameter '{name}'"));
+        };
+        if got != name {
+            return Err(format!("parameter name mismatch: store '{name}' vs snapshot '{got}'"));
+        }
+        if value.shape() != shape {
+            return Err(format!("shape mismatch for '{name}': {shape:?} vs {:?}", value.shape()));
+        }
+        Ok(store.add(name, value))
+    }
+
+    /// Checks the layout consumed every tensor of the snapshot.
+    ///
+    /// # Errors
+    /// The number of tensors left over.
+    pub fn finish(self) -> Result<(), String> {
+        match self.params.len() {
+            0 => Ok(()),
+            extra => Err(format!("snapshot has {extra} parameters the store does not")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -431,7 +431,9 @@ impl FrozenModel {
     /// snapshot ([`DeepMviModel::export_params`]). `obs` supplies the dataset
     /// geometry the model was trained for (dimensions, series length); the
     /// weights must match it exactly. `shared_std` is the trained imputation
-    /// std-dev, if it was captured.
+    /// std-dev, if it was captured. The snapshot's tensors are moved into the
+    /// model as its parameters: no initialisation is drawn and nothing is
+    /// copied.
     ///
     /// # Errors
     /// Propagates any name/shape mismatch between the snapshot and the
@@ -442,11 +444,10 @@ impl FrozenModel {
     pub fn from_snapshot(
         cfg: &DeepMviConfig,
         obs: &ObservedDataset,
-        snap: &StoreSnapshot,
+        snap: StoreSnapshot,
         shared_std: Option<f64>,
     ) -> Result<Self, String> {
-        let mut model = DeepMviModel::new(cfg, obs);
-        model.import_params(snap)?;
+        let mut model = DeepMviModel::from_params(cfg, obs, snap)?;
         model.shared_std = shared_std;
         let frozen = model.freeze();
         frozen.validate_finite().map_err(|param| format!("parameter `{param}` is non-finite"))?;
@@ -622,7 +623,7 @@ mod tests {
         let expected = model.impute(&obs);
         let snap = model.export_params();
         let std = model.shared_std();
-        let frozen = FrozenModel::from_snapshot(&cfg, &obs, &snap, std).unwrap();
+        let frozen = FrozenModel::from_snapshot(&cfg, &obs, snap, std).unwrap();
         assert_eq!(frozen.impute(&obs), expected);
         assert_eq!(frozen.shared_std(), std);
         assert_eq!(frozen.grid().window_len(), cfg.resolve_window(10.0));

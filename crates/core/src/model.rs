@@ -1,7 +1,8 @@
 //! The DeepMVI network (§4): parameters and the per-window forward pass.
 
 use crate::config::{DeepMviConfig, KernelMode};
-use mvi_autograd::{fill_positional_encoding, Embedding, Evaluator, Linear, ParamStore};
+use mvi_autograd::params::StoreSnapshot;
+use mvi_autograd::{fill_positional_encoding, Embedding, Evaluator, Linear, ParamStore, Restore};
 use mvi_data::blocks::BlockSampler;
 use mvi_data::dataset::ObservedDataset;
 use mvi_tensor::Mask;
@@ -160,33 +161,101 @@ pub struct DeepMviModel {
     pub(crate) shared_std: Option<f64>,
 }
 
+/// Where [`DeepMviModel::build`] takes parameter values from as it lays out
+/// the store: seeded draws for a model about to train, or the tensors of
+/// exported weights, moved in after a name and shape check.
+enum ParamSource {
+    Draw(StdRng),
+    Restore(Restore),
+}
+
+impl ParamSource {
+    fn linear(
+        &mut self,
+        store: &mut ParamStore,
+        name: &str,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> Result<Linear, String> {
+        match self {
+            Self::Draw(rng) => Ok(Linear::new(store, rng, name, in_dim, out_dim)),
+            Self::Restore(source) => Linear::restored(store, source, name, in_dim, out_dim),
+        }
+    }
+
+    fn embedding(
+        &mut self,
+        store: &mut ParamStore,
+        name: &str,
+        vocab: usize,
+        dim: usize,
+    ) -> Result<Embedding, String> {
+        match self {
+            Self::Draw(rng) => Ok(Embedding::new(store, rng, name, vocab, dim)),
+            Self::Restore(source) => Embedding::restored(store, source, name, vocab, dim),
+        }
+    }
+}
+
 impl DeepMviModel {
     /// Builds parameters sized for `obs`, resolving the window size from the mean
     /// observed missing-block length (§4.3).
     pub fn new(cfg: &DeepMviConfig, obs: &ObservedDataset) -> Self {
+        match Self::build(cfg, obs, ParamSource::Draw(StdRng::seed_from_u64(cfg.seed))) {
+            Ok(model) => model,
+            Err(e) => unreachable!("fresh draws always fit the layout they are drawn for: {e}"),
+        }
+    }
+
+    /// Rebuilds a model from weights exported by
+    /// [`DeepMviModel::export_params`], moving each tensor into the store
+    /// instead of drawing an initialisation only to overwrite it.
+    ///
+    /// # Errors
+    /// Any name/shape mismatch between `params` and the layout `cfg` and
+    /// `obs` imply, or a count mismatch.
+    pub(crate) fn from_params(
+        cfg: &DeepMviConfig,
+        obs: &ObservedDataset,
+        params: StoreSnapshot,
+    ) -> Result<Self, String> {
+        Self::build(cfg, obs, ParamSource::Restore(Restore::new(params)))
+    }
+
+    fn build(
+        cfg: &DeepMviConfig,
+        obs: &ObservedDataset,
+        mut src: ParamSource,
+    ) -> Result<Self, String> {
         let sampler = BlockSampler::from_observed(obs);
         let w = cfg.resolve_window(sampler.mean_t_len());
         let t_len = obs.t_len();
         let n_windows = t_len.div_ceil(w);
         let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
         let p = cfg.p;
 
-        let tt = cfg.use_temporal_transformer.then(|| TtParams {
-            wf: Linear::new(&mut store, &mut rng, "tt.wf", w, p),
-            heads: (0..cfg.n_heads)
-                .map(|h| HeadParams {
-                    wq: Linear::new(&mut store, &mut rng, &format!("tt.h{h}.q"), 2 * p, 2 * p),
-                    wk: Linear::new(&mut store, &mut rng, &format!("tt.h{h}.k"), 2 * p, 2 * p),
-                    wv: Linear::new(&mut store, &mut rng, &format!("tt.h{h}.v"), p, p),
-                })
-                .collect(),
-            d1: Linear::new(&mut store, &mut rng, "tt.d1", cfg.n_heads * p, 2 * p),
-            d2: Linear::new(&mut store, &mut rng, "tt.d2", 2 * p, p),
-            dec: Linear::new(&mut store, &mut rng, "tt.dec", p, w * p),
-        });
+        let tt = if cfg.use_temporal_transformer {
+            let wf = src.linear(&mut store, "tt.wf", w, p)?;
+            let mut heads = Vec::with_capacity(cfg.n_heads);
+            for h in 0..cfg.n_heads {
+                heads.push(HeadParams {
+                    wq: src.linear(&mut store, &format!("tt.h{h}.q"), 2 * p, 2 * p)?,
+                    wk: src.linear(&mut store, &format!("tt.h{h}.k"), 2 * p, 2 * p)?,
+                    wv: src.linear(&mut store, &format!("tt.h{h}.v"), p, p)?,
+                });
+            }
+            Some(TtParams {
+                wf,
+                heads,
+                d1: src.linear(&mut store, "tt.d1", cfg.n_heads * p, 2 * p)?,
+                d2: src.linear(&mut store, "tt.d2", 2 * p, p)?,
+                dec: src.linear(&mut store, "tt.dec", p, w * p)?,
+            })
+        } else {
+            None
+        };
 
-        let kr = (cfg.kernel_mode != KernelMode::Off).then(|| {
+        let kr = if cfg.kernel_mode != KernelMode::Off {
             // The flattened ablation doubles the embedding width so the single
             // table has the same total capacity as the per-dimension tables (§5.5.4).
             let width = if cfg.kernel_mode == KernelMode::Flattened {
@@ -194,42 +263,42 @@ impl DeepMviModel {
             } else {
                 cfg.embed_dim
             };
-            KrParams {
-                tables: obs
-                    .dims
-                    .iter()
-                    .enumerate()
-                    .map(|(i, d)| {
-                        Embedding::new(&mut store, &mut rng, &format!("kr.dim{i}"), d.len(), width)
-                    })
-                    .collect(),
-                gamma: cfg.kr_gamma,
+            let mut tables = Vec::with_capacity(obs.dims.len());
+            for (i, d) in obs.dims.iter().enumerate() {
+                tables.push(src.embedding(&mut store, &format!("kr.dim{i}"), d.len(), width)?);
             }
-        });
+            Some(KrParams { tables, gamma: cfg.kr_gamma })
+        } else {
+            None
+        };
 
         let feat_dim = cfg.use_temporal_transformer as usize * p
             + cfg.use_fine_grained as usize
             + if cfg.kernel_mode == KernelMode::Off { 0 } else { 3 * obs.dims.len() };
-        let out = Linear::new(&mut store, &mut rng, "out", feat_dim.max(1), 1);
-        // Warm-start the output head on the two directly-interpretable estimators —
-        // the fine-grained local mean and each dimension's kernel-weighted sibling
-        // mean U — so early training refines a sensible imputation instead of
-        // spending its budget discovering the linear readout.
-        {
-            let wout = store.value_mut(out.w);
-            let mut offset = cfg.use_temporal_transformer as usize * p;
-            if cfg.use_fine_grained {
-                wout.data_mut()[offset] = 0.5;
-                offset += 1;
-            }
-            if cfg.kernel_mode != KernelMode::Off {
-                for dim in 0..obs.dims.len() {
-                    wout.data_mut()[offset + 3 * dim] = 0.4; // the U component
+        let out = src.linear(&mut store, "out", feat_dim.max(1), 1)?;
+        match src {
+            // Warm-start the output head on the two directly-interpretable
+            // estimators — the fine-grained local mean and each dimension's
+            // kernel-weighted sibling mean U — so early training refines a
+            // sensible imputation instead of spending its budget discovering
+            // the linear readout.
+            ParamSource::Draw(_) => {
+                let wout = store.value_mut(out.w);
+                let mut offset = cfg.use_temporal_transformer as usize * p;
+                if cfg.use_fine_grained {
+                    wout.data_mut()[offset] = 0.5;
+                    offset += 1;
+                }
+                if cfg.kernel_mode != KernelMode::Off {
+                    for dim in 0..obs.dims.len() {
+                        wout.data_mut()[offset + 3 * dim] = 0.4; // the U component
+                    }
                 }
             }
+            ParamSource::Restore(source) => source.finish()?,
         }
 
-        Self {
+        Ok(Self {
             cfg: cfg.clone(),
             w,
             t_len,
@@ -241,13 +310,13 @@ impl DeepMviModel {
             out,
             sampler,
             shared_std: None,
-        }
+        })
     }
 
     /// Exports the trained weights for persistence (serde-serializable). Rebuild a
     /// model with the *same configuration and dataset shape* and restore with
     /// [`DeepMviModel::import_params`].
-    pub fn export_params(&self) -> mvi_autograd::params::StoreSnapshot {
+    pub fn export_params(&self) -> StoreSnapshot {
         self.store.export()
     }
 
@@ -255,10 +324,7 @@ impl DeepMviModel {
     ///
     /// # Errors
     /// Propagates any name/shape mismatch from the parameter store.
-    pub fn import_params(
-        &mut self,
-        snap: &mvi_autograd::params::StoreSnapshot,
-    ) -> Result<(), String> {
+    pub fn import_params(&mut self, snap: &StoreSnapshot) -> Result<(), String> {
         self.store.import(snap)
     }
 

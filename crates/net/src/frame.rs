@@ -65,8 +65,10 @@ pub const VERSION: u8 = V2;
 /// Fixed header size (magic + version + type + length + CRC).
 pub const HEADER_LEN: usize = 14;
 /// Cap on a tenant id's UTF-8 byte length on the wire. Encoding truncates at
-/// a character boundary; decoding rejects longer claims as malformed.
-pub const MAX_TENANT_LEN: usize = 64;
+/// a character boundary; decoding rejects longer claims as malformed. The
+/// registry refuses to register longer ids, so every registered tenant is
+/// reachable.
+pub const MAX_TENANT_LEN: usize = mvi_serve::registry::MAX_TENANT_LEN;
 /// Default cap on one frame's payload (1 MiB). A `Values` reply of this size
 /// carries ~128k points — far above any sane request — while bounding what a
 /// hostile length prefix can make either side allocate.
@@ -289,7 +291,8 @@ impl WireError {
             | ServeError::NonFiniteInput { .. }
             | ServeError::Series { .. }
             | ServeError::Range { .. }
-            | ServeError::NonFiniteWeights { .. } => (ErrorCode::Invalid, 0),
+            | ServeError::NonFiniteWeights { .. }
+            | ServeError::TenantIdTooLong { .. } => (ErrorCode::Invalid, 0),
             ServeError::Corrupt { .. } | ServeError::Snapshot(_) => (ErrorCode::Internal, 0),
         };
         Self { code, retry_after_ms: hint, message: err.to_string() }

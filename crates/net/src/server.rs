@@ -181,9 +181,7 @@ impl NetServer {
             1,
             std::env::temp_dir().join("mvi-net-default-spill"),
         )));
-        registry
-            .register(DEFAULT_TENANT, engine)
-            .map_err(|e| io::Error::other(e.to_string()))?;
+        registry.register(DEFAULT_TENANT, engine).map_err(|e| io::Error::other(e.to_string()))?;
         Self::bind_registry(addr, registry, config)
     }
 

@@ -160,8 +160,8 @@ pub enum ServeError {
     /// truncation). The snapshot must not be served; fall back to an older
     /// one ([`crate::ImputationEngine::restore_with_fallback`]).
     Corrupt {
-        /// Which section failed (`"header"`, `"digest"`, `"body"`,
-        /// `"params/<name>"`, `"cache.values"`, …).
+        /// Which section failed (`"header"`, `"params/<name>"`,
+        /// `"cache.values"`, …, `"trailer"`).
         section: String,
         /// What exactly mismatched.
         detail: String,
@@ -236,6 +236,15 @@ pub enum ServeError {
         /// The configured resident capacity that was exhausted.
         capacity: usize,
     },
+    /// The tenant id is longer than the
+    /// [`crate::registry::MAX_TENANT_LEN`]-byte cap the wire protocol carries,
+    /// so no request could ever route to it; the registry refuses it.
+    TenantIdTooLong {
+        /// The offending id's length in UTF-8 bytes.
+        len: usize,
+        /// The cap.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -290,6 +299,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::RegistryFull { capacity } => {
                 write!(f, "model registry is full ({capacity} resident slots, none evictable)")
+            }
+            ServeError::TenantIdTooLong { len, max } => {
+                write!(f, "tenant id of {len} bytes exceeds the {max}-byte cap")
             }
         }
     }

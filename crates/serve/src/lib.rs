@@ -7,15 +7,15 @@
 //! engine.
 //!
 //! * [`ServeSnapshot`] — self-describing persistence: config + dataset
-//!   geometry (trained, live *and* retained lengths) + weights
-//!   (base64-packed, versioned v1–v4; v4 checksums every packed section) +
-//!   trained std-dev, geometry-checked and finiteness-checked on restore;
-//!   optionally the whole **warm serving cache**, so
-//!   [`ImputationEngine::from_snapshot`] restarts a process that serves
-//!   cached queries with zero forward passes. The [`durable`] layer persists
-//!   snapshots to disk atomically with a whole-file digest and restores
-//!   through an ordered fallback list
-//!   ([`ImputationEngine::restore_with_fallback`]).
+//!   geometry (trained, live *and* retained lengths) + weights + trained
+//!   std-dev, every section checksummed, geometry-checked and
+//!   finiteness-checked on restore; optionally the whole **warm serving
+//!   cache**, so [`ImputationEngine::from_snapshot`] restarts a process that
+//!   serves cached queries with zero forward passes. The [`durable`] layer
+//!   persists snapshots to disk atomically in a sectioned binary format and
+//!   restores through an ordered fallback list
+//!   ([`ImputationEngine::restore_with_fallback`]); JSON (wire v4) remains
+//!   for text transports.
 //! * [`ImputationEngine`] — the serving core: a full-tensor imputation cache
 //!   with per-window freshness, coalesced micro-batch queries
 //!   ([`ImputationEngine::query_batch`]), a streaming

@@ -3,11 +3,13 @@
 //! One process, many models. A [`ModelRegistry`] maps string **tenant ids**
 //! to [`ImputationEngine`]s and keeps at most `capacity` of them resident at
 //! once; everything else lives as a durable snapshot on disk (the
-//! [`crate::durable`] framed format) and is reloaded on demand:
+//! [`crate::durable`] binary format) and is reloaded on demand:
 //!
 //! * **register** — an engine enters resident under its tenant id
 //!   ([`ModelRegistry::register`]), or cold as a snapshot path
 //!   ([`ModelRegistry::register_spilled`]) that the first request will load.
+//!   Ids longer than the wire's [`MAX_TENANT_LEN`] bytes are refused with
+//!   [`ServeError::TenantIdTooLong`].
 //! * **get** — [`ModelRegistry::get`] resolves a tenant to its engine. A
 //!   resident tenant is a warm hit (and bumps its LRU recency). A spilled
 //!   tenant triggers an on-demand load: the slot is marked loading, the
@@ -21,7 +23,10 @@
 //!   disk and then dropped** ([`ModelRegistry::evict`] does the same on
 //!   demand). Eviction is lossless by construction: the spilled snapshot
 //!   carries the full warm serving state, so a later request reloads an
-//!   engine that answers bitwise-identically.
+//!   engine that answers bitwise-identically. Each tenant spills to its own
+//!   file (named by the hex of its id) whose header records the id, and a
+//!   reload of a file recording another tenant is a typed
+//!   [`ServeError::Corrupt`].
 //! * **typed failure** — an unregistered tenant is
 //!   [`ServeError::UnknownTenant`]; when every slot is pinned by an
 //!   in-flight load and nothing can be evicted, the registry answers
@@ -55,6 +60,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Longest tenant id the registry accepts, in UTF-8 bytes: the cap the
+/// network protocol carries (`mvi_net::MAX_TENANT_LEN` is this constant).
+pub const MAX_TENANT_LEN: usize = 64;
 
 /// Test-harness hook invoked on the loading thread after a tenant's slot is
 /// marked loading and before its snapshot file is read. The fault and
@@ -243,12 +252,14 @@ impl ModelRegistry {
     /// first, so health history survives the swap.
     ///
     /// # Errors
+    /// [`ServeError::TenantIdTooLong`] for ids over [`MAX_TENANT_LEN`] bytes;
     /// [`ServeError::RegistryFull`] when no slot can be freed;
     /// [`ServeError::TenantLoading`] when the tenant is mid-load (the load
     /// owns the slot);
     /// [`ServeError::Snapshot`] when making room required an eviction whose
     /// snapshot write failed (the victim stays resident).
     pub fn register(&self, tenant: &str, engine: Arc<ImputationEngine>) -> Result<(), ServeError> {
+        check_id(tenant)?;
         let mut t = guard(&self.tenants);
         t.clock += 1;
         let now = t.clock;
@@ -291,6 +302,7 @@ impl ModelRegistry {
     /// it (a demotion to disk — the given snapshot becomes the truth).
     ///
     /// # Errors
+    /// [`ServeError::TenantIdTooLong`] for ids over [`MAX_TENANT_LEN`] bytes;
     /// [`ServeError::Snapshot`] when `path` is not a readable file;
     /// [`ServeError::TenantLoading`] when the tenant is mid-load.
     pub fn register_spilled(
@@ -298,6 +310,7 @@ impl ModelRegistry {
         tenant: &str,
         path: impl Into<PathBuf>,
     ) -> Result<(), ServeError> {
+        check_id(tenant)?;
         let path = path.into();
         if !path.is_file() {
             return Err(ServeError::Snapshot(format!(
@@ -335,7 +348,8 @@ impl ModelRegistry {
     /// flight; [`ServeError::RegistryFull`] when loading would need a slot
     /// and nothing is evictable; [`ServeError::Corrupt`] /
     /// [`ServeError::Snapshot`] when the spilled snapshot fails to load (the
-    /// tenant stays spilled; the error names what broke).
+    /// tenant stays spilled; the error names what broke) — including a file
+    /// whose header records another tenant's id.
     pub fn get(&self, tenant: &str) -> Result<Arc<ImputationEngine>, ServeError> {
         let path = {
             let mut t = guard(&self.tenants);
@@ -383,7 +397,7 @@ impl ModelRegistry {
             }
         }
         self.run_load_hook(tenant);
-        let loaded = ImputationEngine::from_snapshot_path(&path);
+        let loaded = load(&path, tenant);
         let mut t = guard(&self.tenants);
         t.clock += 1;
         let now = t.clock;
@@ -597,7 +611,7 @@ impl ModelRegistry {
             ))
         })?;
         let path = spill_path(&self.config.spill_dir, key);
-        engine.snapshot_to_path(&path)?;
+        crate::durable::write_file(&engine.snapshot(), &path, key)?;
         let engine = Arc::clone(engine);
         slot.absorb(&engine);
         slot.state = SlotState::Spilled { path: path.clone() };
@@ -620,16 +634,32 @@ impl std::fmt::Debug for ModelRegistry {
     }
 }
 
-/// The spill file for `tenant`: filesystem-hostile characters are replaced
-/// and a digest of the raw id is appended, so distinct tenants can never
-/// collide on one file no matter what their ids contain.
-fn spill_path(dir: &Path, tenant: &str) -> PathBuf {
-    let mut stem = String::with_capacity(tenant.len().min(48));
-    for c in tenant.chars().take(48) {
-        stem.push(if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' });
+fn check_id(tenant: &str) -> Result<(), ServeError> {
+    if tenant.len() > MAX_TENANT_LEN {
+        return Err(ServeError::TenantIdTooLong { len: tenant.len(), max: MAX_TENANT_LEN });
     }
-    let digest = crate::durable::crc32(tenant.as_bytes());
-    dir.join(format!("{stem}-{digest:08x}.mvisnap"))
+    Ok(())
+}
+
+/// Loads `tenant`'s engine from the snapshot at `path`, refusing a file
+/// whose header records a different tenant (files written outside a
+/// registry record none and load for any tenant).
+fn load(path: &Path, tenant: &str) -> Result<ImputationEngine, ServeError> {
+    let (snap, owner) = crate::durable::read_file(path)?;
+    if !owner.is_empty() && owner != tenant {
+        return Err(ServeError::Corrupt {
+            section: "header".into(),
+            detail: format!("the snapshot belongs to tenant `{owner}`, not `{tenant}`"),
+        });
+    }
+    ImputationEngine::from_owned_snapshot(snap)
+}
+
+/// The spill file for `tenant`: the hex of its full id, so the name is
+/// filesystem-safe and distinct tenants can never share a file.
+fn spill_path(dir: &Path, tenant: &str) -> PathBuf {
+    let hex: String = tenant.bytes().map(|b| format!("{b:02x}")).collect();
+    dir.join(format!("tenant-{hex}.mvisnap"))
 }
 
 #[cfg(test)]
@@ -638,13 +668,11 @@ mod tests {
 
     #[test]
     fn spill_paths_are_sanitized_and_collision_free() {
-        let dir = Path::new("/tmp/reg");
+        let dir = Path::new("spill");
         let a = spill_path(dir, "acme/../../etc");
-        let text = a.to_string_lossy().into_owned();
-        assert!(!text.contains(".."), "path traversal must be neutralized: {text}");
-        // Two ids that sanitize identically still get distinct files.
-        let b = spill_path(dir, "a/b");
-        let c = spill_path(dir, "a.b");
-        assert_ne!(b, c, "digest must disambiguate sanitized collisions");
+        assert_eq!(a.parent(), Some(dir), "path traversal must be neutralized: {a:?}");
+        assert_eq!(spill_path(dir, "a/b"), dir.join("tenant-612f62.mvisnap"));
+        assert_ne!(spill_path(dir, "a/b"), spill_path(dir, "a.b"));
+        assert_eq!(spill_path(dir, ""), dir.join("tenant-.mvisnap"));
     }
 }

@@ -1,51 +1,29 @@
 //! Model persistence for serving: everything a serving process needs to
 //! rehydrate a trained DeepMVI model without the training pipeline.
 //!
-//! [`deepmvi::DeepMviModel::export_params`] captures only the weights; a
-//! server additionally needs the configuration the weights were trained under
-//! and the dataset geometry they are sized for. [`ServeSnapshot`] bundles all
-//! of that (plus the trained imputation std-dev) into one JSON artifact, and
-//! validates geometry on restore so a snapshot cannot silently be loaded
-//! against the wrong tenant's data.
+//! [`ServeSnapshot`] bundles the weights with the configuration they were
+//! trained under, the dataset geometry (trained, live and retained lengths,
+//! the pinned window width, the retention ring) and the trained std-dev, so a
+//! snapshot cannot silently be restored against the wrong tenant's data. An
+//! optional **warm-cache section** (retained observed values and mask, the
+//! imputation cache, per-window freshness, write watermarks) restores
+//! straight into an engine ([`crate::ImputationEngine::from_snapshot`]) that
+//! answers every previously-cached query with **zero forward passes**.
 //!
-//! ## Wire format
+//! Two encodings carry a snapshot:
 //!
-//! The current format is **version 4**: everything version 3 carried — a
-//! `version` field, both the *trained* series length and the *live* length
-//! the serving state had reached when the snapshot was taken (a long-running
-//! deployment grows past training — both are geometry-checked on restore),
-//! the resolved window width `w` (so the model rebuilds identically even
-//! though the live data's missing-block statistics have drifted since
-//! training), the weight tensors packed as **base64 little-endian f64**,
-//! the retention-ring geometry (`retained_start`, the configured
-//! `retention` window) and an optional **warm-cache section**: the retained
-//! observed values and availability mask, the imputation cache, the
-//! per-`(series, window)` freshness bits and the write watermarks, packed
-//! the same way as the weights (f64 buffers base64, boolean buffers
-//! bit-packed base64) — plus a **CRC-32 checksum per packed section**
-//! (computed over the raw bytes before base64). Decode recomputes every
-//! checksum and a mismatch fails with the typed [`ServeError::Corrupt`]
-//! naming the bad section, so bit rot in a weight buffer is caught at load
-//! time instead of surfacing as silently-wrong imputations. A snapshot
-//! carrying the cache section restores straight into a serving engine
-//! ([`crate::ImputationEngine::from_snapshot`]) that answers every
-//! previously-cached query with **zero forward passes** — a warm restart
-//! instead of a cold recompute.
+//! * the **binary file** of [`crate::durable`] — what [`ServeSnapshot::to_path`]
+//!   and every durable path (registry eviction, warm restarts) write;
+//! * **JSON, version 4** ([`ServeSnapshot::to_json`] /
+//!   [`ServeSnapshot::from_json`]) for text transports: f64 buffers as base64
+//!   little-endian bytes, boolean buffers bit-packed (LSB-first) then
+//!   base64'd, and a CRC-32 per packed section over its raw bytes.
 //!
-//! Version-3 snapshots (no checksums), version-2 snapshots (no retention
-//! fields, no cache) and version-1 snapshots (no `version` field, plain
-//! float arrays, single length) still load, v2/v1 with the ring origin at
-//! `0` and no cache.
-//!
-//! For whole-file durability on disk — a framed header with a digest over
-//! the entire JSON body, temp-file + atomic-rename writes, and
-//! restore-with-fallback across snapshot generations — see [`crate::durable`].
-//!
-//! Restore additionally rejects snapshots carrying NaN/±inf weights
-//! ([`ServeError::NonFiniteWeights`]): JSON renders non-finite floats as
-//! `null`, which reads back as NaN, and a model restored that way would
-//! silently answer every query with NaN. Cache sections are held to the same
-//! standard — non-finite cached values refuse to load.
+//! Both decoders verify every checksum first — a mismatch is the typed
+//! [`ServeError::Corrupt`] naming the section — then build the snapshot and
+//! run one shared validation step. Restore also refuses NaN/±inf
+//! weights ([`ServeError::NonFiniteWeights`]): such a model would silently
+//! answer every query with NaN.
 
 use crate::engine::ServeError;
 use deepmvi::{DeepMviConfig, DeepMviModel, FrozenModel};
@@ -72,17 +50,16 @@ pub struct ServeSnapshot {
     /// grown the series.
     pub live_t_len: usize,
     /// Resolved window width `w` the model was built with, pinned so restore
-    /// does not re-derive it from post-growth missing statistics (`0` in
-    /// snapshots written before version 2: restore falls back to the config's
-    /// window rule, which is safe there because v1 states never grew).
+    /// does not re-derive it from post-growth missing statistics (`0` leaves
+    /// the width to the config's window rule).
     pub window: usize,
     /// Oldest retained time position of the captured serving state (the
-    /// retention-ring origin; `0` on unbounded engines and in pre-v3
-    /// snapshots). The retained span `[retained_start, live_t_len)` is what
-    /// physical storage — and the cache section, if present — covers.
+    /// retention-ring origin; `0` on unbounded engines). The retained span
+    /// `[retained_start, live_t_len)` is what physical storage — and the
+    /// cache section, if present — covers.
     pub retained_start: usize,
     /// The retention window the engine was configured with, if any (`None`
-    /// in pre-v3 snapshots and for unbounded engines).
+    /// for unbounded engines).
     pub retention: Option<usize>,
     /// Trained shared imputation std-dev (§4), if training captured one.
     pub shared_std: Option<f64>,
@@ -91,7 +68,7 @@ pub struct ServeSnapshot {
     /// Optional warm-cache section ([`CacheSnapshot`]): present when the
     /// snapshot was taken from a live engine with
     /// [`crate::ImputationEngine::snapshot`], absent from model-only captures
-    /// ([`ServeSnapshot::capture`]) and pre-v3 snapshots.
+    /// ([`ServeSnapshot::capture`]).
     pub cache: Option<CacheSnapshot>,
 }
 
@@ -116,51 +93,10 @@ pub struct CacheSnapshot {
     pub watermark: Vec<usize>,
 }
 
-/// Version-4 wire layout: v3 plus a CRC-32 per packed section (over the raw
-/// bytes before base64), so corruption is a typed load error naming the bad
-/// section instead of silently-wrong weights.
+/// Version-4 JSON layout: the scalar fields plus every packed section with
+/// its CRC-32 (over the raw bytes before base64).
 #[derive(Serialize, Deserialize)]
-struct WireSnapshotV4 {
-    version: u32,
-    config: DeepMviConfig,
-    dims: Vec<DimSpec>,
-    t_len: usize,
-    live_t_len: usize,
-    window: usize,
-    retained_start: usize,
-    retention: Option<usize>,
-    shared_std: Option<f64>,
-    params: Vec<WireParamV4>,
-    cache: Option<WireCacheV4>,
-}
-
-/// One packed weight tensor with its integrity checksum.
-#[derive(Serialize, Deserialize)]
-struct WireParamV4 {
-    name: String,
-    shape: Vec<usize>,
-    data: String,
-    crc32: u32,
-}
-
-/// Wire form of [`CacheSnapshot`] with one checksum per packed buffer.
-#[derive(Serialize, Deserialize)]
-struct WireCacheV4 {
-    name: String,
-    values: String,
-    values_crc32: u32,
-    available: String,
-    available_crc32: u32,
-    imputed: String,
-    imputed_crc32: u32,
-    fresh: String,
-    fresh_crc32: u32,
-    watermark: Vec<usize>,
-}
-
-/// Version-3 wire layout: v2 plus ring geometry and the optional cache.
-#[derive(Serialize, Deserialize)]
-struct WireSnapshotV3 {
+struct WireSnapshot {
     version: u32,
     config: DeepMviConfig,
     dims: Vec<DimSpec>,
@@ -174,50 +110,30 @@ struct WireSnapshotV3 {
     cache: Option<WireCache>,
 }
 
-/// Wire form of [`CacheSnapshot`]: f64 buffers packed like the weights,
-/// boolean buffers bit-packed (LSB-first) then base64'd. Shapes are implied
-/// by the snapshot geometry (`dims × retained span`, freshness `series ×
-/// retained windows`) and validated on decode.
-#[derive(Serialize, Deserialize)]
-struct WireCache {
-    name: String,
-    values: String,
-    available: String,
-    imputed: String,
-    fresh: String,
-    watermark: Vec<usize>,
-}
-
-/// Version-2 wire layout (weights packed, both lengths explicit).
-#[derive(Serialize, Deserialize)]
-struct WireSnapshotV2 {
-    version: u32,
-    config: DeepMviConfig,
-    dims: Vec<DimSpec>,
-    t_len: usize,
-    live_t_len: usize,
-    window: usize,
-    shared_std: Option<f64>,
-    params: Vec<WireParam>,
-}
-
-/// One packed weight tensor: base64 of the little-endian f64 buffer.
+/// One packed weight tensor with its integrity checksum.
 #[derive(Serialize, Deserialize)]
 struct WireParam {
     name: String,
     shape: Vec<usize>,
     data: String,
+    crc32: u32,
 }
 
-/// Version-1 wire layout (what [`ServeSnapshot`] itself used to serialize as:
-/// one length, weights as JSON float arrays, no version field).
+/// JSON form of [`CacheSnapshot`] with one checksum per packed buffer.
+/// Buffer shapes are implied by the snapshot geometry (`dims × retained
+/// span`, freshness `series × retained windows`) and validated on decode.
 #[derive(Serialize, Deserialize)]
-struct WireSnapshotV1 {
-    config: DeepMviConfig,
-    dims: Vec<DimSpec>,
-    t_len: usize,
-    shared_std: Option<f64>,
-    params: StoreSnapshot,
+struct WireCache {
+    name: String,
+    values: String,
+    values_crc32: u32,
+    available: String,
+    available_crc32: u32,
+    imputed: String,
+    imputed_crc32: u32,
+    fresh: String,
+    fresh_crc32: u32,
+    watermark: Vec<usize>,
 }
 
 impl ServeSnapshot {
@@ -287,11 +203,11 @@ impl ServeSnapshot {
                 self.t_len
             )));
         }
-        self.rebuild_model(obs)
+        self.rebuild_model(self.params.clone(), obs)
     }
 
     /// Internal sanity of the persisted lengths (shared by every restore
-    /// path).
+    /// path and by decoding).
     fn check_lengths(&self) -> Result<(), ServeError> {
         // An *unbounded* serving state never shrinks below the trained
         // length; a bounded engine may legitimately have been built over a
@@ -319,14 +235,35 @@ impl ServeSnapshot {
         Ok(())
     }
 
-    /// Rebuilds the frozen model from the weights, taking dataset geometry
-    /// (dims, series shape) from `geometry_source`, whose time extent may be
-    /// anything — the model is rebuilt at the trained length: the truncated
-    /// prefix view when the source is longer (a grown state), an all-missing
-    /// extension when shorter (a retention ring smaller than the trained
-    /// span; only shapes matter because the window width is pinned).
-    fn rebuild_model(&self, geometry_source: &ObservedDataset) -> Result<FrozenModel, ServeError> {
-        for (name, tensor) in &self.params.params {
+    /// The cache geometry the snapshot implies: the physical tensor shape
+    /// (`dims × retained span`), the series count and the retained windows
+    /// per series.
+    fn cache_geometry(&self) -> Result<(Vec<usize>, usize, usize), ServeError> {
+        if self.window == 0 {
+            return Err(ServeError::Snapshot(
+                "cache section requires a pinned window width".into(),
+            ));
+        }
+        let mut shape: Vec<usize> = self.dims.iter().map(DimSpec::len).collect();
+        let n_series = shape.iter().product();
+        shape.push(self.retained_len());
+        let n_windows = self.live_t_len.div_ceil(self.window) - self.retained_start / self.window;
+        Ok((shape, n_series, n_windows))
+    }
+
+    /// Rebuilds the frozen model from `params` (moved in, not copied),
+    /// taking dataset geometry (dims, series shape) from `geometry_source`,
+    /// whose time extent may be anything — the model is rebuilt at the
+    /// trained length: the truncated prefix view when the source is longer
+    /// (a grown state), an all-missing extension when shorter (a retention
+    /// ring smaller than the trained span; only shapes matter because the
+    /// window width is pinned).
+    fn rebuild_model(
+        &self,
+        params: StoreSnapshot,
+        geometry_source: &ObservedDataset,
+    ) -> Result<FrozenModel, ServeError> {
+        for (name, tensor) in &params.params {
             if !tensor.all_finite() {
                 return Err(ServeError::NonFiniteWeights { param: name.clone() });
             }
@@ -351,34 +288,35 @@ impl ServeSnapshot {
         } else {
             self.config.clone()
         };
-        FrozenModel::from_snapshot(&config, geometry, &self.params, self.shared_std)
+        FrozenModel::from_snapshot(&config, geometry, params, self.shared_std)
             .map_err(ServeError::Geometry)
     }
 
     /// Serializes to version-4 JSON (weights — and the cache section, if
     /// present — packed, each packed section checksummed; see the module docs
-    /// for the layout).
+    /// for the layout). Disk writes use the binary layout instead
+    /// ([`ServeSnapshot::to_path`]).
     pub fn to_json(&self) -> String {
-        let packed = |bytes: Vec<u8>| {
-            let crc = crate::durable::crc32(&bytes);
-            (base64_encode(&bytes), crc)
+        let packed = |fill: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = Vec::new();
+            fill(&mut bytes);
+            (base64_encode(&bytes), crate::durable::crc32(&bytes))
         };
         let params = self
             .params
             .params
             .iter()
             .map(|(name, tensor)| {
-                let (data, crc32) = packed(pack_f64_le(tensor.data()));
-                WireParamV4 { name: name.clone(), shape: tensor.shape().to_vec(), data, crc32 }
+                let (data, crc32) = packed(&|o| put_f64s(o, tensor.data()));
+                WireParam { name: name.clone(), shape: tensor.shape().to_vec(), data, crc32 }
             })
             .collect();
         let cache = self.cache.as_ref().map(|c| {
-            let (values, values_crc32) = packed(pack_f64_le(c.values.data()));
-            let (available, available_crc32) = packed(pack_bits(c.available.data()));
-            let (imputed, imputed_crc32) = packed(pack_f64_le(c.imputed.data()));
-            let flat: Vec<bool> = c.fresh.iter().flatten().copied().collect();
-            let (fresh, fresh_crc32) = packed(pack_bits(&flat));
-            WireCacheV4 {
+            let (values, values_crc32) = packed(&|o| put_f64s(o, c.values.data()));
+            let (available, available_crc32) = packed(&|o| put_bits(o, c.available.data()));
+            let (imputed, imputed_crc32) = packed(&|o| put_f64s(o, c.imputed.data()));
+            let (fresh, fresh_crc32) = packed(&|o| put_bits(o, c.fresh.iter().flatten()));
+            WireCache {
                 name: c.name.clone(),
                 values,
                 values_crc32,
@@ -391,7 +329,7 @@ impl ServeSnapshot {
                 watermark: c.watermark.clone(),
             }
         });
-        let wire = WireSnapshotV4 {
+        let wire = WireSnapshot {
             version: SNAPSHOT_VERSION,
             config: self.config.clone(),
             dims: self.dims.clone(),
@@ -404,202 +342,45 @@ impl ServeSnapshot {
             params,
             cache,
         };
+        // mvi-allow: panic — the vendored serializer is infallible (it returns Ok unconditionally)
         serde_json::to_string(&wire).expect("snapshot serialization cannot fail")
     }
 
-    /// Parses a snapshot serialized with [`ServeSnapshot::to_json`] — the
-    /// current version-4 layout or the legacy version-3 / version-2 /
-    /// version-1 layouts.
+    /// Parses a snapshot serialized with [`ServeSnapshot::to_json`].
     ///
     /// # Errors
-    /// [`ServeError::Snapshot`] when the JSON parses as no known version, the
-    /// version is unknown, or a packed buffer does not decode to its declared
-    /// shape; [`ServeError::Corrupt`] when a v4 section fails its checksum
-    /// (the error names the section).
+    /// [`ServeError::Snapshot`] when the text is not a version-4 snapshot or
+    /// its contents are inconsistent with the snapshot geometry;
+    /// [`ServeError::Corrupt`] when a packed section fails its checksum (the
+    /// error names the section).
     pub fn from_json(json: &str) -> Result<Self, ServeError> {
-        let v4_err = match serde_json::from_str::<WireSnapshotV4>(json) {
-            Ok(wire) => {
-                if wire.version != SNAPSHOT_VERSION {
-                    return Err(ServeError::Snapshot(format!(
-                        "unsupported snapshot version {} (this build reads 1..={SNAPSHOT_VERSION})",
-                        wire.version
-                    )));
-                }
-                return Self::from_wire_v4(wire);
-            }
-            Err(e) => e,
-        };
-        // A v3 snapshot is exactly v4 minus the checksum fields, so the v4
-        // parse above fails on it with a missing-field error and lands here.
-        if let Ok(wire) = serde_json::from_str::<WireSnapshotV3>(json) {
-            if wire.version != 3 {
-                return Err(ServeError::Snapshot(format!(
-                    "unsupported snapshot version {} (this build reads 1..={SNAPSHOT_VERSION})",
-                    wire.version
-                )));
-            }
-            return Self::from_wire_v3(wire);
+        let wire = serde_json::from_str::<WireSnapshot>(json).map_err(|e| {
+            ServeError::Snapshot(format!("not a v{SNAPSHOT_VERSION} snapshot: {e:?}"))
+        })?;
+        if wire.version != SNAPSHOT_VERSION {
+            return Err(ServeError::Snapshot(format!(
+                "unsupported snapshot version {} (this build reads {SNAPSHOT_VERSION})",
+                wire.version
+            )));
         }
-        if let Ok(wire) = serde_json::from_str::<WireSnapshotV2>(json) {
-            if wire.version != 2 {
-                return Err(ServeError::Snapshot(format!(
-                    "unsupported snapshot version {} (this build reads 1..={SNAPSHOT_VERSION})",
-                    wire.version
-                )));
-            }
-            return Ok(Self {
-                config: wire.config,
-                dims: wire.dims,
-                t_len: wire.t_len,
-                live_t_len: wire.live_t_len,
-                window: wire.window,
-                retained_start: 0,
-                retention: None,
-                shared_std: wire.shared_std,
-                params: StoreSnapshot { params: unpack_params(wire.params)? },
-                cache: None,
-            });
-        }
-        match serde_json::from_str::<WireSnapshotV1>(json) {
-            Ok(wire) => Ok(Self {
-                config: wire.config,
-                dims: wire.dims,
-                t_len: wire.t_len,
-                live_t_len: wire.t_len,
-                window: 0,
-                retained_start: 0,
-                retention: None,
-                shared_std: wire.shared_std,
-                params: wire.params,
-                cache: None,
-            }),
-            Err(v1_err) => Err(ServeError::Snapshot(format!(
-                "not a v{SNAPSHOT_VERSION} snapshot ({v4_err:?}) and not a v1 snapshot \
-                 ({v1_err:?})"
-            ))),
-        }
-    }
-
-    /// Decodes a parsed v4 wire structure: every packed section's checksum is
-    /// verified over its raw bytes first (a mismatch is a typed
-    /// [`ServeError::Corrupt`] naming the section), then the payload goes
-    /// through the same geometry validation as v3.
-    fn from_wire_v4(wire: WireSnapshotV4) -> Result<Self, ServeError> {
-        let checked = |data: &str, section: &str, recorded: u32| -> Result<(), ServeError> {
-            let bytes = base64_decode(data)
-                .map_err(|detail| ServeError::Corrupt { section: section.to_string(), detail })?;
+        let checked = |data: &str, section: &str, recorded: u32| -> Result<Vec<u8>, ServeError> {
+            let corrupt = |detail| ServeError::Corrupt { section: section.to_string(), detail };
+            let bytes = base64_decode(data).map_err(corrupt)?;
             let actual = crate::durable::crc32(&bytes);
             if actual != recorded {
-                return Err(ServeError::Corrupt {
-                    section: section.to_string(),
-                    detail: format!("crc32 {actual:08x} does not match recorded {recorded:08x}"),
-                });
+                return Err(corrupt(format!(
+                    "crc32 {actual:08x} does not match recorded {recorded:08x}"
+                )));
             }
-            Ok(())
+            Ok(bytes)
         };
         let mut params = Vec::with_capacity(wire.params.len());
         for p in wire.params {
-            checked(&p.data, &format!("params/{}", p.name), p.crc32)?;
-            params.push(WireParam { name: p.name, shape: p.shape, data: p.data });
+            let bytes = checked(&p.data, &format!("params/{}", p.name), p.crc32)?;
+            let tensor = f64_tensor(&bytes, p.shape, &format!("parameter `{}`", p.name))?;
+            params.push((p.name, tensor));
         }
-        let cache = match wire.cache {
-            None => None,
-            Some(c) => {
-                checked(&c.values, "cache.values", c.values_crc32)?;
-                checked(&c.available, "cache.available", c.available_crc32)?;
-                checked(&c.imputed, "cache.imputed", c.imputed_crc32)?;
-                checked(&c.fresh, "cache.fresh", c.fresh_crc32)?;
-                Some(WireCache {
-                    name: c.name,
-                    values: c.values,
-                    available: c.available,
-                    imputed: c.imputed,
-                    fresh: c.fresh,
-                    watermark: c.watermark,
-                })
-            }
-        };
-        Self::from_wire_v3(WireSnapshotV3 {
-            version: 3,
-            config: wire.config,
-            dims: wire.dims,
-            t_len: wire.t_len,
-            live_t_len: wire.live_t_len,
-            window: wire.window,
-            retained_start: wire.retained_start,
-            retention: wire.retention,
-            shared_std: wire.shared_std,
-            params,
-            cache,
-        })
-    }
-
-    /// Decodes a parsed v3 wire structure, validating every packed buffer
-    /// against the snapshot geometry.
-    fn from_wire_v3(wire: WireSnapshotV3) -> Result<Self, ServeError> {
-        let params = unpack_params(wire.params)?;
-        if wire.retained_start >= wire.live_t_len {
-            return Err(ServeError::Snapshot(format!(
-                "retained start {} leaves no retained span (live length {})",
-                wire.retained_start, wire.live_t_len
-            )));
-        }
-        let span = wire.live_t_len - wire.retained_start;
-        let series_shape: Vec<usize> = wire.dims.iter().map(DimSpec::len).collect();
-        let n_series: usize = series_shape.iter().product();
-        let mut tensor_shape = series_shape;
-        tensor_shape.push(span);
-        let cache = match wire.cache {
-            None => None,
-            Some(c) => {
-                let cells = n_series * span;
-                let values = unpack_f64_field(&c.values, "cache.values", &tensor_shape, cells)?;
-                let imputed = unpack_f64_field(&c.imputed, "cache.imputed", &tensor_shape, cells)?;
-                let available = Mask::from_vec(
-                    tensor_shape.clone(),
-                    unpack_bool_field(&c.available, "cache.available", cells)?,
-                );
-                if wire.window == 0 {
-                    return Err(ServeError::Snapshot(
-                        "cache section requires a pinned window width".into(),
-                    ));
-                }
-                let n_windows =
-                    wire.live_t_len.div_ceil(wire.window) - wire.retained_start / wire.window;
-                let flat_fresh = unpack_bool_field(&c.fresh, "cache.fresh", n_series * n_windows)?;
-                let fresh: Vec<Vec<bool>> =
-                    flat_fresh.chunks(n_windows).map(<[bool]>::to_vec).collect();
-                if c.watermark.len() != n_series {
-                    return Err(ServeError::Snapshot(format!(
-                        "cache.watermark has {} entries for {} series",
-                        c.watermark.len(),
-                        n_series
-                    )));
-                }
-                for (s, &wm) in c.watermark.iter().enumerate() {
-                    if wm < wire.retained_start || wm > wire.live_t_len {
-                        return Err(ServeError::Snapshot(format!(
-                            "cache.watermark[{s}] = {wm} outside the retained span [{}, {}]",
-                            wire.retained_start, wire.live_t_len
-                        )));
-                    }
-                }
-                if !values.all_finite() || !imputed.all_finite() {
-                    return Err(ServeError::Snapshot(
-                        "cache section carries non-finite values".into(),
-                    ));
-                }
-                Some(CacheSnapshot {
-                    name: c.name,
-                    values,
-                    available,
-                    imputed,
-                    fresh,
-                    watermark: c.watermark,
-                })
-            }
-        };
-        Ok(Self {
+        let mut snap = Self {
             config: wire.config,
             dims: wire.dims,
             t_len: wire.t_len,
@@ -609,67 +390,126 @@ impl ServeSnapshot {
             retention: wire.retention,
             shared_std: wire.shared_std,
             params: StoreSnapshot { params },
-            cache,
-        })
+            cache: None,
+        };
+        if let Some(c) = wire.cache {
+            // The JSON layout leaves cache shapes to the geometry.
+            snap.check_lengths()?;
+            let (shape, n_series, n_windows) = snap.cache_geometry()?;
+            let values = checked(&c.values, "cache.values", c.values_crc32)?;
+            let available = checked(&c.available, "cache.available", c.available_crc32)?;
+            let imputed = checked(&c.imputed, "cache.imputed", c.imputed_crc32)?;
+            let fresh = checked(&c.fresh, "cache.fresh", c.fresh_crc32)?;
+            snap.cache = Some(CacheSnapshot {
+                name: c.name,
+                values: f64_tensor(&values, shape.clone(), "cache.values")?,
+                available: bit_mask(&available, shape.clone(), "cache.available")?,
+                imputed: f64_tensor(&imputed, shape, "cache.imputed")?,
+                fresh: bit_rows(&fresh, &[n_series, n_windows], "cache.fresh")?,
+                watermark: c.watermark,
+            });
+        }
+        snap.validate()?;
+        Ok(snap)
     }
-}
 
-/// Decodes the packed weight list shared by the v2 and v3 layouts.
-fn unpack_params(wire: Vec<WireParam>) -> Result<Vec<(String, Tensor)>, ServeError> {
-    let mut params = Vec::with_capacity(wire.len());
-    for p in wire {
-        let bytes = base64_decode(&p.data)
-            .map_err(|e| ServeError::Snapshot(format!("parameter `{}`: {e}", p.name)))?;
-        let expected: usize = p.shape.iter().product();
-        if bytes.len() != 8 * expected {
+    /// The validation every decoded snapshot passes, whichever encoding it
+    /// came from (JSON here, the binary file in [`crate::durable`]), and
+    /// every warm restore repeats: consistent lengths, and a cache section
+    /// whose tensors, freshness and watermarks fit the snapshot geometry and
+    /// whose cached values are all finite.
+    ///
+    /// # Errors
+    /// [`ServeError::Snapshot`] naming the first inconsistency.
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+        self.check_lengths()?;
+        let Some(cache) = &self.cache else {
+            return Ok(());
+        };
+        let (shape, n_series, n_windows) = self.cache_geometry()?;
+        if cache.values.shape() != shape
+            || cache.available.shape() != shape
+            || cache.imputed.shape() != shape
+        {
             return Err(ServeError::Snapshot(format!(
-                "parameter `{}`: {} bytes do not fill shape {:?}",
-                p.name,
-                bytes.len(),
-                p.shape
+                "cache tensors do not match the snapshot geometry {shape:?}"
             )));
         }
-        params.push((p.name, Tensor::from_vec(p.shape, unpack_f64_le(&bytes))));
+        if cache.fresh.len() != n_series
+            || cache.fresh.iter().any(|f| f.len() != n_windows)
+            || cache.watermark.len() != n_series
+        {
+            return Err(ServeError::Snapshot(format!(
+                "cache freshness/watermarks do not match {n_series} series x {n_windows} windows"
+            )));
+        }
+        for (s, &wm) in cache.watermark.iter().enumerate() {
+            if wm < self.retained_start || wm > self.live_t_len {
+                return Err(ServeError::Snapshot(format!(
+                    "cache.watermark[{s}] = {wm} outside the retained span [{}, {}]",
+                    self.retained_start, self.live_t_len
+                )));
+            }
+        }
+        if !cache.values.all_finite() || !cache.imputed.all_finite() {
+            return Err(ServeError::Snapshot("cache section carries non-finite values".into()));
+        }
+        Ok(())
     }
-    Ok(params)
 }
 
-/// Decodes one packed f64 cache buffer and checks it fills `shape`.
-fn unpack_f64_field(
-    data: &str,
+/// The element count of `shape`, `None` on overflow.
+fn cells(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
+/// Decodes a little-endian f64 buffer that must exactly fill `shape`.
+pub(crate) fn f64_tensor(
+    bytes: &[u8],
+    shape: Vec<usize>,
     what: &str,
-    shape: &[usize],
-    cells: usize,
 ) -> Result<Tensor, ServeError> {
-    let bytes = base64_decode(data).map_err(|e| ServeError::Snapshot(format!("{what}: {e}")))?;
-    if bytes.len() != 8 * cells {
+    if cells(&shape).and_then(|n| n.checked_mul(8)) != Some(bytes.len()) {
         return Err(ServeError::Snapshot(format!(
             "{what}: {} bytes do not fill shape {shape:?}",
             bytes.len()
         )));
     }
-    Ok(Tensor::from_vec(shape.to_vec(), unpack_f64_le(&bytes)))
+    let (words, _) = bytes.as_chunks::<8>();
+    Ok(Tensor::from_vec(shape, words.iter().map(|w| f64::from_le_bytes(*w)).collect()))
 }
 
-/// Decodes one bit-packed boolean cache buffer of exactly `n` entries.
-fn unpack_bool_field(data: &str, what: &str, n: usize) -> Result<Vec<bool>, ServeError> {
-    let bytes = base64_decode(data).map_err(|e| ServeError::Snapshot(format!("{what}: {e}")))?;
-    if bytes.len() != n.div_ceil(8) {
+/// Unpacks an LSB-first bit buffer that must hold exactly `shape`'s element
+/// count: a mask, or `[series, windows]` freshness flags, returned as rows
+/// of the last axis.
+pub(crate) fn bit_rows(
+    bytes: &[u8],
+    shape: &[usize],
+    what: &str,
+) -> Result<Vec<Vec<bool>>, ServeError> {
+    let Some(n) = cells(shape).filter(|n| n.div_ceil(8) == bytes.len()) else {
         return Err(ServeError::Snapshot(format!(
-            "{what}: {} bytes do not hold {n} bits",
+            "{what}: {} bytes do not hold shape {shape:?}",
             bytes.len()
         )));
-    }
-    Ok(unpack_bits(&bytes, n))
+    };
+    let bits: Vec<bool> =
+        (0..n).map(|i| bytes.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0)).collect();
+    Ok(bits.chunks(shape.last().copied().unwrap_or(1).max(1)).map(<[bool]>::to_vec).collect())
+}
+
+/// A mask from [`bit_rows`].
+pub(crate) fn bit_mask(bytes: &[u8], shape: Vec<usize>, what: &str) -> Result<Mask, ServeError> {
+    Ok(Mask::from_vec(shape.clone(), bit_rows(bytes, &shape, what)?.concat()))
 }
 
 impl crate::ImputationEngine {
-    /// Captures the engine's complete serving state as a version-3 snapshot
-    /// **with the warm-cache section**: weights, ring geometry, retained
-    /// observed data, the imputation cache, window freshness and watermarks.
-    /// Restoring it with [`crate::ImputationEngine::from_snapshot`] resumes
-    /// serving exactly where this engine stood — cached queries replay with
-    /// zero forward passes.
+    /// Captures the engine's complete serving state as a snapshot **with the
+    /// warm-cache section**: weights, ring geometry, retained observed data,
+    /// the imputation cache, window freshness and watermarks. Restoring it
+    /// with [`crate::ImputationEngine::from_snapshot`] resumes serving
+    /// exactly where this engine stood — cached queries replay with zero
+    /// forward passes.
     ///
     /// For a model-only artifact (smaller, no serving state), use
     /// [`ServeSnapshot::capture`] instead.
@@ -723,55 +563,34 @@ impl crate::ImputationEngine {
     ///
     /// # Errors
     /// [`ServeError::Snapshot`] when the snapshot has no cache section or its
-    /// cache is inconsistent with the snapshot geometry;
+    /// cache is inconsistent with the snapshot geometry or carries
+    /// non-finite values;
     /// [`ServeError::Geometry`] / [`ServeError::NonFiniteWeights`] from the
     /// model rebuild, as in [`ServeSnapshot::restore`].
     pub fn from_snapshot(snap: &ServeSnapshot) -> Result<Self, ServeError> {
-        snap.check_lengths()?;
-        let cache = snap.cache.as_ref().ok_or_else(|| {
+        Self::from_owned_snapshot(snap.clone())
+    }
+
+    /// [`crate::ImputationEngine::from_snapshot`] consuming the snapshot:
+    /// its weights and cache tensors move into the engine uncopied (the
+    /// durable read path, which owns what it decoded).
+    pub(crate) fn from_owned_snapshot(mut snap: ServeSnapshot) -> Result<Self, ServeError> {
+        snap.validate()?;
+        let cache = snap.cache.take().ok_or_else(|| {
             ServeError::Snapshot(
                 "snapshot has no warm-cache section; restore the model with \
                  ServeSnapshot::restore and build a cold engine with ImputationEngine::new"
                     .into(),
             )
         })?;
-        let span = snap.retained_len();
-        let series_shape: Vec<usize> = snap.dims.iter().map(DimSpec::len).collect();
-        let n_series: usize = series_shape.iter().product();
-        let mut tensor_shape = series_shape;
-        tensor_shape.push(span);
-        if cache.values.shape() != tensor_shape
-            || cache.available.shape() != tensor_shape
-            || cache.imputed.shape() != tensor_shape
-        {
-            return Err(ServeError::Snapshot(format!(
-                "cache tensors do not match the snapshot geometry {tensor_shape:?}"
-            )));
-        }
-        if snap.window == 0 {
-            return Err(ServeError::Snapshot(
-                "cache section requires a pinned window width".into(),
-            ));
-        }
-        let n_windows = snap.live_t_len.div_ceil(snap.window) - snap.retained_start / snap.window;
-        if cache.fresh.len() != n_series
-            || cache.fresh.iter().any(|f| f.len() != n_windows)
-            || cache.watermark.len() != n_series
-        {
-            return Err(ServeError::Snapshot(format!(
-                "cache freshness/watermarks do not match {n_series} series x {n_windows} windows"
-            )));
-        }
-        if cache.watermark.iter().any(|&wm| wm < snap.retained_start || wm > snap.live_t_len) {
-            return Err(ServeError::Snapshot("cache watermark outside the retained span".into()));
-        }
         let obs = ObservedDataset {
-            name: cache.name.clone(),
+            name: cache.name,
             dims: snap.dims.clone(),
-            values: cache.values.clone(),
-            available: cache.available.clone(),
+            values: cache.values,
+            available: cache.available,
         };
-        let frozen = snap.rebuild_model(&obs)?;
+        let params = StoreSnapshot { params: std::mem::take(&mut snap.params.params) };
+        let frozen = snap.rebuild_model(params, &obs)?;
         if frozen.grid().window_len() != snap.window {
             return Err(ServeError::Snapshot(format!(
                 "rebuilt model window {} does not match the pinned width {}",
@@ -783,9 +602,9 @@ impl crate::ImputationEngine {
             frozen,
             crate::engine::RestoredParts {
                 obs,
-                imputed: cache.imputed.clone(),
-                fresh: cache.fresh.clone(),
-                watermark: cache.watermark.clone(),
+                imputed: cache.imputed,
+                fresh: cache.fresh,
+                watermark: cache.watermark,
                 retained_start: snap.retained_start,
                 live_t_len: snap.live_t_len,
                 retention: snap.retention,
@@ -795,37 +614,35 @@ impl crate::ImputationEngine {
 }
 
 // ---------------------------------------------------------------------------
-// Weight packing: little-endian f64 <-> base64 (RFC 4648 standard alphabet,
-// padded). Hand-rolled because the offline workspace vendors no base64 crate;
-// round-trips are bit-exact, so NaN payloads survive into the finite check.
-// Boolean buffers (availability masks, freshness bits) pack 8-to-a-byte,
-// LSB-first, before the same base64 step.
+// Buffer packing, shared by both encodings: f64 buffers as little-endian
+// bytes, boolean buffers 8-to-a-byte LSB-first. The JSON encoding then
+// base64s them (RFC 4648 standard alphabet, padded; hand-rolled because the
+// offline workspace vendors no base64 crate). Round-trips are bit-exact, so
+// NaN payloads survive into the finite check.
 // ---------------------------------------------------------------------------
 
-fn pack_bits(bits: &[bool]) -> Vec<u8> {
-    let mut bytes = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            bytes[i / 8] |= 1 << (i % 8);
+/// Appends `values` to `out` as little-endian bytes.
+pub(crate) fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    out.reserve(8 * values.len());
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Appends `bits` to `out`, packed 8-to-a-byte, LSB-first.
+pub(crate) fn put_bits<'a>(out: &mut Vec<u8>, bits: impl IntoIterator<Item = &'a bool>) {
+    let (mut byte, mut n) = (0u8, 0usize);
+    for &b in bits {
+        byte |= u8::from(b) << (n % 8);
+        n += 1;
+        if n.is_multiple_of(8) {
+            out.push(byte);
+            byte = 0;
         }
     }
-    bytes
-}
-
-fn unpack_bits(bytes: &[u8], n: usize) -> Vec<bool> {
-    (0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect()
-}
-
-fn pack_f64_le(values: &[f64]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        bytes.extend_from_slice(&v.to_le_bytes());
+    if !n.is_multiple_of(8) {
+        out.push(byte);
     }
-    bytes
-}
-
-fn unpack_f64_le(bytes: &[u8]) -> Vec<f64> {
-    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
 }
 
 const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -925,8 +742,10 @@ mod tests {
     #[test]
     fn packed_floats_roundtrip_bit_exactly() {
         let vals = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, -1e300];
-        let back = unpack_f64_le(&pack_f64_le(&vals));
-        for (a, b) in vals.iter().zip(&back) {
+        let mut bytes = Vec::new();
+        put_f64s(&mut bytes, &vals);
+        let back = f64_tensor(&bytes, vec![vals.len()], "test").unwrap();
+        for (a, b) in vals.iter().zip(back.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -951,117 +770,6 @@ mod tests {
         let shorter = generate_with_shape(DatasetName::Gas, &[3], 80, 4);
         let shorter_obs = Scenario::mcar(1.0).apply(&shorter, 1).observed();
         assert!(matches!(back.restore(&shorter_obs), Err(ServeError::Geometry(_))));
-    }
-
-    #[test]
-    fn v2_packing_shrinks_the_artifact() {
-        let (obs, model) = trained();
-        let snap = ServeSnapshot::capture(&model, &obs);
-        let v2 = snap.to_json();
-        let v1 = serde_json::to_string(&WireSnapshotV1 {
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            shared_std: snap.shared_std,
-            params: snap.params.clone(),
-        })
-        .unwrap();
-        let raw = 8 * snap.params.params.iter().map(|(_, t)| t.len()).sum::<usize>();
-        eprintln!(
-            "snapshot sizes: raw weights {raw} B, v1 float-array {} B ({:.2}x raw), v2 packed {} \
-             B ({:.2}x raw, {:.2}x smaller than v1)",
-            v1.len(),
-            v1.len() as f64 / raw as f64,
-            v2.len(),
-            v2.len() as f64 / raw as f64,
-            v1.len() as f64 / v2.len() as f64
-        );
-        assert!(
-            v2.len() < v1.len(),
-            "packed snapshot ({}) not smaller than float-array dump ({})",
-            v2.len(),
-            v1.len()
-        );
-        // Base64 is 4/3 of raw; everything else (names, shapes, config) is
-        // bounded overhead. Guard the packing stays near that bound.
-        assert!(
-            (v2.len() as f64) < 1.5 * raw as f64 + 4096.0,
-            "packed snapshot {} bytes for {} raw weight bytes",
-            v2.len(),
-            raw
-        );
-    }
-
-    #[test]
-    fn legacy_v2_json_still_loads() {
-        let (obs, model) = trained();
-        let expected = model.impute(&obs);
-        let snap = ServeSnapshot::capture(&model, &obs);
-        // Exactly what the v2-era build serialized: packed weights, both
-        // lengths, pinned window — no retention fields, no cache.
-        let v2_json = serde_json::to_string(&WireSnapshotV2 {
-            version: 2,
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            live_t_len: snap.live_t_len,
-            window: snap.window,
-            shared_std: snap.shared_std,
-            params: snap
-                .params
-                .params
-                .iter()
-                .map(|(name, tensor)| WireParam {
-                    name: name.clone(),
-                    shape: tensor.shape().to_vec(),
-                    data: base64_encode(&pack_f64_le(tensor.data())),
-                })
-                .collect(),
-        })
-        .unwrap();
-        let back = ServeSnapshot::from_json(&v2_json).unwrap();
-        assert_eq!(back.retained_start, 0, "v2 states never evicted");
-        assert_eq!(back.retention, None);
-        assert!(back.cache.is_none(), "v2 has no cache section");
-        assert_eq!(back.window, snap.window, "v2 pinned the window");
-        let frozen = back.restore(&obs).unwrap();
-        assert_eq!(frozen.impute(&obs), expected);
-    }
-
-    #[test]
-    fn legacy_v3_json_still_loads() {
-        let (obs, model) = trained();
-        let expected = model.impute(&obs);
-        let snap = ServeSnapshot::capture(&model, &obs);
-        // Exactly what the v3-era build serialized: packed weights, ring
-        // geometry, optional cache — no checksums.
-        let v3_json = serde_json::to_string(&WireSnapshotV3 {
-            version: 3,
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            live_t_len: snap.live_t_len,
-            window: snap.window,
-            retained_start: snap.retained_start,
-            retention: snap.retention,
-            shared_std: snap.shared_std,
-            params: snap
-                .params
-                .params
-                .iter()
-                .map(|(name, tensor)| WireParam {
-                    name: name.clone(),
-                    shape: tensor.shape().to_vec(),
-                    data: base64_encode(&pack_f64_le(tensor.data())),
-                })
-                .collect(),
-            cache: None,
-        })
-        .unwrap();
-        let back = ServeSnapshot::from_json(&v3_json).unwrap();
-        assert_eq!(back.window, snap.window);
-        let frozen = back.restore(&obs).unwrap();
-        assert_eq!(frozen.impute(&obs), expected);
     }
 
     #[test]
@@ -1114,32 +822,11 @@ mod tests {
     fn bit_packing_roundtrips() {
         for n in 0..40usize {
             let bits: Vec<bool> = (0..n).map(|i| (i * 7 + 3) % 5 < 2).collect();
-            let bytes = pack_bits(&bits);
+            let mut bytes = Vec::new();
+            put_bits(&mut bytes, &bits);
             assert_eq!(bytes.len(), n.div_ceil(8));
-            assert_eq!(unpack_bits(&bytes, n), bits, "n = {n}");
+            assert_eq!(bit_rows(&bytes, &[n], "test").unwrap().concat(), bits, "n = {n}");
         }
-    }
-
-    #[test]
-    fn legacy_v1_json_still_loads() {
-        let (obs, model) = trained();
-        let expected = model.impute(&obs);
-        let snap = ServeSnapshot::capture(&model, &obs);
-        // Exactly what the pre-versioning format serialized as.
-        let v1_json = serde_json::to_string(&WireSnapshotV1 {
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            shared_std: snap.shared_std,
-            params: snap.params.clone(),
-        })
-        .unwrap();
-        let back = ServeSnapshot::from_json(&v1_json).unwrap();
-        assert_eq!(back.live_t_len, back.t_len, "v1 states never grew");
-        assert_eq!(back.window, 0, "v1 has no pinned window");
-        let frozen = back.restore(&obs).unwrap();
-        assert_eq!(frozen.impute(&obs), expected);
-        assert_eq!(frozen.shared_std(), snap.shared_std);
     }
 
     #[test]
@@ -1168,7 +855,7 @@ mod tests {
     fn non_finite_weights_are_rejected_on_restore() {
         let (obs, model) = trained();
         let mut snap = ServeSnapshot::capture(&model, &obs);
-        // Poison one weight; v2 base64 packing preserves the NaN bits, so the
+        // Poison one weight; base64 packing preserves the NaN bits, so the
         // JSON roundtrip hands the finite check exactly what was written.
         snap.params.params[1].1.data_mut()[0] = f64::NAN;
         let back = ServeSnapshot::from_json(&snap.to_json()).unwrap();
@@ -1177,18 +864,6 @@ mod tests {
         let err = back.restore(&obs).err().expect("poisoned snapshot must not restore");
         assert_eq!(err, ServeError::NonFiniteWeights { param: poisoned.0.clone() });
 
-        // The v1 path (where JSON turns NaN into null and back into NaN —
-        // the original silent-NaN-serving bug) is rejected the same way.
-        let v1_json = serde_json::to_string(&WireSnapshotV1 {
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            shared_std: snap.shared_std,
-            params: snap.params.clone(),
-        })
-        .unwrap();
-        let v1_back = ServeSnapshot::from_json(&v1_json).unwrap();
-        assert!(matches!(v1_back.restore(&obs), Err(ServeError::NonFiniteWeights { .. })));
         // An infinity is caught too, not just NaN.
         let mut inf = ServeSnapshot::capture(&model, &obs);
         inf.params.params[0].1.data_mut()[2] = f64::INFINITY;
@@ -1264,7 +939,7 @@ mod tests {
         let snap = engine.snapshot();
         assert!(snap.cache.is_some());
         let json = snap.to_json();
-        let back = ServeSnapshot::from_json(&json).expect("v3 parses");
+        let back = ServeSnapshot::from_json(&json).expect("v4 parses");
         let restored = crate::ImputationEngine::from_snapshot(&back).expect("warm restart");
 
         // Every query answers from the restored cache: zero forward passes.

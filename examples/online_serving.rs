@@ -12,7 +12,7 @@
 //! that re-impute only the affected tail windows → a stream that runs past
 //! the **retention ring** (the oldest span evicts, resident storage stays
 //! flat, evicted time answers with a typed error) → a **warm restart** from a
-//! v3 cache snapshot that serves without recomputing a single window.
+//! warm-cache snapshot that serves without recomputing a single window.
 
 use deepmvi::{DeepMviConfig, DeepMviModel};
 use mvi_data::dataset::Dataset;

@@ -177,6 +177,70 @@ fn register_spilled_requires_a_real_file_and_loads_on_first_get() {
 }
 
 // ---------------------------------------------------------------------------
+// Spill files: one per tenant, owned by that tenant
+// ---------------------------------------------------------------------------
+
+#[test]
+fn colliding_ids_spill_to_distinct_files_and_reload_their_own_models() {
+    // A truncated 48-character stem plus a CRC-32 of the id once named both
+    // of these tenants' spill files identically (same stem, CRC 0xc0ee6e47).
+    let x41 = "x".repeat(41);
+    let (first, second) = (format!("tenant-{x41}108ddf9"), format!("tenant-{x41}3008894"));
+    let dir = SpillDir::new("collide");
+    let reg = registry(1, &dir);
+    reg.register(&first, engine(0)).unwrap();
+    reg.register(&second, engine(1)).unwrap(); // spills `first`
+    let first_path = reg.evict(&first).unwrap();
+    let second_path = reg.evict(&second).unwrap();
+    assert_ne!(first_path, second_path, "each tenant spills to its own file");
+
+    for (tenant, seed) in [(&first, 0), (&second, 1), (&first, 0)] {
+        let want = engine(seed).query(0, 0, T_LEN).unwrap();
+        let got = reg.get(tenant).unwrap().query(0, 0, T_LEN).unwrap();
+        assert!(
+            want.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "`{tenant}` reloaded another tenant's model"
+        );
+    }
+
+    // A spill file that records another tenant's id is refused typed, and
+    // the tenant stays spilled.
+    reg.evict(&first).unwrap();
+    reg.evict(&second).unwrap();
+    std::fs::copy(&first_path, &second_path).unwrap();
+    match reg.get(&second).map(|_| ()) {
+        Err(ServeError::Corrupt { section, detail }) => {
+            assert_eq!(section, "header");
+            assert!(detail.contains(first.as_str()), "names the recorded owner: {detail}");
+        }
+        other => panic!("a file owned by another tenant must not load: {other:?}"),
+    }
+    assert_eq!(reg.stats().load_failures, 1);
+    reg.get(&first).unwrap();
+}
+
+#[test]
+fn ids_over_the_wire_cap_are_refused_typed() {
+    let dir = SpillDir::new("cap");
+    let reg = registry(2, &dir);
+    let longest = "t".repeat(64);
+    reg.register(&longest, engine(0)).unwrap();
+    let path = reg.evict(&longest).unwrap();
+    assert!(reg.get(&longest).is_ok(), "a 64-byte id round-trips through its spill file");
+
+    let too_long = "t".repeat(65);
+    match reg.register(&too_long, engine(0)) {
+        Err(ServeError::TenantIdTooLong { len: 65, max: 64 }) => {}
+        other => panic!("a 65-byte id must be refused typed: {other:?}"),
+    }
+    match reg.register_spilled(&too_long, &path) {
+        Err(ServeError::TenantIdTooLong { len: 65, max: 64 }) => {}
+        other => panic!("a 65-byte id must be refused typed: {other:?}"),
+    }
+    assert!(!reg.contains(&too_long));
+}
+
+// ---------------------------------------------------------------------------
 // Typed loading/full states, held open deterministically by the load hook
 // ---------------------------------------------------------------------------
 

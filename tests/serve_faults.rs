@@ -14,8 +14,9 @@
 //! * non-finite forward outputs degrade the window to the mean baseline with
 //!   the degradation flagged, and heal on the next clean recompute;
 //! * durable snapshot files survive truncation and bit flips as typed
-//!   `Corrupt` errors (proptest-fuzzed), and `restore_with_fallback` walks
-//!   back to the last good generation;
+//!   `Corrupt` errors (proptest-fuzzed over the whole file, plus every bit of
+//!   the header and of every section's length fields), and
+//!   `restore_with_fallback` walks back to the last good generation;
 //! * with guards installed but not firing, the served values stay **bitwise
 //!   identical** to the unguarded engine.
 //!
@@ -385,7 +386,7 @@ fn nonfinite_forward_output_degrades_to_the_mean_baseline_and_heals() {
 // Durable snapshots: fuzzing + fallback
 // ---------------------------------------------------------------------------
 
-/// The fixture engine's framed durable snapshot bytes (written once).
+/// The fixture engine's binary snapshot file bytes (written once).
 fn durable_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -449,7 +450,7 @@ fn durable_snapshot_roundtrips_and_fallback_walks_to_the_last_good_generation() 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random truncation of the framed snapshot never panics and never
+    /// Random truncation of the snapshot file never panics and never
     /// loads: every cut is a typed `Corrupt`/`Snapshot` error.
     #[test]
     fn truncated_snapshot_files_fail_typed(cut in 0usize..100) {
@@ -467,12 +468,13 @@ proptest! {
         }
     }
 
-    /// A single flipped bit anywhere in the framed file — header, digest,
-    /// or body — never panics and never loads silently.
+    /// A single flipped bit anywhere in the file — header, section fields,
+    /// payloads or checksums — never panics and never loads silently.
     #[test]
     fn bitflipped_snapshot_files_fail_typed(pos in 0usize..10_000, bit in 0u8..8) {
         let mut bytes = durable_bytes().to_vec();
-        let i = pos % bytes.len();
+        // Spread the flips over the whole file, whatever its length.
+        let i = pos * bytes.len() / 10_000;
         bytes[i] ^= 1 << bit;
         let path = scratch_path("flip");
         std::fs::write(&path, &bytes).unwrap();
@@ -484,6 +486,72 @@ proptest! {
             Ok(_) => prop_assert!(false, "a bit-flipped snapshot must never load"),
         }
     }
+}
+
+/// Offsets of a snapshot file's structural bytes, walked from the layout
+/// documented in `mvi_serve::durable`: the whole header (magic, version,
+/// length, body, CRC), then per section its name length, rank and shape,
+/// payload length and CRC.
+fn structural_offsets(bytes: &[u8]) -> Vec<usize> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let header_end = 20 + word(12) + 4;
+    let mut offsets: Vec<usize> = (0..header_end).collect();
+    let mut at = header_end;
+    while at < bytes.len() {
+        offsets.extend(at..at + 8);
+        at += 8 + word(at);
+        let rank = word(at);
+        offsets.extend(at..at + 8 + 8 * rank);
+        at += 8 + 8 * rank;
+        offsets.extend(at..at + 8);
+        at += 8 + word(at);
+        offsets.extend(at..at + 4);
+        at += 4;
+    }
+    assert_eq!(at, bytes.len(), "the walk must end exactly at the end of the file");
+    offsets
+}
+
+#[test]
+fn every_header_bit_and_section_length_flip_fails_typed() {
+    let pristine = durable_bytes();
+    let offsets = structural_offsets(pristine);
+    let path = scratch_path("sweep");
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        ImputationEngine::from_snapshot_path(&path)
+    };
+    assert!(load(pristine).is_ok(), "the pristine file loads");
+    for i in offsets {
+        for bit in 0..8 {
+            let mut bytes = pristine.to_vec();
+            bytes[i] ^= 1 << bit;
+            match load(&bytes) {
+                Err(ServeError::Corrupt { .. } | ServeError::Snapshot(_)) => {}
+                Err(other) => panic!("byte {i} bit {bit}: unexpected error type: {other}"),
+                Ok(_) => panic!("byte {i} bit {bit}: a bit-flipped snapshot must never load"),
+            }
+        }
+    }
+    // A file from another format version, CRC intact, is refused by
+    // version rather than misread.
+    let header_end = 20 + u64::from_le_bytes(pristine[12..20].try_into().unwrap()) as usize;
+    let mut future = pristine.to_vec();
+    future[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let crc = mvi_serve::durable::crc32(&future[..header_end]);
+    future[header_end..header_end + 4].copy_from_slice(&crc.to_le_bytes());
+    assert!(matches!(
+        load(&future),
+        Err(ServeError::Snapshot(msg)) if msg.contains("version 2")
+    ));
+    // Nothing may follow the last section.
+    let mut extended = pristine.to_vec();
+    extended.push(0);
+    assert!(matches!(
+        load(&extended),
+        Err(ServeError::Corrupt { section, .. }) if section == "trailer"
+    ));
+    let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------
@@ -549,6 +617,7 @@ fn serve_error_display_is_exhaustive_and_humane() {
         ServeError::UnknownTenant { tenant: "acme".into() },
         ServeError::TenantLoading { tenant: "acme".into() },
         ServeError::RegistryFull { capacity: 2 },
+        ServeError::TenantIdTooLong { len: 65, max: 64 },
     ];
     for err in &all {
         // Exhaustiveness guard: adding a variant breaks this match.
@@ -568,7 +637,8 @@ fn serve_error_display_is_exhaustive_and_humane() {
             | ServeError::Disconnected
             | ServeError::UnknownTenant { .. }
             | ServeError::TenantLoading { .. }
-            | ServeError::RegistryFull { .. } => {}
+            | ServeError::RegistryFull { .. }
+            | ServeError::TenantIdTooLong { .. } => {}
         }
         let rendered = err.to_string();
         assert!(!rendered.is_empty(), "{err:?} renders empty");
@@ -592,6 +662,7 @@ fn serve_error_display_is_exhaustive_and_humane() {
     assert!(ServeError::UnknownTenant { tenant: "acme".into() }.to_string().contains("acme"));
     assert!(ServeError::TenantLoading { tenant: "acme".into() }.to_string().contains("acme"));
     assert!(ServeError::RegistryFull { capacity: 2 }.to_string().contains('2'));
+    assert!(ServeError::TenantIdTooLong { len: 65, max: 64 }.to_string().contains("65"));
     // The deliberate drain and the crash-shaped loss must read differently:
     // one was answered, the other lost its reply.
     let (shutdown, disconnected) =

@@ -308,6 +308,45 @@ fn ring_snapshot_roundtrip_preserves_offsets_and_serves_without_recompute() {
     }
 }
 
+/// A ring engine's snapshot survives the binary file and the JSON encoding
+/// field for field and bit for bit: config, geometry, ring offsets, weights
+/// and the whole warm cache.
+#[test]
+fn ring_snapshot_file_and_json_roundtrip_every_field_bitwise() {
+    let fix = fixture();
+    let engine = ImputationEngine::with_retention(frozen(fix), trained_obs(fix), 90).unwrap();
+    stream_to(&engine, &fix.truth, 400, 13);
+    let snap = engine.snapshot();
+    assert!(snap.retained_start > 0 && snap.shared_std.is_some());
+
+    let path = std::env::temp_dir().join(format!("mvi_ring_{}.mvisnap", std::process::id()));
+    snap.to_path(&path).unwrap();
+    let from_file = ServeSnapshot::from_path(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let from_json = ServeSnapshot::from_json(&snap.to_json()).unwrap();
+
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for back in [&from_file, &from_json] {
+        assert_eq!(format!("{:?}", back.config), format!("{:?}", snap.config));
+        assert_eq!(back.dims, snap.dims);
+        let lengths = |s: &ServeSnapshot| (s.t_len, s.live_t_len, s.window, s.retained_start);
+        assert_eq!(lengths(back), lengths(&snap));
+        assert_eq!(back.retention, snap.retention);
+        assert_eq!(back.shared_std.map(f64::to_bits), snap.shared_std.map(f64::to_bits));
+        assert_eq!(back.params.params.len(), snap.params.params.len());
+        for ((name, t), (want_name, want)) in back.params.params.iter().zip(&snap.params.params) {
+            assert_eq!((name, t.shape()), (want_name, want.shape()));
+            assert_eq!(bits(t), bits(want), "weights `{name}`");
+        }
+        let (c, want) = (back.cache.as_ref().unwrap(), snap.cache.as_ref().unwrap());
+        assert_eq!(c.name, want.name);
+        assert_eq!((bits(&c.values), bits(&c.imputed)), (bits(&want.values), bits(&want.imputed)));
+        assert_eq!(c.available.data(), want.available.data());
+        assert_eq!(c.available.shape(), want.available.shape());
+        assert_eq!((&c.fresh, &c.watermark), (&want.fresh, &want.watermark));
+    }
+}
+
 /// The ring path keeps the workspace determinism guarantee: the same
 /// append/query history produces a bitwise-identical retained cache at any
 /// worker-thread count.
