@@ -53,7 +53,7 @@ impl MatrixTask {
 
 /// Replaces the missing entries of `work` with those of `estimate` (observed
 /// entries are restored from `observed`), returning the normalized Frobenius
-/// distance between the old and new missing entries — the convergence criterion the
+/// distance between the old and new missing entries — the convergence test the
 /// CDRec/SVDImp iterations use.
 pub fn refresh_missing(
     work: &mut Tensor,

@@ -27,9 +27,9 @@
 //! ## Tenancy
 //!
 //! A client built with [`NetClient::with_tenant`] stamps every request with
-//! its tenant id (frame v2), routing it to that tenant's model behind the
-//! server's registry. [`NetClient::new`] leaves the tenant empty — the
-//! server's default tenant — which is also what a v1 peer gets.
+//! its tenant id, routing it to that tenant's model behind the server's
+//! registry. [`NetClient::new`] leaves the tenant empty — the server's
+//! default tenant.
 //!
 //! Backoff is exponential with multiplicative jitter drawn from a seeded
 //! xorshift generator, so a given [`RetryPolicy`] produces the *same* delay
@@ -86,7 +86,7 @@ impl RetryPolicy {
     /// The deterministic delay schedule this policy produces: an infinite
     /// iterator of backoff delays (element `k` is the pause before retry
     /// `k + 1`).
-    pub fn schedule(&self) -> Backoff {
+    pub(crate) fn schedule(&self) -> Backoff {
         Backoff {
             policy: *self,
             attempt: 0,
@@ -98,7 +98,7 @@ impl RetryPolicy {
 
 /// Iterator over a [`RetryPolicy`]'s backoff delays (seeded, deterministic).
 #[derive(Clone, Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     policy: RetryPolicy,
     attempt: u32,
     rng: u64,
@@ -294,11 +294,6 @@ impl NetClient {
         self.tenant = tenant.into();
     }
 
-    /// The tenant id requests are stamped with (empty = default tenant).
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
     /// Rejects a tenant id that cannot ride the wire before any I/O happens,
     /// so an oversized id fails loudly instead of being silently truncated
     /// into some *other* tenant's name.
@@ -309,12 +304,12 @@ impl NetClient {
         Ok(())
     }
 
-    /// Verifies a reply's tenant echo. An empty echo is a wildcard (v1-era
-    /// peers cannot carry one); a non-empty echo naming a *different* tenant
-    /// means the server cross-wired replies — drop the connection rather
-    /// than trust its alignment.
+    /// Verifies a reply's tenant echo. The server echoes the request's tenant
+    /// verbatim, so an echo naming any *other* tenant means the server
+    /// cross-wired replies — drop the connection rather than trust its
+    /// alignment.
     fn check_echo(&mut self, reply_tenant: &str) -> Result<(), NetError> {
-        if !reply_tenant.is_empty() && reply_tenant != self.tenant {
+        if reply_tenant != self.tenant {
             self.conn = None;
             return Err(NetError::Protocol("reply names a different tenant than the request"));
         }
@@ -328,11 +323,6 @@ impl NetClient {
     pub fn redirect(&mut self, addr: SocketAddr) {
         self.addr = addr;
         self.conn = None;
-    }
-
-    /// The address the client currently targets.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 
     /// Imputed values of `[start, end)` in series `s`, with automatic

@@ -5,28 +5,29 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"MVIF"
-//! 4       1     protocol version (1 or 2)
+//! 4       1     protocol version (2)
 //! 5       1     frame type
 //! 6       4     payload length, u32 LE (capped by the receiver's max frame)
 //! 10      4     CRC-32 (IEEE) over bytes 4..10 plus the payload
 //! 14      len   payload
 //! ```
 //!
-//! **Version 2** (current) prefixes every payload except `Error` with a
-//! tenant id that routes the request through the server's model registry:
+//! The one protocol version, [`VERSION`] (2), prefixes every payload except
+//! `Error` with a tenant id that routes the request through the server's
+//! model registry:
 //!
 //! ```text
 //! offset  size        field
 //! 0       1           tenant id length in bytes (0..=64)
 //! 1       tenant_len  tenant id, UTF-8
-//! 1+len   …           the frame type's v1 body, unchanged
+//! 1+len   …           the frame type's body
 //! ```
 //!
-//! An empty tenant id means "the default tenant". **Version 1** frames have
-//! no tenant prefix and are still decoded — a v1 peer routes to the default
-//! tenant, and a server answers each request in the version it arrived in.
-//! The tenant id is capped at [`MAX_TENANT_LEN`] bytes so its length always
-//! fits the single prefix byte; a longer or non-UTF-8 id on the wire is
+//! An empty tenant id means "the default tenant". Any other version byte —
+//! including the retired tenant-less version 1 — is
+//! [`FrameError::BadVersion`]. The tenant id is capped at
+//! [`MAX_TENANT_LEN`] bytes so its length always fits the single prefix
+//! byte; a longer or non-UTF-8 id on the wire is
 //! [`FrameError::Malformed`], never a desync (the outer length prefix bounds
 //! the payload regardless of what the tenant field claims).
 //!
@@ -54,16 +55,11 @@ use mvi_serve::ServeError;
 use std::io::{self, Read, Write};
 
 /// Leading magic bytes of every frame.
-pub const MAGIC: [u8; 4] = *b"MVIF";
-/// Protocol version 1: no tenant routing; every request hits the default
-/// tenant. Still decoded for back-compat.
-pub const V1: u8 = 1;
-/// Protocol version 2: payloads (except `Error`) carry a tenant-id prefix.
-pub const V2: u8 = 2;
-/// The protocol version this build speaks by default.
-pub const VERSION: u8 = V2;
+const MAGIC: [u8; 4] = *b"MVIF";
+/// The protocol version: payloads (except `Error`) carry a tenant-id prefix.
+pub const VERSION: u8 = 2;
 /// Fixed header size (magic + version + type + length + CRC).
-pub const HEADER_LEN: usize = 14;
+pub(crate) const HEADER_LEN: usize = 14;
 /// Cap on a tenant id's UTF-8 byte length on the wire. Encoding truncates at
 /// a character boundary; decoding rejects longer claims as malformed. The
 /// registry refuses to register longer ids, so every registered tenant is
@@ -85,13 +81,13 @@ const T_HEALTH: u8 = 5;
 /// recoverable error: codec failures never panic and never hang.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// The first four bytes are not [`MAGIC`] — the peer is not speaking this
+    /// The first four bytes are not `MVIF` — the peer is not speaking this
     /// protocol (or the stream lost frame alignment).
     BadMagic {
         /// The four bytes actually read.
         got: [u8; 4],
     },
-    /// Unsupported protocol version byte.
+    /// A protocol version byte other than [`VERSION`].
     BadVersion {
         /// The version byte actually read.
         got: u8,
@@ -138,7 +134,7 @@ impl std::fmt::Display for FrameError {
                 write!(f, "bad frame magic {got:02x?} (expected `MVIF`)")
             }
             FrameError::BadVersion { got } => {
-                write!(f, "unsupported protocol version {got} (this build speaks {V1} and {V2})")
+                write!(f, "unsupported protocol version {got} (this build speaks {VERSION})")
             }
             FrameError::UnknownType { got } => write!(f, "unknown frame type {got}"),
             FrameError::Oversized { len, max } => {
@@ -209,7 +205,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Decodes the wire byte.
-    pub fn from_u8(b: u8) -> Option<Self> {
+    fn from_u8(b: u8) -> Option<Self> {
         match b {
             1 => Some(ErrorCode::Invalid),
             2 => Some(ErrorCode::Evicted),
@@ -231,7 +227,7 @@ impl ErrorCode {
     /// Only [`ErrorCode::Overloaded`] and [`ErrorCode::TenantLoading`]
     /// qualify: both state the request was shed *before* execution, so a
     /// retry is idempotent-safe.
-    pub fn retryable(self) -> bool {
+    pub(crate) fn retryable(self) -> bool {
         matches!(self, ErrorCode::Overloaded | ErrorCode::TenantLoading)
     }
 
@@ -276,7 +272,7 @@ impl WireError {
     /// Maps a serving-layer error onto its wire code. `retry_after_ms` is the
     /// server's backoff hint, attached to the codes where a retry is
     /// meaningful (`Overloaded`, `Shutdown`, `TenantLoading`).
-    pub fn from_serve(err: &ServeError, retry_after_ms: u32) -> Self {
+    pub(crate) fn from_serve(err: &ServeError, retry_after_ms: u32) -> Self {
         let (code, hint) = match err {
             ServeError::Overloaded { .. } => (ErrorCode::Overloaded, retry_after_ms),
             ServeError::DeadlineExceeded => (ErrorCode::DeadlineExceeded, 0),
@@ -329,8 +325,7 @@ pub struct HealthFrame {
 const HEALTH_LEN: usize = 6 * 8 + 3 * 4 + 1;
 
 /// One decoded protocol frame. The `tenant` fields route through the
-/// server's model registry; an empty tenant means "the default tenant", and
-/// v1 frames always decode with an empty tenant.
+/// server's model registry; an empty tenant means "the default tenant".
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Client → server: impute series `s` over `[start, end)` on `tenant`'s
@@ -394,27 +389,18 @@ impl Frame {
     }
 }
 
-/// Encodes one frame in the current protocol version ([`VERSION`]).
-pub fn encode(frame: &Frame) -> Vec<u8> {
-    encode_versioned(frame, VERSION)
-}
-
 /// Encodes one frame into its complete byte representation (header +
-/// payload) in the given protocol version. [`V1`] drops the tenant field
-/// (for talking to v1 peers); any other value encodes the v2 layout with
-/// that version byte. Tenant ids longer than [`MAX_TENANT_LEN`] bytes are
-/// truncated at a character boundary, mirroring the error-message cap.
-pub fn encode_versioned(frame: &Frame, version: u8) -> Vec<u8> {
+/// payload). Tenant ids longer than [`MAX_TENANT_LEN`] bytes are truncated
+/// at a character boundary, mirroring the error-message cap.
+pub fn encode(frame: &Frame) -> Vec<u8> {
     let mut payload = Vec::new();
-    if version != V1 {
-        if let Some(tenant) = frame.tenant() {
-            let mut cut = tenant.len().min(MAX_TENANT_LEN);
-            while !tenant.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            payload.push(cut as u8);
-            payload.extend_from_slice(&tenant.as_bytes()[..cut]);
+    if let Some(tenant) = frame.tenant() {
+        let mut cut = tenant.len().min(MAX_TENANT_LEN);
+        while !tenant.is_char_boundary(cut) {
+            cut -= 1;
         }
+        payload.push(cut as u8);
+        payload.extend_from_slice(&tenant.as_bytes()[..cut]);
     }
     match frame {
         Frame::Query { s, start, end, .. } => {
@@ -456,50 +442,50 @@ pub fn encode_versioned(frame: &Frame, version: u8) -> Vec<u8> {
     }
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
-    out.push(version);
+    out.push(VERSION);
     out.push(frame.type_byte());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_crc(version, frame.type_byte(), &payload).to_le_bytes());
+    out.extend_from_slice(&frame_crc(frame.type_byte(), &payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
 
 /// The frame checksum: CRC-32 over version, type, payload length and the
 /// payload bytes (the magic is excluded — it is a constant).
-fn frame_crc(version: u8, ftype: u8, payload: &[u8]) -> u32 {
+fn frame_crc(ftype: u8, payload: &[u8]) -> u32 {
     let mut input = Vec::with_capacity(6 + payload.len());
-    input.push(version);
+    input.push(VERSION);
     input.push(ftype);
     input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     input.extend_from_slice(payload);
     crc32(&input)
 }
 
-/// A validated header: protocol version, frame type, payload length,
-/// expected CRC.
+/// A validated header: frame type, payload length, expected CRC (the
+/// version byte is already checked to be [`VERSION`]).
 #[derive(Clone, Copy, Debug)]
-pub struct Header {
-    /// The protocol version byte (already validated as [`V1`] or [`V2`]);
-    /// selects the payload layout and feeds the checksum.
-    pub version: u8,
+pub(crate) struct Header {
     /// The frame-type byte (already validated as known).
-    pub ftype: u8,
+    ftype: u8,
     /// Declared payload length (already validated against the cap).
-    pub len: u32,
+    pub(crate) len: u32,
     /// The checksum the payload must match.
-    pub crc: u32,
+    crc: u32,
 }
 
 /// Validates the fixed-size header: magic, version, known type, capped
 /// length. Cheap enough to run before committing to read any payload.
-pub fn decode_header(header: &[u8; HEADER_LEN], max_frame: u32) -> Result<Header, FrameError> {
+pub(crate) fn decode_header(
+    header: &[u8; HEADER_LEN],
+    max_frame: u32,
+) -> Result<Header, FrameError> {
     if header[0..4] != MAGIC {
         let mut got = [0u8; 4];
         got.copy_from_slice(&header[0..4]);
         return Err(FrameError::BadMagic { got });
     }
     let version = header[4];
-    if version != V1 && version != V2 {
+    if version != VERSION {
         return Err(FrameError::BadVersion { got: version });
     }
     let ftype = header[5];
@@ -511,13 +497,13 @@ pub fn decode_header(header: &[u8; HEADER_LEN], max_frame: u32) -> Result<Header
         return Err(FrameError::Oversized { len, max: max_frame });
     }
     let crc = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
-    Ok(Header { version, ftype, len, crc })
+    Ok(Header { ftype, len, crc })
 }
 
-/// Splits a v2 payload into its tenant id and the remaining v1-shaped body.
+/// Splits a payload into its tenant id and the remaining type-specific body.
 fn decode_tenant(payload: &[u8]) -> Result<(String, &[u8]), FrameError> {
     let Some(&len) = payload.first() else {
-        return Err(malformed("v2 payload missing its tenant length byte"));
+        return Err(malformed("payload missing its tenant length byte"));
     };
     let len = len as usize;
     if len > MAX_TENANT_LEN {
@@ -535,17 +521,14 @@ fn decode_tenant(payload: &[u8]) -> Result<(String, &[u8]), FrameError> {
 }
 
 /// Decodes a payload against its validated header (checksum first, then the
-/// version's tenant prefix, then the per-type layout).
-pub fn decode_payload(header: Header, payload: &[u8]) -> Result<Frame, FrameError> {
-    let actual = frame_crc(header.version, header.ftype, payload);
+/// tenant prefix, then the per-type layout).
+pub(crate) fn decode_payload(header: Header, payload: &[u8]) -> Result<Frame, FrameError> {
+    let actual = frame_crc(header.ftype, payload);
     if actual != header.crc {
         return Err(FrameError::Checksum { expected: header.crc, actual });
     }
-    let (tenant, body) = if header.version != V1 && header.ftype != T_ERROR {
-        decode_tenant(payload)?
-    } else {
-        (String::new(), payload)
-    };
+    let (tenant, body) =
+        if header.ftype != T_ERROR { decode_tenant(payload)? } else { (String::new(), payload) };
     match header.ftype {
         T_QUERY => {
             let [s, start, end] = read_u32s::<3>(body, "query body must be 12 bytes")?;
@@ -697,19 +680,12 @@ impl std::error::Error for RecvError {}
 /// governs how long it may take). A clean EOF before any byte of the frame is
 /// [`RecvError::Closed`]; EOF mid-frame is a typed truncation error.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, RecvError> {
-    read_frame_versioned(r, max_frame).map(|(frame, _)| frame)
-}
-
-/// Like [`read_frame`] but also reports which protocol version the frame
-/// arrived in, so a server can answer each request in kind.
-pub fn read_frame_versioned(r: &mut impl Read, max_frame: u32) -> Result<(Frame, u8), RecvError> {
     let mut header = [0u8; HEADER_LEN];
     fill(r, &mut header, true)?;
     let h = decode_header(&header, max_frame).map_err(RecvError::Frame)?;
     let mut payload = vec![0u8; h.len as usize];
     fill(r, &mut payload, false)?;
-    let frame = decode_payload(h, &payload).map_err(RecvError::Frame)?;
-    Ok((frame, h.version))
+    decode_payload(h, &payload).map_err(RecvError::Frame)
 }
 
 /// Fills `buf` completely. `clean_eof_ok` marks whether a clean EOF before
@@ -739,17 +715,10 @@ fn fill(r: &mut impl Read, buf: &mut [u8], clean_eof_ok: bool) -> Result<(), Rec
     Ok(())
 }
 
-/// Writes one frame to `w` in the current protocol version (blocking; the
-/// stream's write timeout governs how long a non-reading peer may stall
-/// this).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+/// Writes one frame to `w` (blocking; the stream's write timeout governs how
+/// long a non-reading peer may stall this).
+pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode(frame))
-}
-
-/// Writes one frame in the given protocol version — the server's reply path,
-/// which answers each request in the version it arrived in.
-pub fn write_frame_versioned(w: &mut impl Write, frame: &Frame, version: u8) -> io::Result<()> {
-    w.write_all(&encode_versioned(frame, version))
 }
 
 #[cfg(test)]
@@ -795,18 +764,51 @@ mod tests {
         })
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
-    fn v1_encoding_drops_the_tenant_and_still_decodes() {
-        let frame = Frame::Query { tenant: "acme".into(), s: 1, start: 2, end: 3 };
-        let bytes = encode_versioned(&frame, V1);
-        assert_eq!(bytes[4], V1);
-        let (decoded, used) = decode(&bytes, DEFAULT_MAX_FRAME).expect("v1 decodes");
-        assert_eq!(used, bytes.len());
-        // The tenant cannot ride a v1 frame: it decodes as the default.
-        assert_eq!(decoded, Frame::Query { tenant: String::new(), s: 1, start: 2, end: 3 });
-        // And the payload is byte-identical to what a v1 build produced:
-        // 12 bytes of query body, no tenant prefix.
-        assert_eq!(bytes.len(), HEADER_LEN + 12);
+    fn wire_bytes_are_pinned() {
+        // Deployed peers depend on these exact bytes. A symmetric
+        // encode/decode change would pass every roundtrip test; it cannot
+        // pass this one.
+        let query = Frame::Query { tenant: "acme".into(), s: 3, start: 10, end: 90 };
+        assert_eq!(
+            hex(&encode(&query)),
+            "4d5649460201110000009da157810461636d65030000000a0000005a000000"
+        );
+        let values = Frame::Values { tenant: "acme".into(), values: vec![1.5, -2.25] };
+        assert_eq!(
+            hex(&encode(&values)),
+            "4d5649460202190000001fb7d25b0461636d6502000000000000000000f83f00000000000002c0"
+        );
+        let error = Frame::Error(WireError {
+            code: ErrorCode::Overloaded,
+            retry_after_ms: 75,
+            message: "shed".into(),
+        });
+        assert_eq!(hex(&encode(&error)), "4d56494602030b0000007f04dde3034b000000040073686564");
+        let health = Frame::Health {
+            tenant: "acme".into(),
+            health: HealthFrame {
+                quarantined: 7,
+                nonfinite_input_rejections: 1,
+                degraded_events: 2,
+                degraded_windows: 1,
+                poison_recoveries: 0,
+                panics_caught: 3,
+                queue_depth: 12,
+                queue_cap: 1024,
+                active_connections: 9,
+                draining: true,
+            },
+        };
+        assert_eq!(
+            hex(&encode(&health)),
+            "4d5649460205420000008fe93ab90461636d65070000000000000001000000000000000200000000000000\
+             0100000000000000000000000000000003000000000000000c000000000400000900000001"
+        );
     }
 
     #[test]
@@ -823,15 +825,15 @@ mod tests {
 
     #[test]
     fn wire_tenant_longer_than_the_cap_is_malformed_not_a_desync() {
-        // Hand-build a v2 health-req whose tenant length byte claims 200.
+        // Hand-build a health-req whose tenant length byte claims 200.
         let mut payload = vec![200u8];
         payload.extend_from_slice(&[b'x'; 200]);
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
-        bytes.push(V2);
+        bytes.push(VERSION);
         bytes.push(4); // T_HEALTH_REQ
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&frame_crc(V2, 4, &payload).to_le_bytes());
+        bytes.extend_from_slice(&frame_crc(4, &payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         match decode(&bytes, DEFAULT_MAX_FRAME) {
             Err(FrameError::Malformed { what }) => {
@@ -847,10 +849,10 @@ mod tests {
         payload.extend_from_slice(&[0; 12]); // query body
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
-        bytes.push(V2);
+        bytes.push(VERSION);
         bytes.push(1); // T_QUERY
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&frame_crc(V2, 1, &payload).to_le_bytes());
+        bytes.extend_from_slice(&frame_crc(1, &payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         assert!(matches!(decode(&bytes, DEFAULT_MAX_FRAME), Err(FrameError::Malformed { .. })));
     }
@@ -863,9 +865,15 @@ mod tests {
             decode(&bytes, DEFAULT_MAX_FRAME),
             Err(FrameError::BadMagic { got }) if got[0] == b'X'
         ));
-        let mut bytes = encode(&Frame::HealthReq { tenant: String::new() });
-        bytes[4] = 9;
-        assert_eq!(decode(&bytes, DEFAULT_MAX_FRAME), Err(FrameError::BadVersion { got: 9 }));
+        for version in [1, 9] {
+            // 1 is the retired tenant-less version: refused like any other.
+            let mut bytes = encode(&Frame::HealthReq { tenant: String::new() });
+            bytes[4] = version;
+            assert_eq!(
+                decode(&bytes, DEFAULT_MAX_FRAME),
+                Err(FrameError::BadVersion { got: version })
+            );
+        }
         let mut bytes = encode(&Frame::HealthReq { tenant: String::new() });
         bytes[5] = 77;
         assert_eq!(decode(&bytes, DEFAULT_MAX_FRAME), Err(FrameError::UnknownType { got: 77 }));
@@ -919,12 +927,12 @@ mod tests {
     #[test]
     fn values_count_must_match_payload() {
         let mut bytes = encode(&Frame::Values { tenant: String::new(), values: vec![1.0, 2.0] });
-        // Claim 3 points while carrying 2. The v2 payload opens with the
+        // Claim 3 points while carrying 2. The payload opens with the
         // 1-byte empty tenant prefix, so the count sits one past the header;
         // count is inside the CRC, so fix the CRC up to isolate the
         // malformed-payload check.
         bytes[HEADER_LEN + 1..HEADER_LEN + 5].copy_from_slice(&3u32.to_le_bytes());
-        let crc = frame_crc(VERSION, bytes[5], &bytes[HEADER_LEN..]);
+        let crc = frame_crc(bytes[5], &bytes[HEADER_LEN..]);
         bytes[10..14].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(decode(&bytes, DEFAULT_MAX_FRAME), Err(FrameError::Malformed { .. })));
     }

@@ -6,10 +6,10 @@
 //! front of [`mvi_serve`]'s in-process serving stack:
 //!
 //! * [`frame`] — the wire codec. Length-prefixed, CRC-32-checked frames
-//!   with a version byte and a hard size cap. Frame **v2** carries a tenant
-//!   id on every request/reply (empty = default tenant); v1 frames still
-//!   decode and route to the default tenant, and the server answers each
-//!   request in the version it arrived in. Decoding is *total*: every
+//!   with a version byte and a hard size cap. The one protocol version,
+//!   [`frame::VERSION`], carries a tenant id on every request/reply (empty
+//!   = default tenant); any other version byte is refused as
+//!   [`frame::FrameError::BadVersion`]. Decoding is *total*: every
 //!   byte sequence maps to either a frame or a typed [`frame::FrameError`]
 //!   — malformed, truncated, bit-flipped or oversized input can never
 //!   panic the peer, hang it, or make it allocate unboundedly.

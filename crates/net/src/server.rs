@@ -4,16 +4,16 @@
 //!
 //! ## Tenancy
 //!
-//! Every request names a tenant (frame v2; v1 frames and empty tenant ids
-//! route to [`DEFAULT_TENANT`]). The server resolves the tenant through the
+//! Every request names a tenant (an empty tenant id routes to
+//! [`DEFAULT_TENANT`]). The server resolves the tenant through the
 //! registry — which may load its snapshot on demand or answer with the typed
 //! `UnknownTenant` / `TenantLoading` / `RegistryFull` codes — and submits the
 //! query to that tenant's **own** micro-batcher. Per-tenant batchers are the
 //! isolation boundary: one tenant's panic storm, quarantine flood, or
 //! deadline stall saturates only its own bounded queue and supervisor;
-//! other tenants' queues, threads and latency are untouched. Replies are
-//! written in the protocol version the request arrived in, so v1 peers keep
-//! speaking v1.
+//! other tenants' queues, threads and latency are untouched. Every reply is
+//! written in the one protocol version ([`crate::frame::VERSION`]); a frame
+//! in any other version is a bad frame like any other undecodable input.
 //!
 //! ## Failure posture
 //!
@@ -45,8 +45,8 @@
 //! tick without any async runtime (the container is `std`-only by design).
 
 use crate::frame::{
-    decode_header, decode_payload, write_frame_versioned, ErrorCode, Frame, FrameError, Header,
-    HealthFrame, WireError, DEFAULT_MAX_FRAME, HEADER_LEN, V1,
+    decode_header, decode_payload, write_frame, ErrorCode, Frame, FrameError, HealthFrame,
+    WireError, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
 use mvi_serve::{
     BatchClient, BatcherConfig, ImputationEngine, MicroBatcher, ModelRegistry, RegistryConfig,
@@ -60,8 +60,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The tenant that v1 frames — and v2 frames with an empty tenant id — route
-/// to. [`NetServer::bind`] registers its single engine under this id.
+/// The tenant that frames with an empty tenant id route to.
+/// [`NetServer::bind`] registers its single engine under this id.
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Tuning for [`NetServer::bind`].
@@ -129,6 +129,15 @@ pub struct NetStats {
 struct TenantDoor {
     engine: Arc<ImputationEngine>,
     batcher: MicroBatcher,
+    /// Panics caught by the batchers of the doors this one replaced, so the
+    /// tenant's count stays monotone across evict→reload.
+    carried_panics: u64,
+}
+
+impl TenantDoor {
+    fn panics_caught(&self) -> u64 {
+        self.carried_panics + self.batcher.panics_caught()
+    }
 }
 
 struct Shared {
@@ -237,7 +246,7 @@ impl NetServer {
     pub fn panics_caught(&self) -> Option<u64> {
         lock(&self.shared.doors)
             .as_ref()
-            .map(|doors| doors.values().map(|d| d.batcher.panics_caught()).sum())
+            .map(|doors| doors.values().map(TenantDoor::panics_caught).sum())
     }
 
     /// The model registry being served.
@@ -350,26 +359,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
 }
 
 /// Best-effort typed refusal for a connection that was never admitted.
-/// Encoded as v1 — error frames lay out identically in both versions, and
-/// every peer (v1 or v2) decodes v1.
 fn refuse(mut stream: TcpStream, shared: &Shared, why: &str) {
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let _ = write_frame_versioned(
+    let _ = write_frame(
         &mut stream,
         &Frame::Error(WireError {
             code: ErrorCode::Overloaded,
             retry_after_ms: shared.config.retry_after_ms,
             message: why.to_string(),
         }),
-        V1,
     );
 }
 
 /// What one ticked frame read produced.
 enum ConnEvent {
-    /// A decoded frame plus the protocol version it arrived in, so the reply
-    /// can be written in kind.
-    Frame(Frame, u8),
+    /// A decoded frame.
+    Frame(Frame),
     /// The bytes could not form a frame; alignment is lost.
     Bad(FrameError),
     /// Peer closed cleanly between frames.
@@ -393,7 +398,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.config.tick));
     loop {
         match read_frame_ticked(&mut stream, shared) {
-            ConnEvent::Frame(Frame::Query { tenant, s, start, end }, version) => {
+            ConnEvent::Frame(Frame::Query { tenant, s, start, end }) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 let reply = if shared.draining.load(Ordering::Acquire) {
                     // The door is closing; answer with the typed drain reply
@@ -407,20 +412,20 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                     Ok(values) => Frame::Values { tenant, values },
                     Err(e) => Frame::Error(WireError::from_serve(&e, shared.config.retry_after_ms)),
                 };
-                if write_frame_versioned(&mut stream, &frame, version).is_err() {
+                if write_frame(&mut stream, &frame).is_err() {
                     break;
                 }
             }
-            ConnEvent::Frame(Frame::HealthReq { tenant }, version) => {
+            ConnEvent::Frame(Frame::HealthReq { tenant }) => {
                 let frame = match health_frame(shared, &tenant) {
                     Ok(health) => Frame::Health { tenant, health },
                     Err(e) => Frame::Error(WireError::from_serve(&e, shared.config.retry_after_ms)),
                 };
-                if write_frame_versioned(&mut stream, &frame, version).is_err() {
+                if write_frame(&mut stream, &frame).is_err() {
                     break;
                 }
             }
-            ConnEvent::Frame(_, version) => {
+            ConnEvent::Frame(_) => {
                 // A response-type frame from a client is a protocol error,
                 // but framing is still aligned: answer typed and continue.
                 let frame = Frame::Error(WireError {
@@ -428,22 +433,20 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                     retry_after_ms: 0,
                     message: "clients send query/health frames only".to_string(),
                 });
-                if write_frame_versioned(&mut stream, &frame, version).is_err() {
+                if write_frame(&mut stream, &frame).is_err() {
                     break;
                 }
             }
             ConnEvent::Bad(e) => {
                 shared.bad_frames.fetch_add(1, Ordering::Relaxed);
-                // Frame alignment is lost: one typed reply (v1 — decodable by
-                // any peer), then close.
-                let _ = write_frame_versioned(
+                // Frame alignment is lost: one typed reply, then close.
+                let _ = write_frame(
                     &mut stream,
                     &Frame::Error(WireError {
                         code: ErrorCode::BadFrame,
                         retry_after_ms: 0,
                         message: e.to_string(),
                     }),
-                    V1,
                 );
                 break;
             }
@@ -469,18 +472,20 @@ fn resolve_client(shared: &Shared, tenant: &str) -> Result<BatchClient, ServeErr
         // Racing a drain: the doors are gone; the caller answers Shutdown.
         return Err(ServeError::Shutdown);
     };
+    let mut carried_panics = 0;
     if let Some(door) = doors.get(key) {
         if Arc::ptr_eq(&door.engine, &engine) {
             return Ok(door.batcher.client());
         }
         // The registry evicted and reloaded this tenant since the door was
-        // built: the old engine is gone, so rebuild the door. Replacing the
-        // entry drops the stale batcher, which drains its (rare) stragglers
-        // with typed Shutdown replies.
+        // built: the old engine is gone, so rebuild the door, carrying its
+        // panic count over. Replacing the entry drops the stale batcher,
+        // which drains its (rare) stragglers with typed Shutdown replies.
+        carried_panics = door.panics_caught();
     }
     let batcher = MicroBatcher::spawn_with(Arc::clone(&engine), shared.config.batcher);
     let client = batcher.client();
-    doors.insert(key.to_string(), TenantDoor { engine, batcher });
+    doors.insert(key.to_string(), TenantDoor { engine, batcher, carried_panics });
     Ok(client)
 }
 
@@ -514,7 +519,7 @@ fn read_frame_ticked(stream: &mut TcpStream, shared: &Shared) -> ConnEvent {
             Err(_) => return ConnEvent::Io,
         }
     }
-    let h: Header = match decode_header(&header, shared.config.max_frame) {
+    let h = match decode_header(&header, shared.config.max_frame) {
         Ok(h) => h,
         Err(e) => return ConnEvent::Bad(e),
     };
@@ -537,7 +542,7 @@ fn read_frame_ticked(stream: &mut TcpStream, shared: &Shared) -> ConnEvent {
         }
     }
     match decode_payload(h, &payload) {
-        Ok(frame) => ConnEvent::Frame(frame, h.version),
+        Ok(frame) => ConnEvent::Frame(frame),
         Err(e) => ConnEvent::Bad(e),
     }
 }
@@ -562,7 +567,7 @@ fn health_frame(shared: &Shared, tenant: &str) -> Result<HealthFrame, ServeError
             .as_ref()
             .map(|doors| {
                 doors.values().fold((0u64, 0usize), |(p, d), door| {
-                    (p + door.batcher.panics_caught(), d + door.batcher.queue_depth())
+                    (p + door.panics_caught(), d + door.batcher.queue_depth())
                 })
             })
             .unwrap_or((0, 0));
@@ -573,7 +578,7 @@ fn health_frame(shared: &Shared, tenant: &str) -> Result<HealthFrame, ServeError
         let (panics, depth) = doors
             .as_ref()
             .and_then(|doors| doors.get(tenant))
-            .map(|door| (door.batcher.panics_caught(), door.batcher.queue_depth()))
+            .map(|door| (door.panics_caught(), door.batcher.queue_depth()))
             .unwrap_or((0, 0));
         (report, panics, depth)
     };

@@ -3,13 +3,11 @@
 //! flips, hostile length prefixes, arbitrary-UTF-8 tenant ids — maps to
 //! either a decoded frame or a typed [`FrameError`]; nothing may panic,
 //! hang, or allocate according to an unvalidated length. The tenancy
-//! properties additionally pin the v1↔v2 interop contract: every frame
-//! encodes in both versions, v1 always decodes to the default (empty)
-//! tenant, and an oversized tenant-id claim on the wire is malformed — it
-//! can never desync the stream, because the outer length prefix bounds the
-//! payload no matter what the tenant field says.
+//! properties additionally pin that an oversized tenant-id claim on the wire
+//! is malformed — it can never desync the stream, because the outer length
+//! prefix bounds the payload no matter what the tenant field says.
 
-use mvi_net::frame::{decode, encode, encode_versioned, read_frame, RecvError, V1, V2};
+use mvi_net::frame::{decode, encode, read_frame, RecvError, VERSION};
 use mvi_net::{ErrorCode, Frame, FrameError, WireError, DEFAULT_MAX_FRAME, MAX_TENANT_LEN};
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -51,18 +49,6 @@ fn tenant_ascii() -> impl Strategy<Value = String> {
 fn tenant_unicode() -> impl Strategy<Value = String> {
     proptest::collection::vec(any::<u32>(), 0..40)
         .prop_map(|v| v.into_iter().map(|b| b % 0x11_0000).filter_map(char::from_u32).collect())
-}
-
-/// The same frame with its tenant replaced by the default (what a v1
-/// encoding must decode back to).
-fn without_tenant(frame: &Frame) -> Frame {
-    match frame.clone() {
-        Frame::Query { s, start, end, .. } => Frame::Query { tenant: String::new(), s, start, end },
-        Frame::Values { values, .. } => Frame::Values { tenant: String::new(), values },
-        Frame::HealthReq { .. } => Frame::HealthReq { tenant: String::new() },
-        Frame::Health { health, .. } => Frame::Health { tenant: String::new(), health },
-        err @ Frame::Error(_) => err,
-    }
 }
 
 proptest! {
@@ -126,14 +112,13 @@ proptest! {
     /// the attacker 14 bytes and the server a typed `Oversized` error.
     #[test]
     fn oversized_lengths_rejected_before_allocation(
-        over in 1u32..0x7fff_0000, fill in any::<u8>(), vsel in 0u32..2,
+        over in 1u32..0x7fff_0000, fill in any::<u8>(),
     ) {
-        let version = if vsel == 0 { V1 } else { V2 };
         let max = 4096u32;
         let len = max.saturating_add(over);
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"MVIF");
-        bytes.push(version);
+        bytes.push(VERSION);
         bytes.push(1); // T_QUERY
         bytes.extend_from_slice(&len.to_le_bytes());
         bytes.extend_from_slice(&[fill; 4]); // whatever checksum
@@ -212,16 +197,16 @@ proptest! {
     fn oversized_tenant_claims_are_malformed_never_desync(
         claim in (MAX_TENANT_LEN as u8 + 1)..=u8::MAX, body_len in 0usize..40,
     ) {
-        // Hand-build a v2 health-req with a hostile tenant length byte,
+        // Hand-build a health-req with a hostile tenant length byte,
         // CRC'd correctly so only the tenant check can reject it.
         let mut payload = vec![claim];
         payload.extend(std::iter::repeat_n(b'x', body_len));
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"MVIF");
-        bytes.push(V2);
+        bytes.push(VERSION);
         bytes.push(4); // T_HEALTH_REQ
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let mut crc_input = vec![V2, 4];
+        let mut crc_input = vec![VERSION, 4];
         crc_input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         crc_input.extend_from_slice(&payload);
         bytes.extend_from_slice(&mvi_serve::durable::crc32(&crc_input).to_le_bytes());
@@ -240,31 +225,5 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("resync failed: {e}")))?;
         prop_assert!(used == clean.len());
         prop_assert!(frame == Frame::HealthReq { tenant: "ok".into() });
-    }
-
-    /// v1↔v2 interop: every frame also encodes as v1 (tenant dropped), both
-    /// versions decode, and the v1 decoding equals the frame with its tenant
-    /// defaulted. For tenant-less frames the two payloads are byte-identical
-    /// after the version byte's effect on the CRC.
-    #[test]
-    fn v1_and_v2_interop(which in 0usize..12, knob in 0u32..1000) {
-        let frame = sample_frame(which, knob);
-        let v2_bytes = encode_versioned(&frame, V2);
-        let v1_bytes = encode_versioned(&frame, V1);
-        prop_assert!(v2_bytes[4] == V2 && v1_bytes[4] == V1);
-
-        let (from_v2, _) = decode(&v2_bytes, DEFAULT_MAX_FRAME)
-            .map_err(|e| TestCaseError::fail(format!("v2 decode: {e}")))?;
-        let truncated_tenant = frame.tenant().map_or(0, |t| t.len()) <= MAX_TENANT_LEN;
-        if truncated_tenant {
-            prop_assert!(from_v2 == frame, "v2 must roundtrip in-cap frames exactly");
-        }
-
-        let (from_v1, _) = decode(&v1_bytes, DEFAULT_MAX_FRAME)
-            .map_err(|e| TestCaseError::fail(format!("v1 decode: {e}")))?;
-        prop_assert!(
-            from_v1 == without_tenant(&frame),
-            "v1 must decode to the tenant-defaulted frame: {from_v1:?}"
-        );
     }
 }

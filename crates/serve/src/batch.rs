@@ -321,11 +321,6 @@ impl BatchClient {
     pub fn queue_depth(&self) -> usize {
         self.depth.load(Ordering::Relaxed)
     }
-
-    /// The bounded queue capacity this handle submits against.
-    pub fn queue_cap(&self) -> usize {
-        self.queue_cap
-    }
 }
 
 #[cfg(test)]

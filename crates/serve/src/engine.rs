@@ -346,7 +346,7 @@ impl ValueGuard {
 }
 
 /// One range answer plus its serving-quality flag (see
-/// [`ImputationEngine::query_batch_flagged`]).
+/// [`ImputationEngine::query_flagged`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ImputeResponse {
     /// The fully-imputed values of the requested range (observed entries pass
@@ -1157,8 +1157,8 @@ impl ImputationEngine {
     /// every request from the refreshed cache. Per-request errors do not
     /// poison the batch.
     ///
-    /// Equivalent to [`ImputationEngine::query_batch_flagged`] with the
-    /// degradation flags dropped.
+    /// Per-range degradation flags are dropped; see
+    /// [`ImputationEngine::query_flagged`] for the flag-carrying form.
     pub fn query_batch(&self, requests: &[ImputeRequest]) -> Vec<Result<Vec<f64>, ServeError>> {
         self.query_batch_flagged(requests).into_iter().map(|r| r.map(|resp| resp.values)).collect()
     }
@@ -1168,7 +1168,7 @@ impl ImputationEngine {
     /// the range overlaps a window currently serving the mean-baseline
     /// fallback (its forward output was non-finite; see the output guard in
     /// [`ImputationEngine::health`] and the module docs).
-    pub fn query_batch_flagged(
+    pub(crate) fn query_batch_flagged(
         &self,
         requests: &[ImputeRequest],
     ) -> Vec<Result<ImputeResponse, ServeError>> {

@@ -241,11 +241,6 @@ impl ModelRegistry {
         }
     }
 
-    /// The configured resident capacity.
-    pub fn capacity(&self) -> usize {
-        self.config.capacity
-    }
-
     /// Registers (or replaces) `tenant`'s engine as resident, evicting the
     /// LRU resident if the registry is at capacity. Replacing an existing
     /// resident engine folds its counters into the tenant's carried totals
@@ -462,20 +457,9 @@ impl ModelRegistry {
         guard(&self.tenants).slots.contains_key(tenant)
     }
 
-    /// Registered tenants in any state.
-    pub fn len(&self) -> usize {
-        guard(&self.tenants).slots.len()
-    }
-
     /// Whether no tenant is registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Tenants currently resident in memory.
-    pub fn resident_count(&self) -> usize {
-        let t = guard(&self.tenants);
-        t.slots.values().filter(|s| matches!(s.state, SlotState::Resident { .. })).count()
+        guard(&self.tenants).slots.is_empty()
     }
 
     /// Point-in-time registry counters.

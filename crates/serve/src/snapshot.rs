@@ -33,7 +33,7 @@ use mvi_tensor::{Mask, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Wire-format version written by [`ServeSnapshot::to_json`].
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub(crate) const SNAPSHOT_VERSION: u32 = 4;
 
 /// A complete, self-describing dump of a trained model for serving.
 #[derive(Clone, Debug)]
@@ -167,7 +167,7 @@ impl ServeSnapshot {
     /// The retained span `live_t_len - retained_start` — the series length a
     /// dataset handed to [`ServeSnapshot::restore`] must have, and the time
     /// extent of the cache section if one is present.
-    pub fn retained_len(&self) -> usize {
+    pub(crate) fn retained_len(&self) -> usize {
         self.live_t_len - self.retained_start
     }
 

@@ -319,7 +319,7 @@ fn fuzzed_garbage_never_panics_the_server_and_leaves_it_serving() {
             // A hostile length prefix: header promises ~4 GiB.
             _ => {
                 let mut b = Vec::new();
-                b.extend_from_slice(b"MVIF\x01\x01");
+                b.extend_from_slice(b"MVIF\x02\x01");
                 b.extend_from_slice(&0xffff_fff0u32.to_le_bytes());
                 b.extend_from_slice(&(next() as u32).to_le_bytes());
                 b

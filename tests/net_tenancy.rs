@@ -1,5 +1,5 @@
 //! Cross-tenant isolation over the wire: many models behind one front door
-//! ([`NetServer::bind_registry`]), routed by the frame-v2 tenant id.
+//! ([`NetServer::bind_registry`]), routed by the frame tenant id.
 //!
 //! The contracts pinned here:
 //!
@@ -9,8 +9,10 @@
 //! * **isolation is real** — a hostile tenant armed to panic its model and
 //!   flooding its own micro-batcher changes nothing about a victim tenant's
 //!   replies (proof is progress-gated: panics must actually land first);
-//! * **v1 peers still work** — a pre-tenancy client speaks version 1 on the
-//!   raw socket and lands on the default tenant;
+//! * **one protocol version** — a retired version-1 frame on the raw socket
+//!   gets exactly one typed `BadFrame` reply and a closed connection;
+//! * **counters survive churn** — a tenant's wire `panics_caught` never goes
+//!   backwards when the registry evicts and reloads it;
 //! * **registry states cross the wire typed** — unknown, mid-load and full
 //!   answer with their own error codes on a connection that stays open, and
 //!   the client keeps its cached connection through all three (the drop-set
@@ -20,11 +22,12 @@ use deepmvi::{DeepMviConfig, DeepMviModel};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
-use mvi_net::frame::{encode_versioned, read_frame_versioned, V1};
+use mvi_net::frame::{read_frame, RecvError};
 use mvi_net::{
     ClientConfig, ErrorCode, Frame, NetClient, NetServer, RetryPolicy, ServerConfig,
     DEFAULT_MAX_FRAME, DEFAULT_TENANT,
 };
+use mvi_serve::durable::crc32;
 use mvi_serve::{ImputationEngine, ModelRegistry, RegistryConfig, ServeSnapshot, ValueGuard};
 use std::io::Write;
 use std::net::TcpStream;
@@ -203,36 +206,96 @@ fn hostile_tenant_panics_and_floods_without_perturbing_the_victim() {
 }
 
 // ---------------------------------------------------------------------------
-// Back-compat: version-1 peers land on the default tenant
+// One protocol version: a version-1 peer is a bad frame
 // ---------------------------------------------------------------------------
 
 #[test]
-fn v1_clients_decode_and_land_on_the_default_tenant() {
+fn v1_frames_get_one_typed_bad_frame_reply_and_a_closed_connection() {
     let dir = SpillDir::new("v1");
-    let reg = registry_with(2, &dir, &[(DEFAULT_TENANT, 0), ("other", 1)]);
+    let reg = registry_with(1, &dir, &[(DEFAULT_TENANT, 0)]);
     let server = NetServer::bind_registry("127.0.0.1:0", reg, ServerConfig::default()).unwrap();
-    let oracle = engine(0).query(0, 0, 40).unwrap();
 
-    // A pre-tenancy peer: raw v1 bytes on the socket, no tenant field at all.
+    // A pre-tenancy peer's query, byte for byte: version 1, no tenant
+    // prefix, checksum over the version-1 header — well-formed in every
+    // respect except the version.
+    let mut payload = Vec::new();
+    for field in [0u32, 0, 40] {
+        payload.extend_from_slice(&field.to_le_bytes());
+    }
+    let mut crc_input = vec![1u8, 1]; // version 1, T_QUERY
+    crc_input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    crc_input.extend_from_slice(&payload);
+    let mut bytes = b"MVIF".to_vec();
+    bytes.extend_from_slice(&crc_input[..6]);
+    bytes.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+
     let mut sock = TcpStream::connect(server.local_addr()).unwrap();
     sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let query = Frame::Query { tenant: String::new(), s: 0, start: 0, end: 40 };
-    sock.write_all(&encode_versioned(&query, V1)).unwrap();
-    let (reply, version) = read_frame_versioned(&mut sock, DEFAULT_MAX_FRAME).unwrap();
-    assert_eq!(version, V1, "a v1 request must be answered in v1");
-    match reply {
-        Frame::Values { tenant, values } => {
-            assert_eq!(tenant, "", "v1 replies carry no tenant");
-            assert!(bitwise_eq(&values, &oracle), "v1 must route to the default tenant's model");
+    sock.write_all(&bytes).unwrap();
+    match read_frame(&mut sock, DEFAULT_MAX_FRAME) {
+        Ok(Frame::Error(e)) => {
+            assert_eq!(e.code, ErrorCode::BadFrame, "must be typed: {e:?}");
+            assert!(e.message.contains("version 1"), "the reply names the version: {e:?}");
         }
-        other => panic!("expected values, got {other:?}"),
+        other => panic!("expected one typed bad-frame reply, got {other:?}"),
     }
+    // Exactly one reply, then the server closes (the unread payload may turn
+    // the close into a reset; a timeout would mean the connection lingered).
+    match read_frame(&mut sock, DEFAULT_MAX_FRAME) {
+        Err(RecvError::Closed) => {}
+        Err(RecvError::Io(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the connection must close after the bad-frame reply: {other:?}"),
+    }
+    assert!(
+        wait_until(Duration::from_secs(10), || server.stats().bad_frames == 1),
+        "the v1 frame must be counted once: {:?}",
+        server.stats()
+    );
+    server.shutdown();
+}
 
-    // The same bytes keep working for health probes.
-    sock.write_all(&encode_versioned(&Frame::HealthReq { tenant: String::new() }, V1)).unwrap();
-    let (reply, version) = read_frame_versioned(&mut sock, DEFAULT_MAX_FRAME).unwrap();
-    assert_eq!(version, V1);
-    assert!(matches!(reply, Frame::Health { .. }), "v1 health probe must answer: {reply:?}");
+// ---------------------------------------------------------------------------
+// Monotone counters across evict→reload
+// ---------------------------------------------------------------------------
+
+#[test]
+fn wire_panics_caught_never_goes_backwards_across_evict_and_reload() {
+    let dir = SpillDir::new("panics");
+    let reg = Arc::new(ModelRegistry::new(RegistryConfig::new(2, &dir.0)));
+    let mal = engine(1);
+    mal.set_eval_hook(Some(Box::new(|_results| panic!("armed model"))));
+    reg.register("mallory", mal).unwrap();
+    let server = NetServer::bind_registry("127.0.0.1:0", reg, ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let mut tenant = NetClient::with_tenant(addr, "mallory", no_retry());
+    let mut aggregate = NetClient::new(addr, no_retry());
+    assert!(
+        wait_until(Duration::from_secs(20), || {
+            let _ = tenant.query(0, 0, T_LEN as u32);
+            tenant.health().unwrap().panics_caught >= 1
+        }),
+        "the armed model must actually panic for the check to mean anything"
+    );
+    let tenant_before = tenant.health().unwrap().panics_caught;
+    let aggregate_before = aggregate.health().unwrap().panics_caught;
+    let server_before = server.panics_caught().unwrap();
+
+    // Evict, then one more query reloads the tenant from its spill file —
+    // a new engine, so the server builds the tenant a new door.
+    server.registry().evict("mallory").unwrap();
+    assert_eq!(tenant.query(0, 0, 10).unwrap().len(), 10, "the reload serves again");
+    assert_eq!(server.registry().stats().loads, 1, "the query must have reloaded the tenant");
+
+    let tenant_after = tenant.health().unwrap().panics_caught;
+    let aggregate_after = aggregate.health().unwrap().panics_caught;
+    assert!(tenant_after >= tenant_before, "tenant count fell: {tenant_before} → {tenant_after}");
+    assert!(
+        aggregate_after >= aggregate_before,
+        "aggregate count fell: {aggregate_before} → {aggregate_after}"
+    );
+    assert!(server.panics_caught().unwrap() >= server_before);
     server.shutdown();
 }
 
