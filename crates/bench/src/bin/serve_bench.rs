@@ -1,105 +1,59 @@
-//! Serving-throughput harness: the online engine versus naive per-request
-//! batch imputation, as a machine-readable `BENCH_2.json` artifact.
+//! Serving harness: every serving scenario of the `BENCH_<n>.json` trail,
+//! run over one trained model in one process.
 //!
-//! Both arms answer the same request trace (range queries over a trained
-//! model, no retraining in either arm — the naive arm is already charitable):
+//! `main` trains one DeepMVI model on an 8×400 electricity-shaped dataset,
+//! then runs each scenario of the scenario table and writes its artifact to
+//! `<out-dir>/BENCH_<n>.json`:
 //!
-//! * **naive** — each request re-imputes the *full tensor* with the trained
-//!   model and slices the requested range out, which is what
-//!   `Imputer::impute`-shaped serving does today;
-//! * **engine** — requests stream through concurrent [`mvi_serve::BatchClient`]
-//!   threads into one [`mvi_serve::MicroBatcher`], which coalesces pending
-//!   requests and imputes only stale windows (warm cache after first touch).
+//! | scenario    | artifact  | measures |
+//! |-------------|-----------|----------|
+//! | `serving`   | `BENCH_2` | naive per-request full impute vs the engine behind a micro-batcher |
+//! | `growth`    | `BENCH_3` | appends streaming past the trained `t_len`, then a tail-query sweep |
+//! | `retention` | `BENCH_5` | a stream 20× the retention window through the ring, then a warm restart from a snapshot file vs a cold one |
+//! | `faults`    | `BENCH_6` | unguarded vs guarded vs guarded + per-request deadline throughput |
+//! | `sharded`   | `BENCH_7` | warm-read scaling at 1/2/4/8 readers, locked vs sharded, and the blocked-time probe |
+//! | `net`       | `BENCH_8` | in-process batch clients vs `NetClient`s over framed TCP on loopback |
+//! | `tenancy`   | `BENCH_9` | 1/4/16 tenants behind one door, cold loads, and a hostile tenant's effect on a victim's p99 |
 //!
-//! Reported per arm: requests/sec and p50/p99 per-request latency. The
-//! headline `speedup` is naive-to-engine throughput; the acceptance floor for
-//! this artifact is 5x (see `PERFORMANCE.md` for methodology details).
+//! Every throughput arm — closed-loop client threads replaying the shared
+//! request trace, or one client replaying a prefix of it — goes through one
+//! runner (`run_arm`), and every artifact through one writer
+//! (`write_artifact`). Arm rows are `{name, requests, wall_secs, rps,
+//! p50_ms, p99_ms}`, plus `tenants` on `BENCH_9` rows.
 //!
-//! A third scenario measures **growth**: appends streaming past the trained
-//! `t_len` (which used to hard-fail with `AppendOverflow`) into the growable
-//! engine, reported as `BENCH_3.json` — append latency percentiles, values/s,
-//! windows recomputed, and the tail-query sweep over the grown region.
-//!
-//! A fourth scenario (`--only=retention`, phase 5 of `scripts/bench.sh`)
-//! measures the **retention ring**: a stream 20× the retention window long
-//! runs through a bounded engine — the harness asserts resident storage
-//! *never* exceeds the ring cap while logical time advances unboundedly —
-//! followed by a **warm restart**: the engine snapshots its cache (wire v3),
-//! a second engine restores from JSON, and the full retained query sweep is
-//! answered with **zero forward passes** (asserted via the engine's
-//! window-evaluation counter), timed against a cold restart that recomputes.
-//! Reported as `BENCH_5.json`.
-//!
-//! A fifth scenario (`--only=faults`, phase 6 of `scripts/bench.sh`) prices
-//! the **fault-tolerance layer** (PR 6): the same request trace as the
-//! BENCH_2 engine arm runs through an *unguarded*, a *guarded* (value guard
-//! installed) and a *guarded + per-request deadline* engine. The guarded hot
-//! path must stay **within 5%** of unguarded throughput (asserted in full
-//! mode; reported in `--quick` CI smoke); the deadline arm is reported but
-//! not gated — a timed wait per request has an inherent price that is the
-//! point of measuring it. A deterministic fault drill follows —
-//! quarantined spikes, rejected NaN payloads, injected executor panics,
-//! a bit-flipped durable snapshot walked back by `restore_with_fallback` —
-//! asserting every injected fault surfaces as a **typed error** and the
-//! engine keeps serving. Reported as `BENCH_6.json`.
-//!
-//! A sixth scenario (`--only=sharded`, phase 7 of `scripts/bench.sh`) measures
-//! the **sharded read path** (PR 7): the same warm query trace runs against
-//! the engine in its two read postures — `locked` (warm reads disabled, every
-//! query through the core mutex: the pre-PR-7 build) and `sharded` (lock-free
-//! per-series snapshots) — at 1/2/4/8 concurrent reader threads, reporting
-//! aggregate queries/sec per point. A mixed-traffic probe follows: a writer
-//! streams appends into series 0 while readers sweep the other series, and
-//! the harness *asserts* (in every mode, on every host) that the sharded
-//! readers accumulate **zero** core-lock wait — warm reads never block on,
-//! nor are blocked by, unrelated appends. The ≥3× aggregate-throughput gate
-//! at 8 readers is asserted only when the host actually has ≥8 cores
-//! (`host_cores` and `asserted` are recorded in the artifact either way).
-//! Reported as `BENCH_7.json`.
-//!
-//! A seventh scenario (`--only=net`, phase 8 of `scripts/bench.sh`) prices
-//! the **network front door** (PR 9): the BENCH_2 engine-arm trace replayed
-//! through in-process [`mvi_serve::BatchClient`]s and again through
-//! [`mvi_net::NetClient`]s over framed TCP on loopback — sustained req/s and
-//! p50/p99 per arm, with the wire overhead reported as their ratio. Two
-//! fault drills follow and are *asserted in-harness*, not just reported: a
-//! flood over a tiny queue behind a stalled evaluation must shed with the
-//! typed `Overloaded` code (and a retrying client must eventually succeed),
-//! and a graceful drain under in-flight load must answer **every** accepted
-//! request with a reply frame — real values or the typed `Shutdown` code,
-//! zero transport-level losses. Reported as `BENCH_8.json`.
-//!
-//! An eighth scenario (`--only=tenancy`, phase 9 of `scripts/bench.sh`)
-//! prices **multi-model tenancy** (PR 10): the shared trace replayed through
-//! one front door backed by a [`mvi_serve::ModelRegistry`] holding 1, 4 and
-//! 16 tenants (req/s and p50/p99 per arm — the per-tenant micro-batcher
-//! routing cost), a **cold-load** arm where a capacity-1 registry alternates
-//! two tenants so every request pays a full evict→snapshot→reload cycle, and
-//! two drills *asserted in-harness*: a hostile tenant armed to panic its own
-//! model and flooding it must leave a victim tenant's replies bitwise
-//! identical with a bounded p99, and an unknown tenant must be answered with
-//! the typed `UnknownTenant` code on a connection that stays open. Reported
-//! as `BENCH_9.json`.
+//! The harness asserts only what makes its numbers mean something: resident
+//! storage never exceeds the ring cap; the warm restart computes zero
+//! windows and the cold one more than zero; the cold-load arm really
+//! churns; throughput arms catch no panic; sharded warm reads accumulate
+//! zero core-lock wait under mixed traffic; in full mode the guarded arm
+//! holds ≥ 95% of unguarded throughput; and a victim tenant's p99 stays
+//! bounded while a hostile neighbour panics. The typed-failure behaviour
+//! itself (quarantine, NaN refusal, panic isolation, corrupt-snapshot
+//! fallback, overload shedding, graceful drain, unknown tenants, bitwise
+//! isolation) is proven by `tests/serve_faults.rs`, `tests/net_faults.rs`
+//! and `tests/net_tenancy.rs`.
 //!
 //! All `BENCH_<n>.json` schemas and host-comparability rules are documented
 //! in `PERFORMANCE.md`.
 //!
 //! ```text
 //! cargo run -p mvi-bench --release --bin serve_bench -- \
-//!     [--threads=N] [--clients=N] [--requests=N] [--out=PATH] \
-//!     [--growth-out=PATH] [--retention-out=PATH] [--faults-out=PATH] \
-//!     [--sharded-out=PATH] [--net-out=PATH] [--tenancy-out=PATH] \
-//!     [--only=retention|faults|sharded|net|tenancy] [--quick]
+//!     [--threads=N] [--quick] [--only=<scenario>] [--out-dir=DIR]
 //! ```
 
 use deepmvi::{DeepMviConfig, DeepMviModel};
-use mvi_data::dataset::Dataset;
+use mvi_data::dataset::{Dataset, ObservedDataset};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
+use mvi_net::{ClientConfig, NetClient, NetServer, RetryPolicy, ServerConfig};
 use mvi_serve::{
-    BatcherConfig, ImputationEngine, MicroBatcher, ServeError, ServeSnapshot, ValueGuard,
+    BatcherConfig, ImputationEngine, MicroBatcher, ModelRegistry, RegistryConfig, ServeSnapshot,
+    ValueGuard,
 };
-use std::fmt::Write as _;
+use mvi_tensor::Tensor;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -113,9 +67,60 @@ const RETENTION: usize = 150;
 /// The long-stream scenario appends this many multiples of the retention
 /// window past the trained length (the acceptance floor is 20×).
 const RETENTION_STREAM_X: usize = 20;
+/// Closed-loop client threads of every multi-client arm.
+const CLIENTS: usize = 4;
+/// Length of the shared request trace (`--quick` caps it at 40).
+const REQUESTS: usize = 400;
+/// Values per append in the streaming scenarios.
+const CHUNK: usize = 9;
+
+/// A scenario's runner: measures, asserts, and returns its artifact.
+type Run = fn(&Ctx) -> Artifact;
+
+/// Every scenario: its `--only` name, its artifact number and its runner.
+const SCENARIOS: [(&str, usize, Run); 7] = [
+    ("serving", 2, serving),
+    ("growth", 3, growth),
+    ("retention", 5, retention),
+    ("faults", 6, faults),
+    ("sharded", 7, sharded),
+    ("net", 8, net),
+    ("tenancy", 9, tenancy),
+];
+
+/// A range query `(series, start, end)`.
+type Req = (usize, usize, usize);
+
+/// Everything a scenario needs: the one trained model and its data.
+struct Ctx {
+    model: DeepMviModel,
+    obs: ObservedDataset,
+    /// Ground truth running `GROWTH_MAX` steps past the trained length.
+    full: Tensor,
+    snapshot: ServeSnapshot,
+    trace: Vec<Req>,
+    threads: usize,
+    quick: bool,
+    train_secs: f64,
+    missing_fraction: f64,
+}
+
+impl Ctx {
+    /// A fresh engine over the trained model; `warm` caches every window.
+    fn engine(&self, warm: bool) -> Arc<ImputationEngine> {
+        let frozen = self.snapshot.restore(&self.obs).expect("restore");
+        let engine = Arc::new(ImputationEngine::new(frozen, self.obs.clone()).expect("engine"));
+        if warm {
+            engine.warm_up();
+        }
+        engine
+    }
+}
 
 struct ArmResult {
     name: &'static str,
+    /// Tenants the arm's requests spread over (`BENCH_9` rows only).
+    tenants: Option<usize>,
     requests: usize,
     wall_secs: f64,
     p50_ms: f64,
@@ -126,6 +131,29 @@ impl ArmResult {
     fn rps(&self) -> f64 {
         self.requests as f64 / self.wall_secs
     }
+
+    fn to_json(&self) -> String {
+        let mut fields = vec![("name", format!("\"{}\"", self.name))];
+        fields.extend(self.tenants.map(|n| ("tenants", n.to_string())));
+        fields.extend([
+            ("requests", self.requests.to_string()),
+            ("wall_secs", fx(self.wall_secs, 6)),
+            ("rps", fx(self.rps(), 2)),
+            ("p50_ms", fx(self.p50_ms, 4)),
+            ("p99_ms", fx(self.p99_ms, 4)),
+        ]);
+        obj(&fields)
+    }
+}
+
+/// One scenario's output: the common header is added by `write_artifact`.
+struct Artifact {
+    scenario: &'static str,
+    /// A JSON object describing the data the scenario served.
+    dataset: String,
+    arms: Vec<ArmResult>,
+    /// Scenario-specific fields, values already rendered as JSON.
+    extra: Vec<(&'static str, String)>,
 }
 
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
@@ -136,128 +164,210 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[idx]
 }
 
-fn summarize(name: &'static str, wall_secs: f64, mut latencies_ms: Vec<f64>) -> ArmResult {
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let result = ArmResult {
+/// Replays `trace` closed-loop over `clients` threads and times it: client
+/// `c` takes the `c`-th contiguous slice, opens its handle with
+/// `connect(c)` and sends the slice one request at a time through
+/// `query(&mut handle, i, request)`, `i` indexing the slice. Wall time runs
+/// from before the first connect to the last reply; each latency sample
+/// covers one `query` call.
+fn run_arm<C>(
+    name: &'static str,
+    trace: &[Req],
+    clients: usize,
+    connect: impl Fn(usize) -> C + Sync,
+    query: impl Fn(&mut C, usize, Req) + Sync,
+) -> ArmResult {
+    let per_client = trace.len().div_ceil(clients);
+    let t0 = Instant::now();
+    let mut lat: Vec<f64> = std::thread::scope(|scope| {
+        let (connect, query) = (&connect, &query);
+        let handles: Vec<_> = trace
+            .chunks(per_client)
+            .enumerate()
+            .map(|(c, part)| {
+                scope.spawn(move || {
+                    let mut client = connect(c);
+                    let mut lat = Vec::with_capacity(part.len());
+                    for (i, &req) in part.iter().enumerate() {
+                        let t = Instant::now();
+                        query(&mut client, i, req);
+                        lat.push(t.elapsed().as_secs_f64() * 1e3);
+                    }
+                    lat
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
+    });
+    let wall_secs = t0.elapsed().as_secs_f64();
+    lat.sort_by(f64::total_cmp);
+    let arm = ArmResult {
         name,
-        requests: latencies_ms.len(),
+        tenants: None,
+        requests: lat.len(),
         wall_secs,
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p99_ms: percentile(&latencies_ms, 0.99),
+        p50_ms: percentile(&lat, 0.50),
+        p99_ms: percentile(&lat, 0.99),
     };
     eprintln!(
-        "{name:>8}: {} requests in {:.3}s = {:>8.1} req/s  (p50 {:.3} ms, p99 {:.3} ms)",
-        result.requests,
-        wall_secs,
-        result.rps(),
-        result.p50_ms,
-        result.p99_ms
+        "{name:>16}: {} requests in {wall_secs:.3}s = {:>9.1} req/s  (p50 {:.3} ms, p99 {:.3} ms)",
+        arm.requests,
+        arm.rps(),
+        arm.p50_ms,
+        arm.p99_ms
     );
-    result
+    arm
 }
 
-/// The shared request trace: range queries cycling over series with varying
-/// offsets/lengths, so consecutive requests overlap (the coalescing case) but
-/// are not identical.
-fn request_trace(n: usize) -> Vec<(usize, usize, usize)> {
-    (0..n)
-        .map(|i| {
-            let s = i % SERIES;
-            let lo = (i * 13) % (T - 80);
-            let len = 40 + (i * 7) % 40;
-            (s, lo, (lo + len).min(T))
-        })
-        .collect()
+/// `trace` through `CLIENTS` in-process `BatchClient`s of one micro-batcher
+/// (batch 64, queue 1024) over `engine`.
+fn batch_arm(
+    name: &'static str,
+    trace: &[Req],
+    engine: &Arc<ImputationEngine>,
+    deadline: Option<Duration>,
+) -> ArmResult {
+    let config = BatcherConfig { max_batch: 64, queue_cap: 1024, deadline };
+    let batcher = MicroBatcher::spawn_with(Arc::clone(engine), config);
+    let arm = run_arm(
+        name,
+        trace,
+        CLIENTS,
+        |_| batcher.client(),
+        |client, _, (s, lo, hi)| {
+            client.query(s, lo, hi).expect("engine query");
+        },
+    );
+    assert_eq!(batcher.panics_caught(), 0, "the trace must not panic the batcher");
+    arm
+}
+
+/// One request over the wire.
+fn wire_query(client: &mut NetClient, (s, lo, hi): Req) {
+    client.query(s as u32, lo as u32, hi as u32).expect("wire query");
+}
+
+/// Retries off: an arm measures first replies.
+fn no_retry() -> ClientConfig {
+    ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() }
+}
+
+/// Appends `source` into each of `series` in `CHUNK`-value pieces,
+/// round-robin, until every one reaches `target`. Returns the sorted append
+/// latencies (ms) and the wall time; `after_each` runs untimed after every
+/// append.
+fn stream_appends(
+    engine: &ImputationEngine,
+    source: &Tensor,
+    series: Range<usize>,
+    target: usize,
+    mut after_each: impl FnMut(),
+) -> (Vec<f64>, f64) {
+    let mut lat = Vec::new();
+    let t0 = Instant::now();
+    loop {
+        let mut all_done = true;
+        for s in series.clone() {
+            let wm = engine.watermark(s).expect("watermark");
+            if wm >= target {
+                continue;
+            }
+            all_done = false;
+            let end = (wm + CHUNK).min(target);
+            let t = Instant::now();
+            engine.append(s, &source.series(s)[wm..end]).expect("append");
+            lat.push(t.elapsed().as_secs_f64() * 1e3);
+            after_each();
+        }
+        if all_done {
+            break;
+        }
+    }
+    let wall = t0.elapsed().as_secs_f64();
+    lat.sort_by(f64::total_cmp);
+    (lat, wall)
+}
+
+/// `x` with `digits` decimals.
+fn fx(x: f64, digits: usize) -> String {
+    format!("{x:.digits$}")
+}
+
+/// `fields` as a one-line JSON object; values are already JSON.
+fn obj(fields: &[(&str, String)]) -> String {
+    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    format!("{{{}}}", body.join(", "))
+}
+
+/// `rows` as a JSON array, one row per line.
+fn rows(items: impl IntoIterator<Item = String>) -> String {
+    let body: Vec<String> = items.into_iter().map(|r| format!("    {r}")).collect();
+    format!("[\n{}\n  ]", body.join(",\n"))
+}
+
+/// The one artifact writer: the common header (`bench`, `scenario`,
+/// `dataset`, `threads_used`, `client_threads`), the `arms` rows if any,
+/// then the scenario's own fields.
+fn write_artifact(path: &Path, bench: usize, ctx: &Ctx, art: Artifact) {
+    let mut fields = vec![
+        ("bench", bench.to_string()),
+        ("scenario", format!("\"{}\"", art.scenario)),
+        ("dataset", art.dataset),
+        ("threads_used", ctx.threads.to_string()),
+        ("client_threads", CLIENTS.to_string()),
+    ];
+    if !art.arms.is_empty() {
+        fields.push(("arms", rows(art.arms.iter().map(ArmResult::to_json))));
+    }
+    fields.extend(art.extra);
+    let body: Vec<String> = fields.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect();
+    std::fs::write(path, format!("{{\n{}\n}}\n", body.join(",\n"))).expect("write bench json");
+    eprintln!("wrote {}", path.display());
+}
+
+fn usage() -> ! {
+    let names: Vec<&str> = SCENARIOS.iter().map(|(name, ..)| *name).collect();
+    eprintln!(
+        "usage: serve_bench [--threads=N] [--quick] [--only={}] [--out-dir=DIR]",
+        names.join("|")
+    );
+    std::process::exit(2);
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_2.json");
-    let mut growth_out_path = String::from("BENCH_3.json");
-    let mut retention_out_path = String::from("BENCH_5.json");
-    let mut faults_out_path = String::from("BENCH_6.json");
-    let mut sharded_out_path = String::from("BENCH_7.json");
-    let mut net_out_path = String::from("BENCH_8.json");
-    let mut tenancy_out_path = String::from("BENCH_9.json");
-    let mut only: Option<String> = None;
     let mut quick = false;
-    let mut clients = 4usize;
-    let mut n_requests = 400usize;
+    let mut only: Option<String> = None;
+    let mut out_dir = PathBuf::from(".");
     for arg in std::env::args().skip(1) {
         if let Some(v) = arg.strip_prefix("--threads=") {
             match v.parse::<usize>() {
                 Ok(n) if n > 0 => mvi_parallel::configure_threads(n),
-                _ => {
-                    eprintln!("--threads needs a positive integer, got `{v}`");
-                    std::process::exit(2);
-                }
+                _ => usage(),
             }
-        } else if let Some(v) = arg.strip_prefix("--clients=") {
-            clients = match v.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!("--clients needs a positive integer, got `{v}`");
-                    std::process::exit(2);
-                }
-            };
-        } else if let Some(v) = arg.strip_prefix("--requests=") {
-            n_requests = match v.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!("--requests needs a positive integer, got `{v}`");
-                    std::process::exit(2);
-                }
-            };
-        } else if let Some(v) = arg.strip_prefix("--out=") {
-            out_path = v.to_string();
-        } else if let Some(v) = arg.strip_prefix("--growth-out=") {
-            growth_out_path = v.to_string();
-        } else if let Some(v) = arg.strip_prefix("--retention-out=") {
-            retention_out_path = v.to_string();
-        } else if let Some(v) = arg.strip_prefix("--faults-out=") {
-            faults_out_path = v.to_string();
-        } else if let Some(v) = arg.strip_prefix("--sharded-out=") {
-            sharded_out_path = v.to_string();
-        } else if let Some(v) = arg.strip_prefix("--net-out=") {
-            net_out_path = v.to_string();
-        } else if let Some(v) = arg.strip_prefix("--tenancy-out=") {
-            tenancy_out_path = v.to_string();
         } else if let Some(v) = arg.strip_prefix("--only=") {
-            match v {
-                "retention" | "faults" | "sharded" | "net" | "tenancy" => {
-                    only = Some(v.to_string())
-                }
-                _ => {
-                    eprintln!(
-                        "--only accepts `retention`, `faults`, `sharded`, `net` or `tenancy`, \
-                         got `{v}`"
-                    );
-                    std::process::exit(2);
-                }
+            if !SCENARIOS.iter().any(|(name, ..)| *name == v) {
+                eprintln!("unknown scenario `{v}`");
+                usage();
             }
+            only = Some(v.to_string());
+        } else if let Some(v) = arg.strip_prefix("--out-dir=") {
+            out_dir = PathBuf::from(v);
         } else if arg == "--quick" {
             quick = true;
         } else {
-            eprintln!(
-                "usage: serve_bench [--threads=N] [--clients=N] [--requests=N] [--out=PATH] \
-                 [--growth-out=PATH] [--retention-out=PATH] [--faults-out=PATH] \
-                 [--sharded-out=PATH] [--net-out=PATH] [--tenancy-out=PATH] \
-                 [--only=retention|faults|sharded|net|tenancy] [--quick]"
-            );
-            std::process::exit(2);
+            usage();
         }
     }
-    if quick {
-        n_requests = n_requests.min(40);
-    }
+    let n_requests = if quick { REQUESTS.min(40) } else { REQUESTS };
     let threads = mvi_parallel::current_threads();
     eprintln!(
-        "serve_bench: {SERIES}x{T} dataset, {n_requests} requests, {clients} client threads, \
+        "serve_bench: {SERIES}x{T} dataset, {n_requests} requests, {CLIENTS} client threads, \
          {threads} worker threads"
     );
 
-    // One trained model feeds every arm. Ground truth runs past the trained
-    // length so the growth scenario has a stream source; training only ever
-    // sees the truncated prefix.
+    // One trained model feeds every scenario. Ground truth runs past the
+    // trained length so the growth scenario has a stream source; training
+    // only ever sees the truncated prefix.
     let full = generate_with_shape(DatasetName::Electricity, &[SERIES], T + GROWTH_MAX, 7);
     let ds = Dataset::new("electricity-trained", full.dims.clone(), full.values.truncated_time(T));
     let inst = Scenario::mcar(1.0).apply(&ds, 3);
@@ -269,81 +379,57 @@ fn main() {
     model.fit(&obs);
     let train_secs = t_train.elapsed().as_secs_f64();
     eprintln!("trained in {train_secs:.2}s; missing fraction {:.3}", inst.missing_fraction());
-    let trace = request_trace(n_requests);
 
-    match only.as_deref() {
-        Some("retention") => {
-            run_retention_scenario(&model, &obs, quick, threads, &retention_out_path);
-            return;
-        }
-        Some("faults") => {
-            run_faults_scenario(
-                &model,
-                &obs,
-                &full.values,
-                &trace,
-                clients,
-                quick,
-                threads,
-                &faults_out_path,
-            );
-            return;
-        }
-        Some("sharded") => {
-            run_sharded_scenario(&model, &obs, quick, threads, &sharded_out_path);
-            return;
-        }
-        Some("net") => {
-            run_net_scenario(&model, &obs, &trace, clients, quick, threads, &net_out_path);
-            return;
-        }
-        Some("tenancy") => {
-            run_tenancy_scenario(&model, &obs, &trace, clients, quick, threads, &tenancy_out_path);
-            return;
-        }
-        _ => {}
-    }
+    // The shared request trace: range queries cycling over series with
+    // varying offsets/lengths, so consecutive requests overlap (the
+    // coalescing case) but are not identical.
+    let trace = (0..n_requests)
+        .map(|i| {
+            let lo = (i * 13) % (T - 80);
+            (i % SERIES, lo, (lo + 40 + (i * 7) % 40).min(T))
+        })
+        .collect();
+    let ctx = Ctx {
+        snapshot: ServeSnapshot::capture(&model, &obs),
+        model,
+        obs,
+        full: full.values,
+        trace,
+        threads,
+        quick,
+        train_secs,
+        missing_fraction: inst.missing_fraction(),
+    };
 
-    // ---- Arm 1: naive per-request full impute (sequential server loop). ----
-    // Charitably few requests: full imputes are slow, so the naive arm runs a
-    // slice of the trace and extrapolates nothing — rps is measured directly.
-    let naive_n = if quick { 5 } else { 25 };
-    let mut naive_lat = Vec::with_capacity(naive_n);
-    let t0 = Instant::now();
-    for &(s, lo, hi) in trace.iter().take(naive_n) {
-        let t = Instant::now();
-        let full = model.impute(&obs);
-        let _slice = full.series(s)[lo..hi].to_vec();
-        naive_lat.push(t.elapsed().as_secs_f64() * 1e3);
+    std::fs::create_dir_all(&out_dir).expect("create --out-dir");
+    for (name, bench, run) in SCENARIOS {
+        if only.as_deref().is_some_and(|o| o != name) {
+            continue;
+        }
+        eprintln!("== {name} (BENCH_{bench}) ==");
+        let art = run(&ctx);
+        write_artifact(&out_dir.join(format!("BENCH_{bench}.json")), bench, &ctx, art);
     }
-    let naive = summarize("naive", t0.elapsed().as_secs_f64(), naive_lat);
+}
 
-    // ---- Arm 2: the online engine behind a micro-batcher. ----
-    let frozen = ServeSnapshot::capture(&model, &obs).restore(&obs).expect("restore");
-    let engine = Arc::new(ImputationEngine::new(frozen, obs.clone()).expect("engine"));
-    let batcher = MicroBatcher::spawn(Arc::clone(&engine), 64);
-    let per_client = n_requests.div_ceil(clients);
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let client = batcher.client();
-        let part: Vec<(usize, usize, usize)> =
-            trace.iter().skip(c * per_client).take(per_client).copied().collect();
-        handles.push(std::thread::spawn(move || {
-            let mut lat = Vec::with_capacity(part.len());
-            for (s, lo, hi) in part {
-                let t = Instant::now();
-                client.query(s, lo, hi).expect("engine query");
-                lat.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            lat
-        }));
-    }
-    let mut engine_lat = Vec::with_capacity(n_requests);
-    for h in handles {
-        engine_lat.extend(h.join().expect("client thread"));
-    }
-    let engine_arm = summarize("engine", t0.elapsed().as_secs_f64(), engine_lat);
+/// `BENCH_2`: naive per-request full impute (the `Imputer::impute`-shaped
+/// server) vs the engine behind a micro-batcher, which imputes only stale
+/// windows. Neither arm retrains; the headline is their throughput ratio.
+fn serving(ctx: &Ctx) -> Artifact {
+    // Charitably few naive requests: full imputes are slow, and rps is
+    // measured directly, never extrapolated.
+    let naive_n = if ctx.quick { 5 } else { 25 };
+    let naive = run_arm(
+        "naive",
+        &ctx.trace[..naive_n],
+        1,
+        |_| (),
+        |_, _, (s, lo, hi)| {
+            std::hint::black_box(ctx.model.impute(&ctx.obs).series(s)[lo..hi].to_vec());
+        },
+    );
+    let engine = ctx.engine(false);
+    let arm = batch_arm("engine", &ctx.trace, &engine, None);
     let stats = engine.stats();
     eprintln!(
         "engine internals: {} batches for {} requests ({:.1} req/batch), {} window passes, {} \
@@ -354,148 +440,96 @@ fn main() {
         stats.windows_computed,
         stats.window_hits
     );
-
-    let speedup = engine_arm.rps() / naive.rps();
+    let speedup = arm.rps() / naive.rps();
     eprintln!("throughput speedup over naive per-request full impute: {speedup:.1}x");
-
-    let mut json = String::from("{\n  \"bench\": 2,\n");
-    let _ = writeln!(
-        json,
-        "  \"dataset\": {{\"series\": {SERIES}, \"t_len\": {T}, \"missing_fraction\": {:.4}}},",
-        inst.missing_fraction()
-    );
-    let _ = writeln!(
-        json,
-        "  \"threads_used\": {threads},\n  \"client_threads\": {clients},\n  \"train_secs\": \
-         {train_secs:.3},",
-    );
-    json.push_str("  \"arms\": [\n");
-    for (i, arm) in [&naive, &engine_arm].into_iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"requests\": {}, \"wall_secs\": {:.6}, \"rps\": {:.2}, \
-             \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}}",
-            arm.name,
-            arm.requests,
-            arm.wall_secs,
-            arm.rps(),
-            arm.p50_ms,
-            arm.p99_ms
-        );
-        json.push_str(if i == 1 { "\n" } else { ",\n" });
+    Artifact {
+        scenario: "serving_throughput",
+        dataset: obj(&[
+            ("series", SERIES.to_string()),
+            ("t_len", T.to_string()),
+            ("missing_fraction", fx(ctx.missing_fraction, 4)),
+        ]),
+        arms: vec![naive, arm],
+        extra: vec![
+            ("train_secs", fx(ctx.train_secs, 3)),
+            (
+                "engine",
+                obj(&[
+                    ("batches", stats.batches.to_string()),
+                    ("windows_computed", stats.windows_computed.to_string()),
+                    ("window_hits", stats.window_hits.to_string()),
+                ]),
+            ),
+            ("throughput_speedup_vs_naive", fx(speedup, 3)),
+        ],
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"engine\": {{\"batches\": {}, \"windows_computed\": {}, \"window_hits\": {}}},",
-        stats.batches, stats.windows_computed, stats.window_hits
-    );
-    let _ = writeln!(json, "  \"throughput_speedup_vs_naive\": {speedup:.3}");
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write bench json");
-    eprintln!("wrote {out_path}");
+}
 
-    // ---- Scenario 3: growth — stream past the trained capacity. ----
-    // A fresh warm engine takes fixed-size appends round-robin over the
-    // series until every one has grown `growth` steps past the trained
-    // length; this exact flow was a hard `AppendOverflow` failure before
-    // series storage became growable.
-    let growth = if quick { 60 } else { GROWTH_MAX };
-    let frozen = ServeSnapshot::capture(&model, &obs).restore(&obs).expect("restore");
-    let engine = ImputationEngine::new(frozen, obs.clone()).expect("engine");
-    engine.warm_up();
+/// `BENCH_3`: a warm engine takes fixed-size appends round-robin until every
+/// series has grown past the trained length (this exact flow was a hard
+/// `AppendOverflow` before storage became growable), then answers a
+/// tail-query sweep over the grown region.
+fn growth(ctx: &Ctx) -> Artifact {
+    let growth = if ctx.quick { 60 } else { GROWTH_MAX };
+    let engine = ctx.engine(true);
     let base = engine.stats();
     let target = T + growth;
-    let chunk = 9usize;
-    let mut append_lat = Vec::new();
-    let t0 = Instant::now();
-    loop {
-        let mut all_done = true;
-        for s in 0..SERIES {
-            let wm = engine.watermark(s).expect("watermark");
-            if wm >= target {
-                continue;
-            }
-            all_done = false;
-            let end = (wm + chunk).min(target);
-            let t = Instant::now();
-            engine.append(s, &full.values.series(s)[wm..end]).expect("append past capacity");
-            append_lat.push(t.elapsed().as_secs_f64() * 1e3);
-        }
-        if all_done {
-            break;
-        }
-    }
-    let growth_wall = t0.elapsed().as_secs_f64();
+    let (lat, wall) = stream_appends(&engine, &ctx.full, 0..SERIES, target, || {});
     assert_eq!(engine.live_len(), target, "growth scenario must reach its target length");
-    let gstats = engine.stats();
-    let appends = gstats.appends - base.appends;
-    let values = gstats.values_appended - base.values_appended;
-    let windows = gstats.windows_computed - base.windows_computed;
+    let stats = engine.stats();
+    let appends = stats.appends - base.appends;
+    let values = stats.values_appended - base.values_appended;
+    let windows = stats.windows_computed - base.windows_computed;
 
-    // Tail sweep: queries over the grown region (observed + rolled windows).
     let t0 = Instant::now();
     for s in 0..SERIES {
         engine.query(s, T, target).expect("tail query over the grown region");
     }
     let tail_sweep_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    append_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (p50, p99) = (percentile(&append_lat, 0.50), percentile(&append_lat, 0.99));
+    let (p50, p99) = (percentile(&lat, 0.50), percentile(&lat, 0.99));
     eprintln!(
-        "growth: {SERIES} series {T} -> {target} in {appends} appends over {growth_wall:.3}s = \
-         {:.0} values/s (append p50 {p50:.3} ms, p99 {p99:.3} ms, {windows} window passes; tail \
-         sweep {tail_sweep_ms:.2} ms)",
-        values as f64 / growth_wall
+        "growth: {SERIES} series {T} -> {target} in {appends} appends over {wall:.3}s = {:.0} \
+         values/s (append p50 {p50:.3} ms, p99 {p99:.3} ms, {windows} window passes; tail sweep \
+         {tail_sweep_ms:.2} ms)",
+        values as f64 / wall
     );
-
-    let mut gjson = String::from("{\n  \"bench\": 3,\n  \"scenario\": \"append_past_capacity\",\n");
-    let _ = writeln!(
-        gjson,
-        "  \"dataset\": {{\"series\": {SERIES}, \"trained_t_len\": {T}, \"final_live_len\": \
-         {target}}},\n  \"threads_used\": {threads},\n  \"chunk\": {chunk},"
-    );
-    let _ = writeln!(
-        gjson,
-        "  \"appends\": {appends},\n  \"values_appended\": {values},\n  \
-         \"windows_recomputed\": {windows},\n  \"wall_secs\": {growth_wall:.6},"
-    );
-    let _ = writeln!(
-        gjson,
-        "  \"appends_per_sec\": {:.2},\n  \"values_per_sec\": {:.2},\n  \"append_p50_ms\": \
-         {p50:.4},\n  \"append_p99_ms\": {p99:.4},\n  \"tail_sweep_ms\": {tail_sweep_ms:.4}",
-        appends as f64 / growth_wall,
-        values as f64 / growth_wall
-    );
-    gjson.push_str("}\n");
-    std::fs::write(&growth_out_path, &gjson).expect("write growth bench json");
-    eprintln!("wrote {growth_out_path}");
+    Artifact {
+        scenario: "append_past_capacity",
+        dataset: obj(&[
+            ("series", SERIES.to_string()),
+            ("trained_t_len", T.to_string()),
+            ("final_live_len", target.to_string()),
+        ]),
+        arms: Vec::new(),
+        extra: vec![
+            ("chunk", CHUNK.to_string()),
+            ("appends", appends.to_string()),
+            ("values_appended", values.to_string()),
+            ("windows_recomputed", windows.to_string()),
+            ("wall_secs", fx(wall, 6)),
+            ("appends_per_sec", fx(appends as f64 / wall, 2)),
+            ("values_per_sec", fx(values as f64 / wall, 2)),
+            ("append_p50_ms", fx(p50, 4)),
+            ("append_p99_ms", fx(p99, 4)),
+            ("tail_sweep_ms", fx(tail_sweep_ms, 4)),
+        ],
+    }
 }
 
-/// Scenario 4 (`BENCH_5.json`): bounded-memory streaming through the
-/// retention ring, then a warm restart from a v3 cache snapshot.
-///
-/// The harness *asserts* the two headline claims rather than merely reporting
-/// them: storage capacity never exceeds the ring cap across a stream ≥ 20×
-/// the retention window (quick mode shortens the stream but still evicts),
-/// and the warm-restarted engine answers the full retained query sweep with
-/// zero window evaluations.
-fn run_retention_scenario(
-    model: &DeepMviModel,
-    obs: &mvi_data::dataset::ObservedDataset,
-    quick: bool,
-    threads: usize,
-    out_path: &str,
-) {
-    let stream_x = if quick { 2 } else { RETENTION_STREAM_X };
+/// `BENCH_5`: a stream ≥ 20× the retention window through a bounded engine
+/// (quick mode shortens it but still evicts), asserting resident storage
+/// never exceeds the ring cap; then a warm restart through a durable
+/// snapshot file, asserted to answer the retained sweep with zero window
+/// evaluations, timed against a cold model-only restart that recomputes.
+fn retention(ctx: &Ctx) -> Artifact {
+    let stream_x = if ctx.quick { 2 } else { RETENTION_STREAM_X };
     let stream_len = stream_x * RETENTION;
     let target = T + stream_len;
     // A fresh ground-truth horizon long enough to feed the whole stream.
     let full = generate_with_shape(DatasetName::Electricity, &[SERIES], target, 7);
-
-    let frozen = ServeSnapshot::capture(model, obs).restore(obs).expect("restore");
+    let frozen = ctx.snapshot.restore(&ctx.obs).expect("restore");
     let engine =
-        ImputationEngine::with_retention(frozen, obs.clone(), RETENTION).expect("ring engine");
+        ImputationEngine::with_retention(frozen, ctx.obs.clone(), RETENTION).expect("ring engine");
     let ring_cap = engine.ring_capacity().expect("bounded engine");
     engine.warm_up();
     // One series goes dark at the trained end (a dead sensor): its retained
@@ -508,30 +542,10 @@ fn run_retention_scenario(
          streaming {stream_len} steps ({stream_x}x retention) per series (series {dark} dark)"
     );
 
-    // ---- Long stream: capacity must stay flat while logical time runs. ----
-    let chunk = 9usize;
-    let mut append_lat = Vec::new();
     let mut max_capacity = engine.storage_capacity();
-    let t0 = Instant::now();
-    loop {
-        let mut all_done = true;
-        for s in 0..dark {
-            let wm = engine.watermark(s).expect("watermark");
-            if wm >= target {
-                continue;
-            }
-            all_done = false;
-            let end = (wm + chunk).min(target);
-            let t = Instant::now();
-            engine.append(s, &full.values.series(s)[wm..end]).expect("append");
-            append_lat.push(t.elapsed().as_secs_f64() * 1e3);
-            max_capacity = max_capacity.max(engine.storage_capacity());
-        }
-        if all_done {
-            break;
-        }
-    }
-    let stream_wall = t0.elapsed().as_secs_f64();
+    let (lat, stream_wall) = stream_appends(&engine, &full.values, 0..dark, target, || {
+        max_capacity = max_capacity.max(engine.storage_capacity())
+    });
     assert!(
         max_capacity <= ring_cap,
         "resident storage ({max_capacity}) exceeded the ring cap ({ring_cap})"
@@ -540,8 +554,7 @@ fn run_retention_scenario(
     let stats = engine.stats();
     assert!(stats.evictions > 0, "the long stream must evict");
     let (base, live) = (engine.retained_start(), engine.live_len());
-    append_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let (p50, p99) = (percentile(&append_lat, 0.50), percentile(&append_lat, 0.99));
+    let (p50, p99) = (percentile(&lat, 0.50), percentile(&lat, 0.99));
     eprintln!(
         "stream: {} appends ({} values) in {stream_wall:.3}s = {:.0} values/s, p50 {p50:.3} ms \
          p99 {p99:.3} ms; {} evictions ({} steps), storage flat at <= {max_capacity} of cap \
@@ -553,18 +566,17 @@ fn run_retention_scenario(
         stats.steps_evicted
     );
 
-    // ---- Warm restart: snapshot the healed cache, restore, replay. ----
+    // ---- Warm restart: heal the cache, write the file, restore, replay. ----
     for s in 0..SERIES {
         engine.query(s, base, live).expect("healing sweep");
     }
+    let path = std::env::temp_dir().join(format!("mvi-bench5-{}.snap", std::process::id()));
     let t_snap = Instant::now();
-    let json = engine.snapshot().to_json();
+    engine.snapshot_to_path(&path).expect("durable write");
     let snapshot_secs = t_snap.elapsed().as_secs_f64();
-    let snapshot_bytes = json.len();
-
+    let snapshot_bytes = std::fs::metadata(&path).expect("stat snapshot").len();
     let t_restore = Instant::now();
-    let snap = ServeSnapshot::from_json(&json).expect("v3 parses");
-    let warm = ImputationEngine::from_snapshot(&snap).expect("warm restart");
+    let warm = ImputationEngine::from_snapshot_path(&path).expect("warm restart");
     let warm_restore_secs = t_restore.elapsed().as_secs_f64();
     let t_sweep = Instant::now();
     for s in 0..SERIES {
@@ -574,7 +586,9 @@ fn run_retention_scenario(
     let warm_windows = warm.stats().windows_computed;
     assert_eq!(warm_windows, 0, "warm restart evaluated windows it had cached");
 
-    // ---- Cold restart (the pre-v3 world): model-only restore, recompute. ----
+    // ---- Cold restart: the same file's model only, recompute. ----
+    let snap = ServeSnapshot::from_path(&path).expect("snapshot file reads back");
+    let _ = std::fs::remove_file(&path);
     let t_cold = Instant::now();
     let cold_model = snap.restore(&engine.observed()).expect("model-only restore");
     let cold = ImputationEngine::with_retention(cold_model, engine.observed(), RETENTION)
@@ -592,188 +606,103 @@ fn run_retention_scenario(
     assert!(cold_windows > 0, "cold restart must recompute (else the comparison is vacuous)");
     let sweep_speedup = cold_sweep_secs / warm_sweep_secs.max(1e-9);
     eprintln!(
-        "warm restart: {snapshot_bytes} B snapshot, restore {warm_restore_secs:.4}s, retained \
-         sweep {warm_sweep_secs:.4}s with 0 window passes; cold restart sweep \
+        "warm restart: {snapshot_bytes} B snapshot file, restore {warm_restore_secs:.4}s, \
+         retained sweep {warm_sweep_secs:.4}s with 0 window passes; cold restart sweep \
          {cold_sweep_secs:.4}s with {cold_windows} passes = {sweep_speedup:.1}x"
     );
-
-    let mut json =
-        String::from("{\n  \"bench\": 5,\n  \"scenario\": \"retention_ring_long_stream\",\n");
-    let _ = writeln!(
-        json,
-        "  \"dataset\": {{\"series\": {SERIES}, \"trained_t_len\": {T}, \"retention_len\": \
-         {RETENTION}, \"ring_cap\": {ring_cap}, \"stream_multiple_of_retention\": {stream_x}}},\n  \
-         \"threads_used\": {threads},\n  \"chunk\": {chunk},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"stream\": {{\"final_live_len\": {live}, \"retained_start\": {base}, \"appends\": \
-         {}, \"values_appended\": {}, \"evictions\": {}, \"steps_evicted\": {}, \"wall_secs\": \
-         {stream_wall:.6}, \"values_per_sec\": {:.2}, \"append_p50_ms\": {p50:.4}, \
-         \"append_p99_ms\": {p99:.4}, \"max_storage_capacity\": {max_capacity}, \
-         \"storage_within_ring_cap\": true}},",
-        stats.appends,
-        stats.values_appended,
-        stats.evictions,
-        stats.steps_evicted,
-        stats.values_appended as f64 / stream_wall
-    );
-    let _ = writeln!(
-        json,
-        "  \"warm_restart\": {{\"snapshot_bytes\": {snapshot_bytes}, \"snapshot_secs\": \
-         {snapshot_secs:.6}, \"restore_secs\": {warm_restore_secs:.6}, \"sweep_secs\": \
-         {warm_sweep_secs:.6}, \"windows_computed\": {warm_windows}, \"cold_restore_secs\": \
-         {cold_restore_secs:.6}, \"cold_sweep_secs\": {cold_sweep_secs:.6}, \
-         \"cold_windows_computed\": {cold_windows}, \"warm_sweep_speedup_vs_cold\": \
-         {sweep_speedup:.3}}}"
-    );
-    json.push_str("}\n");
-    std::fs::write(out_path, &json).expect("write retention bench json");
-    eprintln!("wrote {out_path}");
+    Artifact {
+        scenario: "retention_ring_long_stream",
+        dataset: obj(&[
+            ("series", SERIES.to_string()),
+            ("trained_t_len", T.to_string()),
+            ("retention_len", RETENTION.to_string()),
+            ("ring_cap", ring_cap.to_string()),
+            ("stream_multiple_of_retention", stream_x.to_string()),
+        ]),
+        arms: Vec::new(),
+        extra: vec![
+            ("chunk", CHUNK.to_string()),
+            (
+                "stream",
+                obj(&[
+                    ("final_live_len", live.to_string()),
+                    ("retained_start", base.to_string()),
+                    ("appends", stats.appends.to_string()),
+                    ("values_appended", stats.values_appended.to_string()),
+                    ("evictions", stats.evictions.to_string()),
+                    ("steps_evicted", stats.steps_evicted.to_string()),
+                    ("wall_secs", fx(stream_wall, 6)),
+                    ("values_per_sec", fx(stats.values_appended as f64 / stream_wall, 2)),
+                    ("append_p50_ms", fx(p50, 4)),
+                    ("append_p99_ms", fx(p99, 4)),
+                    ("max_storage_capacity", max_capacity.to_string()),
+                    ("storage_within_ring_cap", "true".into()),
+                ]),
+            ),
+            (
+                "warm_restart",
+                obj(&[
+                    ("snapshot_bytes", snapshot_bytes.to_string()),
+                    ("snapshot_secs", fx(snapshot_secs, 6)),
+                    ("restore_secs", fx(warm_restore_secs, 6)),
+                    ("sweep_secs", fx(warm_sweep_secs, 6)),
+                    ("windows_computed", warm_windows.to_string()),
+                    ("cold_restore_secs", fx(cold_restore_secs, 6)),
+                    ("cold_sweep_secs", fx(cold_sweep_secs, 6)),
+                    ("cold_windows_computed", cold_windows.to_string()),
+                    ("warm_sweep_speedup_vs_cold", fx(sweep_speedup, 3)),
+                ]),
+            ),
+        ],
+    }
 }
 
-/// Guard posture of one throughput arm.
-#[derive(Clone, Copy)]
-enum GuardArm {
-    /// No guards: exactly the BENCH_2 engine arm.
-    Unguarded,
-    /// The always-on guard posture — [`ValueGuard`] installed (with bounds
-    /// the trace never trips, so the cost measured is the *check*) plus the
-    /// input/output finiteness guards that are never optional. This is the
-    /// arm the 5% acceptance bound gates.
-    Guarded,
-    /// Guards plus a per-request deadline — opt-in, and inherently priced
-    /// (a timed wait instead of a plain one per request), so it is reported
-    /// as its own arm rather than gated.
-    GuardedDeadline,
-}
-
-/// Runs the shared trace through a fresh engine + micro-batcher under the
-/// given guard posture and returns the timed arm.
-fn run_guard_arm(
-    name: &'static str,
-    snapshot: &ServeSnapshot,
-    obs: &mvi_data::dataset::ObservedDataset,
-    trace: &[(usize, usize, usize)],
-    clients: usize,
-    arm: GuardArm,
-) -> (ArmResult, Arc<ImputationEngine>) {
-    let frozen = snapshot.restore(obs).expect("restore");
-    let engine = Arc::new(ImputationEngine::new(frozen, obs.clone()).expect("engine"));
-    let deadline = match arm {
-        GuardArm::Unguarded => None,
-        GuardArm::Guarded => {
-            engine.set_value_guard(Some(ValueGuard { abs_max: Some(1e6), max_jump: None }));
-            None
-        }
-        GuardArm::GuardedDeadline => {
-            engine.set_value_guard(Some(ValueGuard { abs_max: Some(1e6), max_jump: None }));
-            Some(Duration::from_secs(30))
-        }
+/// `BENCH_6`: the price of the fault-tolerance layer. The shared trace runs
+/// through an unguarded engine, a guarded one (a `ValueGuard` the trace never
+/// trips, so the cost measured is the check) and a guarded one with a
+/// per-request deadline, best of `reps` runs per arm in alternating order.
+/// In full mode the guarded arm must hold ≥ 95% of unguarded throughput;
+/// `--quick` reports the ratio without gating on wall-clock noise. The
+/// deadline arm is priced, not gated: a timed wait per request is an opt-in
+/// cost.
+fn faults(ctx: &Ctx) -> Artifact {
+    let guard = Some(ValueGuard { abs_max: Some(1e6), max_jump: None });
+    let postures = [
+        ("unguarded", None, None),
+        ("guarded", guard, None),
+        ("guarded_deadline", guard, Some(Duration::from_secs(30))),
+    ];
+    let arm = |name: &'static str, guard, deadline, trace: &[Req]| {
+        let engine = ctx.engine(false);
+        engine.set_value_guard(guard);
+        batch_arm(name, trace, &engine, deadline)
     };
-    let config = BatcherConfig { max_batch: 64, queue_cap: 1024, deadline };
-    let batcher = MicroBatcher::spawn_with(Arc::clone(&engine), config);
-    let per_client = trace.len().div_ceil(clients);
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let client = batcher.client();
-        let part: Vec<(usize, usize, usize)> =
-            trace.iter().skip(c * per_client).take(per_client).copied().collect();
-        handles.push(std::thread::spawn(move || {
-            let mut lat = Vec::with_capacity(part.len());
-            for (s, lo, hi) in part {
-                let t = Instant::now();
-                client.query(s, lo, hi).expect("engine query");
-                lat.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            lat
-        }));
-    }
-    let mut lat = Vec::with_capacity(trace.len());
-    for h in handles {
-        lat.extend(h.join().expect("client thread"));
-    }
-    (summarize(name, t0.elapsed().as_secs_f64(), lat), engine)
-}
-
-/// Scenario 5 (`BENCH_6.json`): the price and the proof of the
-/// fault-tolerance layer.
-///
-/// **Price** — the BENCH_2 engine-arm trace replayed through an unguarded,
-/// a guarded, and a guarded+deadline engine (best of `reps` runs per arm so
-/// the comparison is noise-resistant). In full mode the harness *asserts*
-/// the guarded hot path holds ≥ 95% of unguarded throughput — the 5%
-/// acceptance bound; `--quick` (the CI smoke) reports the ratio without
-/// gating on wall-clock noise. The deadline arm is priced but not gated:
-/// its timed wait per request is an opt-in cost.
-///
-/// **Proof** — a deterministic fault drill on the guarded engine: spiked
-/// appends are quarantined to the count, NaN payloads are rejected typed
-/// with nothing recorded, panics injected into the executor come back as
-/// typed errors with the worker surviving and the engine healing, and a
-/// bit-flipped durable snapshot fails typed then restores through
-/// `restore_with_fallback`. Every assertion here is exact, not statistical.
-#[allow(clippy::too_many_arguments)]
-fn run_faults_scenario(
-    model: &DeepMviModel,
-    obs: &mvi_data::dataset::ObservedDataset,
-    full_values: &mvi_tensor::Tensor,
-    trace: &[(usize, usize, usize)],
-    clients: usize,
-    quick: bool,
-    threads: usize,
-    out_path: &str,
-) {
-    let snapshot = ServeSnapshot::capture(model, obs);
-    // Untimed warmup pass: page in the code and allocator state so the first
+    // Untimed warmup: page in the code and allocator state so the first
     // timed arm is not penalized for going first.
-    let _ = run_guard_arm(
-        "warmup",
-        &snapshot,
-        obs,
-        &trace[..trace.len().min(32)],
-        clients,
-        GuardArm::Unguarded,
-    );
+    arm("warmup", None, None, &ctx.trace[..ctx.trace.len().min(32)]);
 
-    // ---- Price: paired arms, best-of-reps, alternating order. ----
-    let reps = if quick { 1 } else { 3 };
-    let mut best_arms: [Option<ArmResult>; 3] = [None, None, None];
+    let reps = if ctx.quick { 1 } else { 3 };
+    let mut best: [Option<ArmResult>; 3] = [None, None, None];
     for _ in 0..reps {
-        let round = [
-            run_guard_arm("unguarded", &snapshot, obs, trace, clients, GuardArm::Unguarded).0,
-            run_guard_arm("guarded", &snapshot, obs, trace, clients, GuardArm::Guarded).0,
-            run_guard_arm(
-                "guarded_deadline",
-                &snapshot,
-                obs,
-                trace,
-                clients,
-                GuardArm::GuardedDeadline,
-            )
-            .0,
-        ];
-        for (slot, new) in best_arms.iter_mut().zip(round) {
-            match slot {
-                Some(old) if old.rps() >= new.rps() => {}
-                _ => *slot = Some(new),
+        for (slot, &(name, guard, deadline)) in best.iter_mut().zip(&postures) {
+            let new = arm(name, guard, deadline, &ctx.trace);
+            if slot.as_ref().is_none_or(|old| new.rps() > old.rps()) {
+                *slot = Some(new);
             }
         }
     }
-    let [unguarded, guarded, guarded_deadline] = best_arms.map(Option::unwrap);
+    let [unguarded, guarded, guarded_deadline] = best.map(Option::unwrap);
     let ratio = guarded.rps() / unguarded.rps();
     let overhead_pct = (1.0 - ratio) * 100.0;
     let deadline_overhead_pct = (1.0 - guarded_deadline.rps() / unguarded.rps()) * 100.0;
     eprintln!(
-        "guard overhead: {:.1} vs {:.1} req/s = {overhead_pct:.2}% ({} rep(s), best-of); with \
-         per-request deadline: {:.1} req/s = {deadline_overhead_pct:.2}%",
+        "guard overhead: {:.1} vs {:.1} req/s = {overhead_pct:.2}% ({reps} rep(s), best-of); \
+         with per-request deadline: {:.1} req/s = {deadline_overhead_pct:.2}%",
         guarded.rps(),
         unguarded.rps(),
-        reps,
         guarded_deadline.rps()
     );
-    if !quick {
+    if !ctx.quick {
         assert!(
             ratio >= 0.95,
             "guarded hot path fell outside the 5% acceptance bound: {:.1} vs {:.1} req/s \
@@ -782,207 +711,43 @@ fn run_faults_scenario(
             unguarded.rps()
         );
     }
-
-    // ---- Proof: deterministic fault drill on a guarded engine. ----
-    let frozen = snapshot.restore(obs).expect("restore");
-    let engine = Arc::new(ImputationEngine::new(frozen, obs.clone()).expect("engine"));
-    engine.set_value_guard(Some(ValueGuard { abs_max: Some(1e6), max_jump: None }));
-    engine.warm_up();
-
-    // Quarantine drill: real stream values with every 8th replaced by an
-    // absurd spike; the guard must drop exactly the spikes, nothing else.
-    let drill_len = 64usize;
-    let mut spikes_injected = 0usize;
-    let t0 = Instant::now();
-    for s in 0..SERIES {
-        let wm = engine.watermark(s).expect("watermark");
-        let mut payload = full_values.series(s)[wm..wm + drill_len].to_vec();
-        for (i, v) in payload.iter_mut().enumerate() {
-            if i.is_multiple_of(8) {
-                *v = 1e9;
-                spikes_injected += 1;
-            }
-        }
-        let report = engine.append(s, &payload).expect("spiked append");
-        assert_eq!(
-            report.values_quarantined,
-            drill_len.div_ceil(8),
-            "quarantine must drop exactly the injected spikes"
-        );
+    Artifact {
+        scenario: "guarded_serving",
+        dataset: obj(&[("series", SERIES.to_string()), ("t_len", T.to_string())]),
+        arms: vec![unguarded, guarded, guarded_deadline],
+        extra: vec![
+            ("reps_best_of", reps.to_string()),
+            ("guard_overhead_pct", fx(overhead_pct, 3)),
+            ("within_5pct", (ratio >= 0.95).to_string()),
+            ("deadline_overhead_pct", fx(deadline_overhead_pct, 3)),
+        ],
     }
-    let quarantine_wall = t0.elapsed().as_secs_f64();
-    let quarantined = engine.health().quarantined;
-    assert_eq!(quarantined, spikes_injected as u64);
-
-    // Poisoned-payload drill: NaN is refused typed, nothing recorded.
-    let mut nan_rejections = 0u64;
-    for s in 0..SERIES {
-        let wm = engine.watermark(s).expect("watermark");
-        match engine.append(s, &[0.0, f64::NAN]) {
-            Err(ServeError::NonFiniteInput { .. }) => nan_rejections += 1,
-            other => panic!("NaN append must fail typed, got {other:?}"),
-        }
-        assert_eq!(engine.watermark(s).expect("watermark"), wm, "rejected append advanced time");
-    }
-
-    // Panic drill: three injected executor panics through the batcher; every
-    // caller gets a typed answer, the worker survives, the engine heals.
-    let injected_panics = 3u64;
-    let panics_left = Arc::new(std::sync::atomic::AtomicU64::new(injected_panics));
-    let hook_count = Arc::clone(&panics_left);
-    engine.set_eval_hook(Some(Box::new(move |_results| {
-        if hook_count
-            .fetch_update(
-                std::sync::atomic::Ordering::Relaxed,
-                std::sync::atomic::Ordering::Relaxed,
-                |n| n.checked_sub(1),
-            )
-            .is_ok()
-        {
-            panic!("bench-injected executor fault");
-        }
-    })));
-    let batcher = MicroBatcher::spawn(Arc::clone(&engine), 16);
-    let live = engine.live_len();
-    let mut typed_panicked = 0u64;
-    let mut answered = 0u64;
-    let drill_handles: Vec<_> = (0..SERIES)
-        .map(|s| {
-            let client = batcher.client();
-            std::thread::spawn(move || client.query(s, 0, live))
-        })
-        .collect();
-    for h in drill_handles {
-        match h.join().expect("drill client thread") {
-            Ok(vals) => {
-                assert_eq!(vals.len(), live);
-                answered += 1;
-            }
-            Err(ServeError::Panicked) => typed_panicked += 1,
-            Err(other) => panic!("unexpected drill error: {other}"),
-        }
-    }
-    engine.set_eval_hook(None);
-    let panics_caught = batcher.panics_caught();
-    assert!(panics_caught >= 1, "the supervisor saw no injected panic");
-    // Healed: the same batcher serves every series again, end to end.
-    let client = batcher.client();
-    for s in 0..SERIES {
-        assert_eq!(client.query(s, 0, live).expect("post-drill query").len(), live);
-    }
-    let poison_recoveries = engine.health().poison_recoveries;
-
-    // Durable-snapshot drill: atomic write, bit-flip, typed corruption,
-    // fallback to the good generation.
-    let dir = std::env::temp_dir();
-    let good = dir.join(format!("mvi_bench6_{}_good.snap", std::process::id()));
-    let bad = dir.join(format!("mvi_bench6_{}_bad.snap", std::process::id()));
-    let t0 = Instant::now();
-    engine.snapshot_to_path(&good).expect("durable write");
-    let durable_write_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let snapshot_bytes = std::fs::metadata(&good).expect("stat").len();
-    let mut bytes = std::fs::read(&good).expect("read back");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&bad, &bytes).expect("write corrupt copy");
-    let corrupt_detected =
-        matches!(ImputationEngine::from_snapshot_path(&bad), Err(ServeError::Corrupt { .. }));
-    assert!(corrupt_detected, "a bit-flipped snapshot must fail the integrity check");
-    let t0 = Instant::now();
-    let (restored, fallback_index) =
-        ImputationEngine::restore_with_fallback(&[&bad, &good]).expect("fallback restore");
-    let durable_restore_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(fallback_index, 1, "fallback must walk past the corrupt generation");
-    assert_eq!(restored.live_len(), live);
-    let _ = std::fs::remove_file(&good);
-    let _ = std::fs::remove_file(&bad);
-
-    eprintln!(
-        "fault drill: {quarantined} quarantined, {nan_rejections} NaN payloads rejected, \
-         {panics_caught} panic(s) caught ({typed_panicked} typed / {answered} answered, \
-         {poison_recoveries} poison recoveries), corrupt snapshot detected + fallback restore \
-         {durable_restore_ms:.1} ms ({snapshot_bytes} B)"
-    );
-
-    // ---- Artifact. ----
-    let mut json =
-        String::from("{\n  \"bench\": 6,\n  \"scenario\": \"guarded_serving_and_fault_drill\",\n");
-    let _ = writeln!(
-        json,
-        "  \"dataset\": {{\"series\": {SERIES}, \"t_len\": {T}}},\n  \"threads_used\": \
-         {threads},\n  \"client_threads\": {clients},\n  \"reps_best_of\": {reps},"
-    );
-    json.push_str("  \"arms\": [\n");
-    for (i, arm) in [&unguarded, &guarded, &guarded_deadline].into_iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"requests\": {}, \"wall_secs\": {:.6}, \"rps\": {:.2}, \
-             \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}}",
-            arm.name,
-            arm.requests,
-            arm.wall_secs,
-            arm.rps(),
-            arm.p50_ms,
-            arm.p99_ms
-        );
-        json.push_str(if i == 2 { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"guard_overhead_pct\": {overhead_pct:.3},\n  \"within_5pct\": {},\n  \
-         \"deadline_overhead_pct\": {deadline_overhead_pct:.3},",
-        ratio >= 0.95
-    );
-    let _ = writeln!(
-        json,
-        "  \"fault_drill\": {{\"quarantined\": {quarantined}, \"quarantine_values_per_sec\": \
-         {:.2}, \"nan_payloads_rejected\": {nan_rejections}, \"injected_panics\": \
-         {injected_panics}, \"panics_caught\": {panics_caught}, \"typed_panicked\": \
-         {typed_panicked}, \"poison_recoveries\": {poison_recoveries}, \"snapshot_bytes\": \
-         {snapshot_bytes}, \"durable_write_ms\": {durable_write_ms:.4}, \"durable_restore_ms\": \
-         {durable_restore_ms:.4}, \"corrupt_detected\": true, \"fallback_index\": \
-         {fallback_index}, \"all_faults_typed\": true}}",
-        (SERIES * drill_len) as f64 / quarantine_wall
-    );
-    json.push_str("}\n");
-    std::fs::write(out_path, &json).expect("write faults bench json");
-    eprintln!("wrote {out_path}");
 }
 
-/// Scenario 6 (`BENCH_7.json`): warm-read scaling of the sharded engine.
+/// `BENCH_7`: warm-read scaling of the sharded engine.
 ///
 /// **Scaling sweep** — the same seeded warm-query trace runs at 1/2/4/8
 /// concurrent reader threads against the engine in both read postures:
-/// `locked` (warm reads off — every query takes the core mutex, i.e. the
-/// single-lock build this PR replaces) and `sharded` (lock-free per-series
-/// snapshot reads). Reader threads are spawned literally
-/// ([`mvi_parallel::run_workers`]), deliberately ignoring the core count —
-/// oversubscription *is* the serving shape being measured. The ≥3× gate on
-/// sharded-vs-locked aggregate throughput at 8 readers is asserted only when
-/// the host has ≥ 8 cores; below that the ratio is recorded but a scaling
-/// claim would be dishonest, so `asserted: false` goes in the artifact.
+/// `locked` (warm reads off — every query takes the core mutex) and
+/// `sharded` (lock-free per-series snapshot reads). Reader threads are
+/// spawned literally ([`mvi_parallel::run_workers`]), deliberately ignoring
+/// the core count — oversubscription *is* the serving shape being measured.
+/// The ≥3× gate on sharded-vs-locked aggregate throughput at 8 readers is
+/// asserted only when the host has ≥ 8 cores; below that the ratio is
+/// recorded with `asserted: false`.
 ///
 /// **Mixed-traffic probe** — a writer streams appends into series 0 while
 /// readers sweep the other series. The engine's `lock_wait_nanos` counter
 /// prices every *contended* core-lock acquisition; the harness asserts the
-/// sharded run's delta is exactly **zero** — warm reads never touch the core
-/// lock, so they cannot block the writer nor be blocked by it. This holds on
-/// any host, single-core included, so it is asserted unconditionally (the
-/// locked posture's measured wait is reported alongside for contrast).
-fn run_sharded_scenario(
-    model: &DeepMviModel,
-    obs: &mvi_data::dataset::ObservedDataset,
-    quick: bool,
-    threads: usize,
-    out_path: &str,
-) {
+/// sharded run's delta is exactly zero — warm reads never touch the core
+/// lock, so they can neither block the writer nor be blocked by it. This
+/// holds on any host, single-core included, so it is asserted
+/// unconditionally (the locked posture's wait is reported for contrast).
+fn sharded(ctx: &Ctx) -> Artifact {
     let host_cores = mvi_parallel::available_threads();
-    let ops_per_worker = if quick { 1_000 } else { 10_000 };
-    let snapshot = ServeSnapshot::capture(model, obs);
+    let ops_per_worker = if ctx.quick { 1_000 } else { 10_000 };
     let build = |warm: bool| {
-        let frozen = snapshot.restore(obs).expect("restore");
-        let engine = ImputationEngine::new(frozen, obs.clone()).expect("engine");
+        let engine = ctx.engine(false);
         engine.set_warm_reads(warm);
         engine.warm_up();
         engine
@@ -997,45 +762,35 @@ fn run_sharded_scenario(
     };
 
     // ---- Scaling sweep: aggregate warm rps at 1/2/4/8 readers per mode. ----
-    struct ScalePoint {
-        mode: &'static str,
-        readers: usize,
-        ops: usize,
-        wall_secs: f64,
-    }
-    let mut points: Vec<ScalePoint> = Vec::new();
+    let mut points: Vec<(&str, usize, usize, f64)> = Vec::new();
+    let mut shards = 0;
     for (mode, warm) in [("locked", false), ("sharded", true)] {
         let engine = build(warm);
-        let shards = engine.shard_count();
+        shards = engine.shard_count();
         for readers in [1usize, 2, 4, 8] {
             let t0 = Instant::now();
             let served = mvi_parallel::run_workers(readers, |w| {
-                let mut n = 0usize;
                 for k in 0..ops_per_worker {
                     let (s, lo, hi) = query_of(w, k);
                     let got = engine.query(s, lo, hi).expect("warm query");
                     assert_eq!(got.len(), hi - lo);
-                    n += 1;
                 }
-                n
+                ops_per_worker
             });
             let wall_secs = t0.elapsed().as_secs_f64();
             let ops: usize = served.iter().sum();
-            assert_eq!(ops, readers * ops_per_worker);
             eprintln!(
                 "{mode:>8} x{readers}: {ops} warm queries in {wall_secs:.3}s = {:>9.0} q/s \
                  ({shards} shards)",
                 ops as f64 / wall_secs
             );
-            points.push(ScalePoint { mode, readers, ops, wall_secs });
+            points.push((mode, readers, ops, wall_secs));
         }
     }
     let rps_at = |mode: &str, readers: usize| {
-        points
-            .iter()
-            .find(|p| p.mode == mode && p.readers == readers)
-            .map(|p| p.ops as f64 / p.wall_secs)
-            .expect("sweep point")
+        let &(_, _, ops, wall) =
+            points.iter().find(|p| p.0 == mode && p.1 == readers).expect("sweep point");
+        ops as f64 / wall
     };
     let speedup_at_8 = rps_at("sharded", 8) / rps_at("locked", 8);
     let gate_asserted = host_cores >= 8;
@@ -1052,27 +807,20 @@ fn run_sharded_scenario(
     }
 
     // ---- Mixed traffic: the blocked-time probe. ----
-    struct MixedResult {
-        appends: usize,
-        reads: usize,
-        wall_secs: f64,
-        lock_wait_ms: f64,
-    }
-    let n_appends = if quick { 20 } else { 60 };
-    let mixed_readers = 4usize;
-    let mut mixed: Vec<(&'static str, MixedResult)> = Vec::new();
+    let n_appends = if ctx.quick { 20 } else { 60 };
+    let mut mixed = Vec::new();
     for (mode, warm) in [("locked", false), ("sharded", true)] {
         let engine = build(warm);
         let wait_before = engine.lock_wait_nanos();
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
         let t0 = Instant::now();
-        let (appends, reads) = std::thread::scope(|scope| {
+        let reads = std::thread::scope(|scope| {
             let (engine, stop) = (&engine, &stop);
-            let readers: Vec<_> = (0..mixed_readers)
+            let readers: Vec<_> = (0..4)
                 .map(|r| {
                     scope.spawn(move || {
                         let mut n = 0usize;
-                        while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                        while !stop.load(Ordering::SeqCst) {
                             let (s, lo, hi) = query_of(r, n);
                             // Steer clear of the written series: these reads
                             // are the "unrelated" traffic the probe is about.
@@ -1090,13 +838,13 @@ fn run_sharded_scenario(
                 let payload: Vec<f64> = (0..9).map(|k| (((wm + k) as f64) * 0.01).sin()).collect();
                 engine.append(0, &payload).expect("mixed append");
             }
-            stop.store(true, std::sync::atomic::Ordering::SeqCst);
-            (n_appends, readers.into_iter().map(|h| h.join().expect("reader")).sum::<usize>())
+            stop.store(true, Ordering::SeqCst);
+            readers.into_iter().map(|h| h.join().expect("reader")).sum::<usize>()
         });
         let wall_secs = t0.elapsed().as_secs_f64();
         let lock_wait_ms = (engine.lock_wait_nanos() - wait_before) as f64 / 1e6;
         eprintln!(
-            "{mode:>8} mixed: {appends} appends + {reads} reads in {wall_secs:.3}s, contended \
+            "{mode:>8} mixed: {n_appends} appends + {reads} reads in {wall_secs:.3}s, contended \
              core-lock wait {lock_wait_ms:.3} ms"
         );
         if warm {
@@ -1105,476 +853,193 @@ fn run_sharded_scenario(
                 "sharded warm reads touched the core lock under mixed traffic"
             );
         }
-        mixed.push((mode, MixedResult { appends, reads, wall_secs, lock_wait_ms }));
+        let row = obj(&[
+            ("appends", n_appends.to_string()),
+            ("reads", reads.to_string()),
+            ("wall_secs", fx(wall_secs, 6)),
+            ("lock_wait_ms", fx(lock_wait_ms, 4)),
+        ]);
+        mixed.push((mode, row));
     }
 
-    // ---- Artifact. ----
-    let shards = build(true).shard_count();
-    let mut json = String::from("{\n  \"bench\": 7,\n  \"scenario\": \"sharded_warm_reads\",\n");
-    let _ = writeln!(
-        json,
-        "  \"dataset\": {{\"series\": {SERIES}, \"t_len\": {T}}},\n  \"threads_used\": \
-         {threads},\n  \"host_cores\": {host_cores},\n  \"shards\": {shards},\n  \
-         \"ops_per_worker\": {ops_per_worker},"
-    );
-    json.push_str("  \"scaling\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"readers\": {}, \"ops\": {}, \"wall_secs\": {:.6}, \
-             \"rps\": {:.2}}}",
-            p.mode,
-            p.readers,
-            p.ops,
-            p.wall_secs,
-            p.ops as f64 / p.wall_secs
-        );
-        json.push_str(if i + 1 == points.len() { "\n" } else { ",\n" });
+    let scaling = points.iter().map(|&(mode, readers, ops, wall)| {
+        obj(&[
+            ("mode", format!("\"{mode}\"")),
+            ("readers", readers.to_string()),
+            ("ops", ops.to_string()),
+            ("wall_secs", fx(wall, 6)),
+            ("rps", fx(ops as f64 / wall, 2)),
+        ])
+    });
+    Artifact {
+        scenario: "sharded_warm_reads",
+        dataset: obj(&[("series", SERIES.to_string()), ("t_len", T.to_string())]),
+        arms: Vec::new(),
+        extra: vec![
+            ("host_cores", host_cores.to_string()),
+            ("shards", shards.to_string()),
+            ("ops_per_worker", ops_per_worker.to_string()),
+            ("scaling", rows(scaling)),
+            (
+                "scaling_gate",
+                obj(&[
+                    ("required", "3.0".into()),
+                    ("measured_speedup_at_8", fx(speedup_at_8, 3)),
+                    ("asserted", gate_asserted.to_string()),
+                ]),
+            ),
+            ("mixed_traffic", obj(&mixed)),
+            ("warm_reads_blocked", "false".into()),
+        ],
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"scaling_gate\": {{\"required\": 3.0, \"measured_speedup_at_8\": \
-         {speedup_at_8:.3}, \"asserted\": {gate_asserted}}},"
-    );
-    json.push_str("  \"mixed_traffic\": {\n");
-    for (i, (mode, m)) in mixed.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    \"{mode}\": {{\"appends\": {}, \"reads\": {}, \"wall_secs\": {:.6}, \
-             \"lock_wait_ms\": {:.4}}}",
-            m.appends, m.reads, m.wall_secs, m.lock_wait_ms
-        );
-        json.push_str(if i + 1 == mixed.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  },\n  \"warm_reads_blocked\": false\n}\n");
-    std::fs::write(out_path, &json).expect("write sharded bench json");
-    eprintln!("wrote {out_path}");
 }
 
-/// Scenario 7 (`BENCH_8.json`): the price and the proof of the network
-/// front door.
-///
-/// **Price** — the shared trace replayed twice against the same trained
-/// engine: once through in-process [`mvi_serve::BatchClient`] threads (the
-/// BENCH_2 engine arm, the zero-wire baseline) and once through
-/// [`mvi_net::NetClient`] threads over framed TCP on loopback. Sustained
-/// req/s and p50/p99 per arm; the wire overhead is their throughput ratio,
-/// reported but not gated — loopback syscall cost varies too much across
-/// hosts for an honest universal floor.
-///
-/// **Proof** — two wire-level fault drills, *asserted* in-harness:
-///
-/// * **overload shed**: a flood over a 2-deep queue behind a stalled
-///   evaluation must come back as typed `Overloaded` frames carrying the
-///   retry-after hint, and a client retrying on exactly that signal must
-///   succeed once the stall releases;
-/// * **graceful drain**: `shutdown()` under in-flight load must answer
-///   every accepted request with a reply frame — real values for the
-///   mid-evaluation request, the typed `Shutdown` code for queued ones,
-///   and zero transport-level losses.
-fn run_net_scenario(
-    model: &DeepMviModel,
-    obs: &mvi_data::dataset::ObservedDataset,
-    trace: &[(usize, usize, usize)],
-    clients: usize,
-    quick: bool,
-    threads: usize,
-    out_path: &str,
-) {
-    use mvi_net::{ClientConfig, ErrorCode, NetClient, NetServer, RetryPolicy, ServerConfig};
-
-    let snapshot = ServeSnapshot::capture(model, obs);
-    // The throughput arms run warm (steady-state serving); the drill engines
-    // stay cold so the stall hook — which only fires on a real forward pass —
-    // actually gets to stall the worker.
-    let build_engine = |warm: bool| {
-        let frozen = snapshot.restore(obs).expect("restore");
-        let engine = Arc::new(ImputationEngine::new(frozen, obs.clone()).expect("engine"));
-        if warm {
-            engine.warm_up();
-        }
-        engine
-    };
-    // ---- Arm 1: in-process batch clients (the zero-wire baseline). ----
-    let engine = build_engine(true);
-    let batcher = MicroBatcher::spawn(Arc::clone(&engine), 64);
-    let per_client = trace.len().div_ceil(clients);
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let client = batcher.client();
-        let part: Vec<(usize, usize, usize)> =
-            trace.iter().skip(c * per_client).take(per_client).copied().collect();
-        handles.push(std::thread::spawn(move || {
-            let mut lat = Vec::with_capacity(part.len());
-            for (s, lo, hi) in part {
-                let t = Instant::now();
-                client.query(s, lo, hi).expect("in-process query");
-                lat.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            lat
-        }));
-    }
-    let mut lat = Vec::with_capacity(trace.len());
-    for h in handles {
-        lat.extend(h.join().expect("in-process client thread"));
-    }
-    let inproc = summarize("inproc", t0.elapsed().as_secs_f64(), lat);
-    drop(batcher);
-
-    // ---- Arm 2: the same trace through framed TCP on loopback. ----
-    let engine = build_engine(true);
-    let server = NetServer::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())
+/// `BENCH_8`: the price of the network front door. The shared trace runs
+/// through in-process `BatchClient`s (the zero-wire baseline) and again
+/// through `NetClient`s over framed TCP on loopback, each against a warm
+/// engine. The wire overhead is their throughput ratio, reported but not
+/// gated: loopback syscall cost varies too much across hosts for an honest
+/// universal floor.
+fn net(ctx: &Ctx) -> Artifact {
+    let inproc = batch_arm("inproc", &ctx.trace, &ctx.engine(true), None);
+    let server = NetServer::bind("127.0.0.1:0", ctx.engine(true), ServerConfig::default())
         .expect("bind loopback server");
     let addr = server.local_addr();
-    let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let part: Vec<(usize, usize, usize)> =
-            trace.iter().skip(c * per_client).take(per_client).copied().collect();
-        handles.push(std::thread::spawn(move || {
-            let mut client = NetClient::new(addr, no_retry_config());
-            let mut lat = Vec::with_capacity(part.len());
-            for (s, lo, hi) in part {
-                let t = Instant::now();
-                client.query(s as u32, lo as u32, hi as u32).expect("wire query");
-                lat.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            lat
-        }));
-    }
-    let mut lat = Vec::with_capacity(trace.len());
-    for h in handles {
-        lat.extend(h.join().expect("wire client thread"));
-    }
-    let net = summarize("net", t0.elapsed().as_secs_f64(), lat);
+    let net = run_arm(
+        "net",
+        &ctx.trace,
+        CLIENTS,
+        |_| NetClient::new(addr, no_retry()),
+        |client, _, req| wire_query(client, req),
+    );
     let stats = server.stats();
     assert_eq!(server.panics_caught(), Some(0), "the trace must not panic the server");
-    assert_eq!(stats.requests, trace.len() as u64);
+    assert_eq!(stats.requests, ctx.trace.len() as u64);
     server.shutdown();
     let wire_overhead_pct = (1.0 - net.rps() / inproc.rps()) * 100.0;
     eprintln!(
-        "wire overhead on loopback: {:.1} vs {:.1} req/s = {wire_overhead_pct:.2}% \
-         ({} connections for {} requests)",
+        "wire overhead on loopback: {:.1} vs {:.1} req/s = {wire_overhead_pct:.2}% ({} \
+         connections for {} requests)",
         net.rps(),
         inproc.rps(),
         stats.accepted,
         stats.requests
     );
-
-    // ---- Drill 1: overload shed + retry-through. ----
-    let engine = build_engine(false);
-    let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let gate = Arc::clone(&release);
-    engine.set_eval_hook(Some(Box::new(move |_results| {
-        while !gate.load(std::sync::atomic::Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    })));
-    let config = ServerConfig {
-        batcher: BatcherConfig {
-            max_batch: 1,
-            queue_cap: 2,
-            deadline: Some(Duration::from_secs(30)),
-        },
-        ..ServerConfig::default()
-    };
-    let server =
-        NetServer::bind("127.0.0.1:0", Arc::clone(&engine), config).expect("bind drill server");
-    let addr = server.local_addr();
-    let stalled =
-        std::thread::spawn(move || NetClient::new(addr, no_retry_config()).query(0, 0, T as u32));
-    while engine.stats().batches == 0 {
-        std::thread::sleep(Duration::from_millis(2));
+    Artifact {
+        scenario: "net_front_door",
+        dataset: obj(&[("series", SERIES.to_string()), ("t_len", T.to_string())]),
+        arms: vec![inproc, net],
+        extra: vec![
+            ("wire_overhead_pct", fx(wire_overhead_pct, 3)),
+            (
+                "server",
+                obj(&[
+                    ("accepted", stats.accepted.to_string()),
+                    ("requests", stats.requests.to_string()),
+                    ("rejected", stats.rejected.to_string()),
+                    ("bad_frames", stats.bad_frames.to_string()),
+                ]),
+            ),
+        ],
     }
-    let flood_n = if quick { 4 } else { 8 };
-    let floods: Vec<_> = (0..flood_n)
-        .map(|_| {
-            std::thread::spawn(move || {
-                NetClient::new(addr, no_retry_config()).query(1, 0, T as u32)
-            })
-        })
-        .collect();
-    let retry = RetryPolicy {
-        max_attempts: 40,
-        base: Duration::from_millis(10),
-        max_delay: Duration::from_millis(80),
-        ..RetryPolicy::default()
-    };
-    let patient = std::thread::spawn(move || {
-        NetClient::new(addr, ClientConfig { retry, ..ClientConfig::default() })
-            .query(2, 0, T as u32)
-    });
-    std::thread::sleep(Duration::from_millis(150));
-    release.store(true, std::sync::atomic::Ordering::Release);
-    let mut shed = 0usize;
-    for h in floods {
-        match h.join().expect("flood client") {
-            Ok(vals) => assert_eq!(vals.len(), T),
-            Err(e) => {
-                assert_eq!(e.code(), Some(ErrorCode::Overloaded), "flood must shed typed: {e}");
-                assert!(e.retry_after().is_some(), "shed replies must carry the backoff hint");
-                shed += 1;
-            }
-        }
-    }
-    assert!(shed >= 1, "a flood over a 2-deep queue must shed load");
-    assert_eq!(stalled.join().expect("stalled client").expect("stalled reply").len(), T);
-    let retry_ok = patient.join().expect("patient client");
-    assert_eq!(retry_ok.expect("the retrying client must succeed once the flood passes").len(), T);
-    engine.set_eval_hook(None);
-    server.shutdown();
-    eprintln!("overload drill: {shed}/{flood_n} shed typed, retrying client succeeded");
-
-    // ---- Drill 2: graceful drain, zero lost replies. ----
-    let engine = build_engine(false);
-    let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let gate = Arc::clone(&release);
-    engine.set_eval_hook(Some(Box::new(move |_results| {
-        while !gate.load(std::sync::atomic::Ordering::Acquire) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    })));
-    let config = ServerConfig {
-        batcher: BatcherConfig {
-            max_batch: 1,
-            queue_cap: 64,
-            deadline: Some(Duration::from_secs(30)),
-        },
-        ..ServerConfig::default()
-    };
-    let server =
-        NetServer::bind("127.0.0.1:0", Arc::clone(&engine), config).expect("bind drain server");
-    let addr = server.local_addr();
-    let drain_clients = if quick { 4 } else { 8 };
-    let in_flight: Vec<_> = (0..drain_clients)
-        .map(|i| {
-            std::thread::spawn(move || {
-                NetClient::new(addr, no_retry_config()).query((i % SERIES) as u32, 0, T as u32)
-            })
-        })
-        .collect();
-    while engine.stats().batches == 0 {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    std::thread::sleep(Duration::from_millis(150));
-    let unblock = {
-        let release = Arc::clone(&release);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(100));
-            release.store(true, std::sync::atomic::Ordering::Release);
-        })
-    };
-    server.shutdown();
-    let (mut answered, mut drained) = (0usize, 0usize);
-    for h in in_flight {
-        match h.join().expect("drain client") {
-            Ok(vals) => {
-                assert_eq!(vals.len(), T);
-                answered += 1;
-            }
-            Err(e) => match e.code() {
-                Some(ErrorCode::Shutdown) => drained += 1,
-                other => panic!("lost reply during drain: {e} (code {other:?})"),
-            },
-        }
-    }
-    unblock.join().expect("unblock thread");
-    assert_eq!(answered + drained, drain_clients, "every accepted request must be answered");
-    assert!(answered >= 1, "the mid-drain evaluation must complete with real values");
-    assert!(drained >= 1, "queued requests must receive the typed Shutdown frame");
-    eprintln!(
-        "drain drill: {answered} answered with values + {drained} typed Shutdown = \
-         {drain_clients} accepted, 0 lost"
-    );
-    // ---- Artifact. ----
-    let mut json = String::from("{\n  \"bench\": 8,\n  \"scenario\": \"net_front_door\",\n");
-    let _ = writeln!(
-        json,
-        "  \"dataset\": {{\"series\": {SERIES}, \"t_len\": {T}}},\n  \"threads_used\": \
-         {threads},\n  \"client_threads\": {clients},"
-    );
-    json.push_str("  \"arms\": [\n");
-    for (i, arm) in [&inproc, &net].into_iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"requests\": {}, \"wall_secs\": {:.6}, \"rps\": {:.2}, \
-             \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}}",
-            arm.name,
-            arm.requests,
-            arm.wall_secs,
-            arm.rps(),
-            arm.p50_ms,
-            arm.p99_ms
-        );
-        json.push_str(if i == 1 { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"wire_overhead_pct\": {wire_overhead_pct:.3},\n  \"server\": {{\"accepted\": {}, \
-         \"requests\": {}, \"rejected\": {}, \"bad_frames\": {}}},",
-        stats.accepted, stats.requests, stats.rejected, stats.bad_frames
-    );
-    let _ = writeln!(
-        json,
-        "  \"overload_drill\": {{\"flood_clients\": {flood_n}, \"shed_typed\": {shed}, \
-         \"retry_after_hint\": true, \"retrying_client_succeeded\": true}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"drain_drill\": {{\"clients\": {drain_clients}, \"answered_with_values\": \
-         {answered}, \"typed_shutdown\": {drained}, \"lost_replies\": 0}}"
-    );
-    json.push_str("}\n");
-    std::fs::write(out_path, &json).expect("write net bench json");
-    eprintln!("wrote {out_path}");
 }
 
-/// Scenario 8 (`BENCH_9.json`): the price and the proof of multi-model
-/// tenancy.
+/// `BENCH_9`: the price of multi-model tenancy.
 ///
-/// **Price** — the shared trace replayed through one front door backed by a
-/// registry of 1, 4 and 16 tenants (clients round-robin their requests over
-/// the tenant ids; every tenant serves the same trained model so the arms
-/// differ only in routing and per-tenant batcher count), plus a **cold-load**
-/// arm: a capacity-1 registry alternating two tenants, so every request pays
-/// a full evict→snapshot→reload cycle on the serving path.
-///
-/// **Proof** — asserted in-harness, not just reported:
-///
-/// * **isolation**: a hostile tenant whose model is armed to panic every
-///   forward pass, flooded by its own clients, must leave a victim tenant's
-///   replies bitwise identical to its pre-storm baseline with p99 bounded by
-///   `max(50 ms, 25 × baseline p99)` — and the drill only counts once the
-///   panics have demonstrably landed;
-/// * **unknown tenant**: answered with the typed `UnknownTenant` code on a
-///   connection that stays open for the next request.
-fn run_tenancy_scenario(
-    model: &DeepMviModel,
-    obs: &mvi_data::dataset::ObservedDataset,
-    trace: &[(usize, usize, usize)],
-    clients: usize,
-    quick: bool,
-    threads: usize,
-    out_path: &str,
-) {
-    use mvi_net::{ErrorCode, NetClient, NetServer, ServerConfig};
-    use mvi_serve::{ModelRegistry, RegistryConfig};
-
-    let snapshot = ServeSnapshot::capture(model, obs);
-    let build_engine = |warm: bool| {
-        let frozen = snapshot.restore(obs).expect("restore");
-        let engine = Arc::new(ImputationEngine::new(frozen, obs.clone()).expect("engine"));
-        if warm {
-            engine.warm_up();
-        }
-        engine
-    };
+/// * **Routing** — the shared trace through one front door over a registry
+///   of 1, 4 and 16 tenants, each client round-robining its requests over
+///   the tenant ids. Every tenant serves the same trained model, so the arms
+///   differ only in routing and per-tenant batcher count.
+/// * **Cold load** — one client alternates two tenants on a capacity-1
+///   registry, so every request pays a full evict → snapshot → reload cycle.
+/// * **Isolation** — a victim tenant's p99 is measured alone, then again
+///   while a hostile tenant armed to panic every forward pass is flooded by
+///   two clients. The storm arm starts only once panics have landed, and its
+///   p99 must stay within `max(50 ms, 25 × baseline p99)`.
+fn tenancy(ctx: &Ctx) -> Artifact {
     let spill_root = std::env::temp_dir().join(format!("mvi-bench-tenancy-{}", std::process::id()));
+    let bind = |reg: &Arc<ModelRegistry>| {
+        let config = ServerConfig::default();
+        NetServer::bind_registry("127.0.0.1:0", Arc::clone(reg), config).expect("bind registry")
+    };
 
-    // ---- Throughput arms: 1 / 4 / 16 tenants behind one door. ----
-    let mut arms: Vec<ArmResult> = Vec::new();
-    for (n_tenants, arm_name) in [(1usize, "tenants_1"), (4, "tenants_4"), (16, "tenants_16")] {
-        let reg =
-            Arc::new(ModelRegistry::new(RegistryConfig::new(n_tenants, spill_root.join(arm_name))));
-        let names: Vec<String> = (0..n_tenants).map(|i| format!("tenant-{i}")).collect();
-        for name in &names {
-            reg.register(name, build_engine(true)).expect("register tenant");
+    let mut arms = Vec::new();
+    for (n, name) in [(1usize, "tenants_1"), (4, "tenants_4"), (16, "tenants_16")] {
+        let reg = Arc::new(ModelRegistry::new(RegistryConfig::new(n, spill_root.join(name))));
+        let tenants: Vec<String> = (0..n).map(|i| format!("tenant-{i}")).collect();
+        for tenant in &tenants {
+            reg.register(tenant, ctx.engine(true)).expect("register tenant");
         }
-        let server = NetServer::bind_registry("127.0.0.1:0", reg, ServerConfig::default())
-            .expect("bind tenancy server");
+        let server = bind(&reg);
         let addr = server.local_addr();
-        let per_client = trace.len().div_ceil(clients);
-        let t0 = Instant::now();
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            let part: Vec<(usize, usize, usize)> =
-                trace.iter().skip(c * per_client).take(per_client).copied().collect();
-            let names = names.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut client = NetClient::new(addr, no_retry_config());
-                let mut lat = Vec::with_capacity(part.len());
-                for (i, (s, lo, hi)) in part.into_iter().enumerate() {
-                    // Round-robin over tenants: every request re-routes.
-                    client.set_tenant(names[(c + i) % names.len()].as_str());
-                    let t = Instant::now();
-                    client.query(s as u32, lo as u32, hi as u32).expect("tenant query");
-                    lat.push(t.elapsed().as_secs_f64() * 1e3);
-                }
-                lat
-            }));
-        }
-        let mut lat = Vec::with_capacity(trace.len());
-        for h in handles {
-            lat.extend(h.join().expect("tenant client thread"));
-        }
-        let arm = summarize(arm_name, t0.elapsed().as_secs_f64(), lat);
+        let arm = run_arm(
+            name,
+            &ctx.trace,
+            CLIENTS,
+            |c| (c, NetClient::new(addr, no_retry())),
+            |(c, client), i, req| {
+                // Round-robin over tenants: every request re-routes.
+                client.set_tenant(tenants[(*c + i) % n].as_str());
+                wire_query(client, req);
+            },
+        );
         assert_eq!(server.panics_caught(), Some(0), "the trace must not panic any tenant");
-        assert_eq!(server.stats().requests, trace.len() as u64);
+        assert_eq!(server.stats().requests, ctx.trace.len() as u64);
         server.shutdown();
-        arms.push(arm);
+        arms.push(ArmResult { tenants: Some(n), ..arm });
     }
 
-    // ---- Cold-load arm: every request is an evict→snapshot→reload. ----
+    // ---- Cold load: every request is an evict→snapshot→reload. ----
     let reg = Arc::new(ModelRegistry::new(RegistryConfig::new(1, spill_root.join("cold"))));
-    reg.register("cold-a", build_engine(true)).expect("register cold-a");
-    reg.register("cold-b", build_engine(true)).expect("register cold-b");
-    let server = NetServer::bind_registry("127.0.0.1:0", Arc::clone(&reg), ServerConfig::default())
-        .expect("bind cold server");
-    let cold_n = if quick { 6 } else { 24 };
-    let mut client = NetClient::new(server.local_addr(), no_retry_config());
-    let mut lat = Vec::with_capacity(cold_n);
-    let t0 = Instant::now();
-    for i in 0..cold_n {
-        // Alternating tenants on a capacity-1 registry: each request must
-        // evict the other tenant and reload its own snapshot from disk.
-        client.set_tenant(if i % 2 == 0 { "cold-a" } else { "cold-b" });
-        let (s, lo, hi) = trace[i % trace.len()];
-        let t = Instant::now();
-        client.query(s as u32, lo as u32, hi as u32).expect("cold query");
-        lat.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let cold = summarize("cold_load", t0.elapsed().as_secs_f64(), lat);
+    reg.register("cold-a", ctx.engine(true)).expect("register cold-a");
+    reg.register("cold-b", ctx.engine(true)).expect("register cold-b");
+    let server = bind(&reg);
+    let addr = server.local_addr();
+    let cold_n = if ctx.quick { 6 } else { 24 };
+    let cold = run_arm(
+        "cold_load",
+        &ctx.trace[..cold_n],
+        1,
+        |_| NetClient::new(addr, no_retry()),
+        |client, i, req| {
+            client.set_tenant(if i % 2 == 0 { "cold-a" } else { "cold-b" });
+            wire_query(client, req);
+        },
+    );
     let reg_stats = reg.stats();
     assert!(
         reg_stats.loads >= cold_n as u64 - 1,
         "the cold arm must actually churn: {reg_stats:?}"
     );
     server.shutdown();
-    arms.push(cold);
+    arms.push(ArmResult { tenants: Some(2), ..cold });
 
-    // ---- Drill 1: hostile-tenant isolation, progress-gated. ----
+    // ---- Isolation: the victim's p99 alone, then beside a panic storm. ----
     let reg = Arc::new(ModelRegistry::new(RegistryConfig::new(4, spill_root.join("hostile"))));
-    let victim_oracle = build_engine(true);
-    reg.register("victim", build_engine(true)).expect("register victim");
-    let mal = build_engine(false);
+    reg.register("victim", ctx.engine(true)).expect("register victim");
+    let mal = ctx.engine(false);
     mal.set_eval_hook(Some(Box::new(|_results| panic!("armed hostile model"))));
     reg.register("mallory", mal).expect("register mallory");
-    let server = NetServer::bind_registry("127.0.0.1:0", Arc::clone(&reg), ServerConfig::default())
-        .expect("bind hostile server");
+    let server = bind(&reg);
     let addr = server.local_addr();
-
-    let probe_n = if quick { 12 } else { 60 };
-    let mut victim = NetClient::with_tenant(addr, "victim", no_retry_config());
-    let mut base_lat = Vec::with_capacity(probe_n);
-    let t0 = Instant::now();
-    for i in 0..probe_n {
-        let (s, lo, hi) = trace[i % trace.len()];
-        let t = Instant::now();
-        victim.query(s as u32, lo as u32, hi as u32).expect("baseline victim query");
-        base_lat.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let baseline = summarize("victim_base", t0.elapsed().as_secs_f64(), base_lat);
-
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let probe_n = if ctx.quick { 12 } else { 60 };
+    let victim_arm = |name| {
+        run_arm(
+            name,
+            &ctx.trace[..probe_n],
+            1,
+            |_| NetClient::with_tenant(addr, "victim", no_retry()),
+            |client, _, req| wire_query(client, req),
+        )
+    };
+    let baseline = victim_arm("victim_base");
+    let stop = Arc::new(AtomicBool::new(false));
     let hostiles: Vec<_> = (0..2)
         .map(|_| {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut client = NetClient::with_tenant(addr, "mallory", no_retry_config());
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                let mut client = NetClient::with_tenant(addr, "mallory", no_retry());
+                while !stop.load(Ordering::Acquire) {
                     let _ = client.query(0, 0, T as u32);
                 }
             })
@@ -1585,29 +1050,17 @@ fn run_tenancy_scenario(
     while server.panics_caught().unwrap_or(0) < 3 {
         assert!(
             gate_start.elapsed() < Duration::from_secs(30),
-            "the armed tenant never panicked; the drill proves nothing"
+            "the armed tenant never panicked; the storm proves nothing"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    let mut storm_lat = Vec::with_capacity(probe_n);
-    let mut bitwise_identical = true;
-    let t0 = Instant::now();
-    for i in 0..probe_n {
-        let (s, lo, hi) = trace[i % trace.len()];
-        let t = Instant::now();
-        let got = victim.query(s as u32, lo as u32, hi as u32).expect("mid-storm victim query");
-        storm_lat.push(t.elapsed().as_secs_f64() * 1e3);
-        let want = victim_oracle.query(s, lo, hi).expect("oracle query");
-        bitwise_identical &= want.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits());
-    }
-    stop.store(true, std::sync::atomic::Ordering::Release);
+    let storm = victim_arm("victim_storm");
+    stop.store(true, Ordering::Release);
     for h in hostiles {
         h.join().expect("hostile client thread");
     }
-    let storm = summarize("victim_storm", t0.elapsed().as_secs_f64(), storm_lat);
     let panics = server.panics_caught().unwrap_or(0);
     let p99_bound = (25.0 * baseline.p99_ms).max(50.0);
-    assert!(bitwise_identical, "the hostile neighbor perturbed the victim's values");
     assert!(
         storm.p99_ms <= p99_bound,
         "victim p99 {:.3} ms exceeds the isolation bound {:.3} ms (baseline {:.3} ms)",
@@ -1616,70 +1069,37 @@ fn run_tenancy_scenario(
         baseline.p99_ms
     );
     eprintln!(
-        "isolation drill: victim p99 {:.3} ms under storm (baseline {:.3} ms, bound {:.3} ms), \
-         {panics} hostile panics caught, values bitwise identical",
-        storm.p99_ms, baseline.p99_ms, p99_bound
-    );
-
-    // ---- Drill 2: unknown tenant, typed on a live connection. ----
-    let mut stranger = NetClient::with_tenant(addr, "nobody", no_retry_config());
-    let err = stranger.query(0, 0, 10).expect_err("unknown tenant must be refused");
-    assert_eq!(err.code(), Some(ErrorCode::UnknownTenant), "must be typed: {err}");
-    stranger.set_tenant("victim");
-    assert!(
-        stranger.query(0, 0, 10).is_ok(),
-        "the connection must survive an unknown-tenant reply"
+        "isolation: victim p99 {:.3} ms under storm (baseline {:.3} ms, bound {p99_bound:.3} ms), \
+         {panics} hostile panics caught",
+        storm.p99_ms, baseline.p99_ms
     );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&spill_root);
 
-    // ---- Artifact. ----
-    let mut json = String::from("{\n  \"bench\": 9,\n  \"scenario\": \"multi_model_tenancy\",\n");
-    let _ = writeln!(
-        json,
-        "  \"dataset\": {{\"series\": {SERIES}, \"t_len\": {T}}},\n  \"threads_used\": \
-         {threads},\n  \"client_threads\": {clients},"
-    );
-    json.push_str("  \"arms\": [\n");
-    let tenant_counts = [1usize, 4, 16, 2];
-    for (i, (arm, tenants)) in arms.iter().zip(tenant_counts).enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"tenants\": {tenants}, \"requests\": {}, \"wall_secs\": \
-             {:.6}, \"rps\": {:.2}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}}",
-            arm.name,
-            arm.requests,
-            arm.wall_secs,
-            arm.rps(),
-            arm.p50_ms,
-            arm.p99_ms
-        );
-        json.push_str(if i + 1 == arms.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"cold_load\": {{\"cycles\": {cold_n}, \"registry_loads\": {}, \
-         \"registry_evictions\": {}}},",
-        reg_stats.loads, reg_stats.evictions
-    );
-    let _ = writeln!(
-        json,
-        "  \"isolation_drill\": {{\"baseline_p99_ms\": {:.4}, \"storm_p99_ms\": {:.4}, \
-         \"bound_factor\": 25.0, \"floor_ms\": 50.0, \"hostile_panics_caught\": {panics}, \
-         \"bitwise_identical\": true, \"asserted\": true}},",
-        baseline.p99_ms, storm.p99_ms
-    );
-    json.push_str("  \"unknown_tenant\": {\"typed\": true, \"connection_survived\": true}\n}\n");
-    std::fs::write(out_path, &json).expect("write tenancy bench json");
-    eprintln!("wrote {out_path}");
-}
-
-/// [`mvi_net::ClientConfig`] with retries off — drill threads must observe
-/// first-reply semantics (free function so `move` closures can call it).
-fn no_retry_config() -> mvi_net::ClientConfig {
-    mvi_net::ClientConfig {
-        retry: mvi_net::RetryPolicy::none(),
-        ..mvi_net::ClientConfig::default()
+    Artifact {
+        scenario: "multi_model_tenancy",
+        dataset: obj(&[("series", SERIES.to_string()), ("t_len", T.to_string())]),
+        arms,
+        extra: vec![
+            (
+                "cold_load",
+                obj(&[
+                    ("cycles", cold_n.to_string()),
+                    ("registry_loads", reg_stats.loads.to_string()),
+                    ("registry_evictions", reg_stats.evictions.to_string()),
+                ]),
+            ),
+            (
+                "isolation_drill",
+                obj(&[
+                    ("baseline_p99_ms", fx(baseline.p99_ms, 4)),
+                    ("storm_p99_ms", fx(storm.p99_ms, 4)),
+                    ("bound_factor", "25.0".into()),
+                    ("floor_ms", "50.0".into()),
+                    ("hostile_panics_caught", panics.to_string()),
+                    ("asserted", "true".into()),
+                ]),
+            ),
+        ],
     }
 }

@@ -9,8 +9,11 @@
 //! * `--threads=N` cap worker threads for the parallel kernels and the trainer
 //!   (default: the machine's available parallelism).
 //!
-//! Run them all with `cargo run -p mvi-bench --release --bin <name>`; see
-//! `EXPERIMENTS.md` for the mapping from paper artifact to binary.
+//! Run one with `cargo run -p mvi-bench --release --bin <name>`; each binary
+//! is named after the paper artifact it regenerates (`table1_datasets`,
+//! `fig5_conventional`, …), and `run_all` runs the whole evaluation section
+//! in sequence. The repository README and `ARCHITECTURE.md` map the
+//! paper's sections to crates.
 
 use mvi_eval::report::Table;
 use mvi_eval::{experiments::ExpConfig, MethodBudget};

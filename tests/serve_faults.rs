@@ -436,6 +436,7 @@ fn durable_snapshot_roundtrips_and_fallback_walks_to_the_last_good_generation() 
     let (fallback, used) =
         ImputationEngine::restore_with_fallback(&[&corrupt, &missing, &good]).unwrap();
     assert_eq!(used, 2, "the good generation is the third candidate");
+    assert_eq!(fallback.live_len(), eng.live_len(), "the fallback restores the full stream");
     assert_eq!(fallback.query(0, 0, T_LEN).unwrap(), served[0]);
 
     // All-bad candidates aggregate into one typed failure.
