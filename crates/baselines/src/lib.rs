@@ -12,7 +12,7 @@
 //!   regularization, solved by alternating ridge regressions.
 //! * [`stmvl`] — STMVL: four-view spatio-temporal collaborative filtering with a
 //!   least-squares view combiner (correlation-derived distances replace the missing
-//!   sensor coordinates; see `DESIGN.md` §2).
+//!   sensor coordinates; see [`stmvl`]).
 //! * [`dynammo`] — DynaMMO \[14\]: Kalman-filter/EM over groups of co-evolving series
 //!   with missing-aware observations.
 //!

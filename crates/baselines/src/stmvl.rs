@@ -8,8 +8,7 @@
 //!
 //! The original method requires sensor coordinates for its spatial views; the
 //! datasets here have none, so spatial distance is derived from Pearson correlation
-//! on co-observed entries (`d = 1 − ρ`), the standard coordinate-free adaptation
-//! (see `DESIGN.md` §2).
+//! on co-observed entries (`d = 1 − ρ`), the standard coordinate-free adaptation.
 
 use crate::common::{pearson_co_observed, MatrixTask};
 use mvi_data::dataset::ObservedDataset;

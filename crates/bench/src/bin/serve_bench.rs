@@ -913,7 +913,7 @@ fn net(ctx: &Ctx) -> Artifact {
         |client, _, req| wire_query(client, req),
     );
     let stats = server.stats();
-    assert_eq!(server.panics_caught(), Some(0), "the trace must not panic the server");
+    assert_eq!(server.panics_caught(), 0, "the trace must not panic the server");
     assert_eq!(stats.requests, ctx.trace.len() as u64);
     server.shutdown();
     let wire_overhead_pct = (1.0 - net.rps() / inproc.rps()) * 100.0;
@@ -983,7 +983,7 @@ fn tenancy(ctx: &Ctx) -> Artifact {
                 wire_query(client, req);
             },
         );
-        assert_eq!(server.panics_caught(), Some(0), "the trace must not panic any tenant");
+        assert_eq!(server.panics_caught(), 0, "the trace must not panic any tenant");
         assert_eq!(server.stats().requests, ctx.trace.len() as u64);
         server.shutdown();
         arms.push(ArmResult { tenants: Some(n), ..arm });
@@ -1047,7 +1047,7 @@ fn tenancy(ctx: &Ctx) -> Artifact {
         .collect();
     // Progress gate: the isolation claim is empty until panics actually land.
     let gate_start = Instant::now();
-    while server.panics_caught().unwrap_or(0) < 3 {
+    while server.panics_caught() < 3 {
         assert!(
             gate_start.elapsed() < Duration::from_secs(30),
             "the armed tenant never panicked; the storm proves nothing"
@@ -1059,7 +1059,7 @@ fn tenancy(ctx: &Ctx) -> Artifact {
     for h in hostiles {
         h.join().expect("hostile client thread");
     }
-    let panics = server.panics_caught().unwrap_or(0);
+    let panics = server.panics_caught();
     let p99_bound = (25.0 * baseline.p99_ms).max(50.0);
     assert!(
         storm.p99_ms <= p99_bound,

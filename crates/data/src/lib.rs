@@ -6,8 +6,8 @@
 //!   named members, ground-truth values, observed views, sibling enumeration.
 //! * [`scenarios`] — MCAR, MissDisj, MissOver, Blackout and MissPoint (§5.1.2).
 //! * [`generators`] — one generator per Table-1 dataset, matching the published
-//!   shapes and the qualitative repetition/relatedness profile (see `DESIGN.md` §2
-//!   for why this substitution preserves the evaluation's discriminative power).
+//!   shapes and the qualitative repetition/relatedness profile (the module docs say
+//!   why this substitution preserves the evaluation's discriminative power).
 //! * [`blocks`] — empirical missing-block-shape sampler used by DeepMVI's
 //!   synthetic-training-mask procedure (§3).
 //! * [`metrics`] — MAE / RMSE over missing indices (Eq 1) and the aggregate

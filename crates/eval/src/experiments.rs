@@ -4,7 +4,7 @@
 //! `crates/bench` binaries print them; the integration tests run them at reduced
 //! scale. Absolute values differ from the paper (synthetic data, CPU-only budget),
 //! but the *shape* — method ordering, scenario difficulty, crossovers — is the
-//! reproduction target (see `EXPERIMENTS.md`).
+//! reproduction target (see `ARCHITECTURE.md`, "Paper → crate map").
 
 use crate::analytics::evaluate_analytics;
 use crate::harness::{run_method, RunResult};
@@ -48,7 +48,7 @@ fn run_all(instance: &Instance, methods: &[Method], budget: MethodBudget) -> Vec
 
 /// Regenerates Table 1: shapes plus *measured* repetition (seasonal-lag
 /// autocorrelation) and relatedness (mean |pairwise correlation|) of the
-/// generators, auditing the calibration claims of `DESIGN.md`.
+/// generators, auditing the calibration the `mvi_data::generators` docs claim.
 pub fn table1_datasets(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "Table 1 — datasets (generated at paper shape descriptors)",

@@ -17,10 +17,10 @@
 //!   by tenant id through a [`mvi_serve::ModelRegistry`]
 //!   ([`NetServer::bind_registry`]; [`NetServer::bind`] is the one-model
 //!   special case), with a hard connection cap (admission control),
-//!   idle-connection reaping, per-request deadlines through one supervised
-//!   [`mvi_serve::MicroBatcher`] **per tenant** — the cross-tenant
-//!   isolation boundary — and a graceful drain that answers every accepted
-//!   request with a typed reply before closing.
+//!   idle-connection reaping, per-request deadlines through the supervised
+//!   [`mvi_serve::MicroBatcher`] the registry runs **per resident tenant**
+//!   — the cross-tenant isolation boundary — and a graceful drain that
+//!   answers every accepted request with a typed reply before closing.
 //! * [`client`] — [`NetClient`]: a blocking client with connect/read/write
 //!   timeouts, an optional tenant handle ([`NetClient::with_tenant`]), and
 //!   a seeded, deterministic retry/backoff loop that retries **only**

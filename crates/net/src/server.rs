@@ -1,14 +1,15 @@
 //! The framed-TCP server: a thread-per-connection acceptor routing requests
-//! through a [`ModelRegistry`] of tenants, each behind its own supervised
-//! [`MicroBatcher`] door, built fault-first.
+//! through a [`ModelRegistry`] of tenants, built fault-first.
 //!
 //! ## Tenancy
 //!
 //! Every request names a tenant (an empty tenant id routes to
-//! [`DEFAULT_TENANT`]). The server resolves the tenant through the
-//! registry — which may load its snapshot on demand or answer with the typed
-//! `UnknownTenant` / `TenantLoading` / `RegistryFull` codes — and submits the
-//! query to that tenant's **own** micro-batcher. Per-tenant batchers are the
+//! [`DEFAULT_TENANT`]). The server asks the registry for a client of that
+//! tenant's **own** micro-batcher ([`ModelRegistry::client`]) — which may
+//! load its snapshot on demand or answer with the typed `UnknownTenant` /
+//! `TenantLoading` / `RegistryFull` codes — and submits the query to it. The
+//! registry owns each batcher beside its engine, so the server keeps no
+//! per-tenant state of its own. Per-tenant batchers are the
 //! isolation boundary: one tenant's panic storm, quarantine flood, or
 //! deadline stall saturates only its own bounded queue and supervisor;
 //! other tenants' queues, threads and latency are untouched. Every reply is
@@ -32,7 +33,7 @@
 //!   [`ServerConfig::idle_timeout`] is dropped, whether it is silent
 //!   (half-open TCP) or trickling bytes (slow-loris-shaped).
 //! * **Deadlines** — [`ServerConfig::batcher`] carries the per-request
-//!   deadline into the [`MicroBatcher`]; a stalled evaluation frees the
+//!   deadline into each tenant's batcher; a stalled evaluation frees the
 //!   client with a typed `DeadlineExceeded` frame while the connection stays
 //!   usable for the next request.
 //! * **Graceful drain** — [`NetServer::shutdown`]: stop accepting, let
@@ -48,11 +49,7 @@ use crate::frame::{
     decode_header, decode_payload, write_frame, ErrorCode, Frame, FrameError, HealthFrame,
     WireError, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
-use mvi_serve::{
-    BatchClient, BatcherConfig, ImputationEngine, MicroBatcher, ModelRegistry, RegistryConfig,
-    ServeError,
-};
-use std::collections::HashMap;
+use mvi_serve::{BatcherConfig, ImputationEngine, ModelRegistry, RegistryConfig, ServeError};
 use std::io::{self, Read};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -122,31 +119,9 @@ pub struct NetStats {
     pub requests: u64,
 }
 
-/// One tenant's serving door: its resolved engine plus the micro-batcher
-/// supervising it. The engine handle detects staleness — after an evict +
-/// reload the registry hands out a *new* engine, and the door is rebuilt so
-/// requests never reach a dropped engine through an old batcher.
-struct TenantDoor {
-    engine: Arc<ImputationEngine>,
-    batcher: MicroBatcher,
-    /// Panics caught by the batchers of the doors this one replaced, so the
-    /// tenant's count stays monotone across evict→reload.
-    carried_panics: u64,
-}
-
-impl TenantDoor {
-    fn panics_caught(&self) -> u64 {
-        self.carried_panics + self.batcher.panics_caught()
-    }
-}
-
 struct Shared {
     config: ServerConfig,
     registry: Arc<ModelRegistry>,
-    /// Per-tenant doors, built lazily on first traffic. Taken (and dropped,
-    /// triggering every queue's drain) during shutdown; requests arriving
-    /// mid-drain see `None` and answer the typed `Shutdown` reply.
-    doors: Mutex<Option<HashMap<String, TenantDoor>>>,
     draining: AtomicBool,
     conns: AtomicUsize,
     accepted: AtomicU64,
@@ -161,9 +136,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The running server: owns the acceptor thread, the connection threads and
-/// the [`MicroBatcher`]. Dropping it performs a graceful drain (same as
-/// [`NetServer::shutdown`]).
+/// The running server: owns the acceptor thread and the connection threads;
+/// the registry it serves owns each tenant's engine and batcher. Dropping it
+/// performs a graceful drain (same as [`NetServer::shutdown`]).
 pub struct NetServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -194,8 +169,9 @@ impl NetServer {
         Self::bind_registry(addr, registry, config)
     }
 
-    /// Binds `addr` and serves every tenant in `registry`, each behind its
-    /// own lazily-spawned micro-batcher built from `config.batcher`.
+    /// Binds `addr` and serves every tenant in `registry`, each through the
+    /// micro-batcher the registry spawns from `config.batcher` on the
+    /// tenant's first request of each residency.
     ///
     /// # Errors
     /// Propagates the bind failure.
@@ -210,7 +186,6 @@ impl NetServer {
         let shared = Arc::new(Shared {
             config,
             registry,
-            doors: Mutex::new(Some(HashMap::new())),
             draining: AtomicBool::new(false),
             conns: AtomicUsize::new(0),
             accepted: AtomicU64::new(0),
@@ -241,12 +216,9 @@ impl NetServer {
     }
 
     /// Panics the per-tenant batcher supervisors have caught, summed over
-    /// every door (`0` while healthy; `None` once the doors have been torn
-    /// down by a drain).
-    pub fn panics_caught(&self) -> Option<u64> {
-        lock(&self.shared.doors)
-            .as_ref()
-            .map(|doors| doors.values().map(TenantDoor::panics_caught).sum())
+    /// every tenant and residency (`0` while healthy).
+    pub fn panics_caught(&self) -> u64 {
+        self.shared.registry.batcher_counters(None).map_or(0, |(panics, _)| panics)
     }
 
     /// The model registry being served.
@@ -284,11 +256,11 @@ impl NetServer {
                 let _ = stream.shutdown(SockShutdown::Both);
             }
         }
-        // Phase 2: drop every tenant door. Each batcher's Drop finishes the
-        // batch in flight (real answers), then drains its queue with typed
-        // Shutdown replies — connection threads blocked in `query` wake with
-        // an answer to write.
-        drop(lock(&self.shared.doors).take());
+        // Phase 2: drop every tenant's batcher. Each finishes the batch in
+        // flight (real answers), then drains its queue with typed Shutdown
+        // replies — connection threads blocked in `query` wake with an
+        // answer to write.
+        self.shared.registry.close_batchers();
         // Phase 3: join everything. Connection threads exit within a tick of
         // writing their final reply (they see the drain flag between frames).
         if let Some(acceptor) = self.acceptor.take() {
@@ -298,6 +270,10 @@ impl NetServer {
                 }
             }
         }
+        // A request that passed its drain check just before the flag flipped
+        // may have spawned a batcher after phase 2; it has been answered by
+        // now, so close that one too.
+        self.shared.registry.close_batchers();
     }
 }
 
@@ -401,11 +377,14 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             ConnEvent::Frame(Frame::Query { tenant, s, start, end }) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 let reply = if shared.draining.load(Ordering::Acquire) {
-                    // The door is closing; answer with the typed drain reply
-                    // instead of racing a submission against the teardown.
+                    // The batchers are closing; answer with the typed drain
+                    // reply instead of racing a submission against them.
                     Err(ServeError::Shutdown)
                 } else {
-                    resolve_client(shared, &tenant)
+                    let key = if tenant.is_empty() { DEFAULT_TENANT } else { &tenant };
+                    shared
+                        .registry
+                        .client(key, shared.config.batcher)
                         .and_then(|client| client.query(s as usize, start as usize, end as usize))
                 };
                 let frame = match reply {
@@ -458,35 +437,6 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         }
     }
     let _ = stream.shutdown(SockShutdown::Both);
-}
-
-/// Resolves a request's tenant to a [`BatchClient`] on that tenant's own
-/// micro-batcher, building (or rebuilding) the door as needed. The registry
-/// lookup happens *before* taking the doors lock, so an on-demand snapshot
-/// load never blocks other tenants' door lookups.
-fn resolve_client(shared: &Shared, tenant: &str) -> Result<BatchClient, ServeError> {
-    let key = if tenant.is_empty() { DEFAULT_TENANT } else { tenant };
-    let engine = shared.registry.get(key)?;
-    let mut doors = lock(&shared.doors);
-    let Some(doors) = doors.as_mut() else {
-        // Racing a drain: the doors are gone; the caller answers Shutdown.
-        return Err(ServeError::Shutdown);
-    };
-    let mut carried_panics = 0;
-    if let Some(door) = doors.get(key) {
-        if Arc::ptr_eq(&door.engine, &engine) {
-            return Ok(door.batcher.client());
-        }
-        // The registry evicted and reloaded this tenant since the door was
-        // built: the old engine is gone, so rebuild the door, carrying its
-        // panic count over. Replacing the entry drops the stale batcher,
-        // which drains its (rare) stragglers with typed Shutdown replies.
-        carried_panics = door.panics_caught();
-    }
-    let batcher = MicroBatcher::spawn_with(Arc::clone(&engine), shared.config.batcher);
-    let client = batcher.client();
-    doors.insert(key.to_string(), TenantDoor { engine, batcher, carried_panics });
-    Ok(client)
 }
 
 /// Reads one frame with tick-granularity timeouts. Between frames (no byte
@@ -554,33 +504,17 @@ fn timed_out(e: &io::Error) -> bool {
 /// Assembles the health frame: engine fault counters + front-door state.
 /// An empty tenant reports the aggregate — every tenant's carried counters
 /// plus every resident engine's live ones, with panics and queue depth
-/// summed over all doors. A named tenant reports its own counters (carried +
-/// live; never forces a snapshot load) and its own door's supervisor state.
+/// summed over all tenants. A named tenant reports its own counters (carried
+/// + live; never forces a snapshot load) and its own batcher's state.
 ///
 /// # Errors
 /// [`ServeError::UnknownTenant`] when the named tenant is not registered.
 fn health_frame(shared: &Shared, tenant: &str) -> Result<HealthFrame, ServeError> {
-    let (report, panics, depth) = if tenant.is_empty() {
-        let report = shared.registry.aggregate_health();
-        let doors = lock(&shared.doors);
-        let (panics, depth) = doors
-            .as_ref()
-            .map(|doors| {
-                doors.values().fold((0u64, 0usize), |(p, d), door| {
-                    (p + door.panics_caught(), d + door.batcher.queue_depth())
-                })
-            })
-            .unwrap_or((0, 0));
-        (report, panics, depth)
+    let registry = &shared.registry;
+    let (report, (panics, depth)) = if tenant.is_empty() {
+        (registry.aggregate_health(), registry.batcher_counters(None)?)
     } else {
-        let report = shared.registry.tenant_health(tenant)?;
-        let doors = lock(&shared.doors);
-        let (panics, depth) = doors
-            .as_ref()
-            .and_then(|doors| doors.get(tenant))
-            .map(|door| (door.panics_caught(), door.batcher.queue_depth()))
-            .unwrap_or((0, 0));
-        (report, panics, depth)
+        (registry.tenant_health(tenant)?, registry.batcher_counters(Some(tenant))?)
     };
     Ok(HealthFrame {
         quarantined: report.quarantined,

@@ -1,5 +1,5 @@
 //! GP-VAE \[8\] (simplified): deep probabilistic imputation with a latent path prior
-//! (Fortuin et al.). See `DESIGN.md` §2: the structured GP prior across time is
+//! (Fortuin et al.). The structured GP prior across time is
 //! replaced by a first-order Ornstein–Uhlenbeck smoothness prior on the latent
 //! means, keeping the defining behaviour (temporally correlated latents, imputation
 //! by decoding the posterior mean) without banded-precision variational machinery.

@@ -10,7 +10,7 @@
 //! * [`gpvae`] — GP-VAE \[8\] (simplified): per-timestep MLP encoder to a diagonal
 //!   Gaussian latent, MLP decoder, ELBO with the full Gaussian-process prior
 //!   replaced by a first-order (Ornstein–Uhlenbeck) smoothness prior on the latent
-//!   path (see `DESIGN.md` §2 for why this preserves the defining behaviour).
+//!   path (the module docs say why this preserves the defining behaviour).
 //! * [`mrnn`] — MRNN \[27\]: the earliest deep MVI method (§2.4) — a per-stream
 //!   bidirectional interpolation block plus a cross-stream fully-connected
 //!   imputation block.

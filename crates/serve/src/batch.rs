@@ -82,13 +82,12 @@ impl Default for BatcherConfig {
     }
 }
 
-/// The executor half: owns the engine reference and the worker thread.
+/// The executor half: owns the worker thread, which holds the engine.
 /// Dropping the batcher drains still-queued jobs with [`ServeError::Shutdown`]
 /// replies and joins the worker.
 pub struct MicroBatcher {
     tx: Option<mpsc::SyncSender<Job>>,
     worker: Option<JoinHandle<()>>,
-    engine: Arc<ImputationEngine>,
     config: BatcherConfig,
     stop: Arc<AtomicBool>,
     panics: Arc<AtomicU64>,
@@ -115,15 +114,23 @@ impl MicroBatcher {
     /// Spawns the executor thread with explicit fault-tolerance tuning; see
     /// [`BatcherConfig`] and the module docs for the failure semantics.
     pub fn spawn_with(engine: Arc<ImputationEngine>, config: BatcherConfig) -> Self {
+        Self::spawn_counting(engine, config, Arc::default())
+    }
+
+    /// [`MicroBatcher::spawn_with`], counting caught panics into `panics`:
+    /// the registry hands each batcher of a tenant the same cell.
+    pub(crate) fn spawn_counting(
+        engine: Arc<ImputationEngine>,
+        config: BatcherConfig,
+        panics: Arc<AtomicU64>,
+    ) -> Self {
         let config = BatcherConfig {
             max_batch: config.max_batch.max(1),
             queue_cap: config.queue_cap.max(1),
             ..config
         };
         let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_cap);
-        let exec = Arc::clone(&engine);
         let stop = Arc::new(AtomicBool::new(false));
-        let panics = Arc::new(AtomicU64::new(0));
         let depth = Arc::new(AtomicUsize::new(0));
         let (worker_stop, worker_panics) = (Arc::clone(&stop), Arc::clone(&panics));
         let worker_depth = Arc::clone(&depth);
@@ -170,7 +177,7 @@ impl MicroBatcher {
                     }
                     !expired
                 });
-                Self::execute(&exec, jobs, &worker_panics);
+                Self::execute(&engine, jobs, &worker_panics);
                 if stop_seen {
                     break;
                 }
@@ -184,7 +191,7 @@ impl MicroBatcher {
                 }
             }
         });
-        Self { tx: Some(tx), worker: Some(worker), engine, config, stop, panics, depth }
+        Self { tx: Some(tx), worker: Some(worker), config, stop, panics, depth }
     }
 
     /// Runs one batch under the supervisor: the coalesced fast path first,
@@ -228,11 +235,6 @@ impl MicroBatcher {
             deadline: self.config.deadline,
             depth: Arc::clone(&self.depth),
         }
-    }
-
-    /// The engine the batcher executes against.
-    pub fn engine(&self) -> &Arc<ImputationEngine> {
-        &self.engine
     }
 
     /// How many panics the supervisor has caught (batch-level and isolated

@@ -47,7 +47,9 @@
 //! * [`ModelRegistry`] — multi-model tenancy: many engines registered under
 //!   string tenant ids, a capacity-bounded LRU of resident engines with
 //!   lossless snapshot-to-disk eviction and on-demand reload through the
-//!   [`durable`] path, per-tenant health/stats carried across evictions, and
+//!   [`durable`] path, one [`MicroBatcher`] per resident tenant
+//!   ([`ModelRegistry::client`]) evicted with its engine, per-tenant
+//!   health/stats/panic counts carried across evictions, and
 //!   typed errors ([`engine::ServeError::UnknownTenant`],
 //!   [`engine::ServeError::TenantLoading`],
 //!   [`engine::ServeError::RegistryFull`]) instead of blocking or dropping

@@ -27,6 +27,11 @@
 //!   file (named by the hex of its id) whose header records the id, and a
 //!   reload of a file recording another tenant is a typed
 //!   [`ServeError::Corrupt`].
+//! * **batch** — [`ModelRegistry::client`] resolves a tenant as `get` does
+//!   and returns a client of its [`MicroBatcher`], spawned on first use. The
+//!   batcher lives in the resident slot and leaves with the engine, its
+//!   queue answered with the typed [`ServeError::Shutdown`], so `capacity`
+//!   bounds batcher threads too.
 //! * **typed failure** — an unregistered tenant is
 //!   [`ServeError::UnknownTenant`]; when every slot is pinned by an
 //!   in-flight load and nothing can be evicted, the registry answers
@@ -42,7 +47,8 @@
 //! [`ModelRegistry::tenant_health`] / [`ModelRegistry::tenant_stats`] report
 //! carried + live. An evict→reload cycle preserves every monotonic counter
 //! exactly (the `tests/registry.rs` proptest pins this); the one gauge,
-//! `degraded_windows`, reflects only the currently-resident engine.
+//! `degraded_windows`, reflects only the currently-resident engine. Caught
+//! batcher panics go to one counter per tenant, so they span residencies too.
 //!
 //! ## Locking
 //!
@@ -50,10 +56,12 @@
 //! never across a snapshot *load* (loads run outside the lock behind a
 //! per-tenant loading marker). Eviction's snapshot write does run under the
 //! lock: eviction is rare and the write is bounded, and holding the lock
-//! keeps "resident + loading ≤ capacity" a hard invariant. The registry
-//! takes no engine locks itself; per-engine calls (`health`, `snapshot`)
-//! follow the engine's own `core → shard → poison` protocol internally.
+//! keeps "resident + loading ≤ capacity" a hard invariant. Batchers are
+//! spawned under the lock but dropped (joined) only after its release.
+//! The registry takes no engine locks itself; per-engine calls (`health`,
+//! `snapshot`) follow the engine's own `core → shard → poison` protocol.
 
+use crate::batch::{BatchClient, BatcherConfig, MicroBatcher};
 use crate::engine::{EngineStats, HealthReport, ServeError};
 use crate::ImputationEngine;
 use std::collections::HashMap;
@@ -75,10 +83,12 @@ pub type LoadHook = Box<dyn Fn(&str) + Send + Sync>;
 /// Tuning for [`ModelRegistry::new`].
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
-    /// Maximum engines resident (or mid-load) at once. A get or register
-    /// that needs a slot beyond this evicts the least-recently-used resident
-    /// engine; with nothing evictable it answers
-    /// [`ServeError::RegistryFull`]. Zero admits nothing.
+    /// Maximum engines resident (or mid-load) at once, and so of batcher
+    /// threads too. A get or register that needs a slot beyond this evicts
+    /// the least-recently-used resident engine; with nothing evictable it
+    /// answers [`ServeError::RegistryFull`]. Zero admits nothing. A registry
+    /// serves one running `NetServer` at a time (its drain closes every
+    /// batcher).
     pub capacity: usize,
     /// Directory evicted tenants' snapshots are spilled into (created on
     /// first use).
@@ -117,8 +127,9 @@ pub struct RegistryStats {
 
 /// Where one tenant's engine currently lives.
 enum SlotState {
-    /// Warm: the engine is in memory; `last_used` orders LRU eviction.
-    Resident { engine: Arc<ImputationEngine>, last_used: u64 },
+    /// Warm: the engine is in memory with its batcher, once spawned;
+    /// `last_used` orders LRU eviction.
+    Resident { engine: Arc<ImputationEngine>, batcher: Option<MicroBatcher>, last_used: u64 },
     /// A thread is loading the snapshot right now (outside the lock); the
     /// slot is pinned — it cannot be evicted, re-registered or double-loaded.
     Loading,
@@ -135,6 +146,8 @@ struct TenantSlot {
     carried_health: HealthReport,
     /// Monotonic serving counters accumulated the same way.
     carried_stats: EngineStats,
+    /// Panics caught by every batcher this tenant has had.
+    panics: Arc<AtomicU64>,
 }
 
 impl TenantSlot {
@@ -143,20 +156,37 @@ impl TenantSlot {
             state,
             carried_health: HealthReport::default(),
             carried_stats: EngineStats::default(),
+            panics: Arc::default(),
         }
     }
 
-    /// Folds a departing engine's counters into the carried totals.
-    fn absorb(&mut self, engine: &ImputationEngine) {
-        add_health(&mut self.carried_health, &engine.health());
-        add_stats(&mut self.carried_stats, &engine.stats());
+    /// Moves to `state`, folding a departing engine's counters into the
+    /// carried totals; returns its batcher for the caller to drop unlocked.
+    fn replace(&mut self, state: SlotState) -> Option<MicroBatcher> {
+        match std::mem::replace(&mut self.state, state) {
+            SlotState::Resident { engine, batcher, .. } => {
+                add_health(&mut self.carried_health, &engine.health());
+                add_stats(&mut self.carried_stats, &engine.stats());
+                batcher
+            }
+            SlotState::Loading | SlotState::Spilled { .. } => None,
+        }
+    }
+
+    /// Panics caught over every residency, and requests queued now.
+    fn batcher_counters(&self) -> (u64, usize) {
+        let depth = match &self.state {
+            SlotState::Resident { batcher: Some(batcher), .. } => batcher.queue_depth(),
+            _ => 0,
+        };
+        (self.panics.load(Ordering::Relaxed), depth)
     }
 }
 
 /// Adds `live`'s monotonic counters onto `acc` (element-wise for the
 /// per-series quarantine vector; the `degraded_windows` gauge is summed too —
 /// callers that fold a *departing* engine zero it afterwards via
-/// [`TenantSlot::absorb`]'s contract that carried gauges stay zero).
+/// [`TenantSlot::replace`]'s contract that carried gauges stay zero).
 fn add_health(acc: &mut HealthReport, live: &HealthReport) {
     if acc.quarantined_by_series.len() < live.quarantined_by_series.len() {
         acc.quarantined_by_series.resize(live.quarantined_by_series.len(), 0);
@@ -244,7 +274,7 @@ impl ModelRegistry {
     /// Registers (or replaces) `tenant`'s engine as resident, evicting the
     /// LRU resident if the registry is at capacity. Replacing an existing
     /// resident engine folds its counters into the tenant's carried totals
-    /// first, so health history survives the swap.
+    /// first, so health history survives the swap, and drops its batcher.
     ///
     /// # Errors
     /// [`ServeError::TenantIdTooLong`] for ids over [`MAX_TENANT_LEN`] bytes;
@@ -255,36 +285,24 @@ impl ModelRegistry {
     /// snapshot write failed (the victim stays resident).
     pub fn register(&self, tenant: &str, engine: Arc<ImputationEngine>) -> Result<(), ServeError> {
         check_id(tenant)?;
+        // Before the guard: every return unlocks, then joins these.
+        let mut retired = Vec::new();
         let mut t = guard(&self.tenants);
         t.clock += 1;
         let now = t.clock;
-        let needs_room = match t.slots.get(tenant) {
-            Some(slot) => match slot.state {
-                SlotState::Loading => {
-                    return Err(ServeError::TenantLoading { tenant: tenant.to_string() })
-                }
-                // Replacing in place: the slot already holds its residency.
-                SlotState::Resident { .. } => false,
-                SlotState::Spilled { .. } => true,
-            },
-            None => true,
-        };
-        if needs_room {
-            self.make_room(&mut t)?;
-        }
-        match t.slots.get_mut(tenant) {
-            Some(slot) => {
-                if let SlotState::Resident { engine: old, .. } = &slot.state {
-                    let old = Arc::clone(old);
-                    slot.absorb(&old);
-                }
-                slot.state = SlotState::Resident { engine, last_used: now };
+        match t.slots.get(tenant).map(|s| &s.state) {
+            Some(SlotState::Loading) => {
+                return Err(ServeError::TenantLoading { tenant: tenant.to_string() })
             }
+            // Replacing in place: the slot already holds its residency.
+            Some(SlotState::Resident { .. }) => {}
+            Some(SlotState::Spilled { .. }) | None => self.make_room(&mut t, &mut retired)?,
+        }
+        let state = SlotState::Resident { engine, batcher: None, last_used: now };
+        match t.slots.get_mut(tenant) {
+            Some(slot) => retired.extend(slot.replace(state)),
             None => {
-                t.slots.insert(
-                    tenant.to_string(),
-                    TenantSlot::fresh(SlotState::Resident { engine, last_used: now }),
-                );
+                t.slots.insert(tenant.to_string(), TenantSlot::fresh(state));
                 self.registered.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -294,7 +312,7 @@ impl ModelRegistry {
     /// Registers `tenant` cold: only the snapshot at `path` exists, and the
     /// first [`ModelRegistry::get`] loads it. Registering over a resident
     /// engine folds that engine's counters into the carried totals and drops
-    /// it (a demotion to disk — the given snapshot becomes the truth).
+    /// it and its batcher (a demotion to disk — the snapshot becomes the truth).
     ///
     /// # Errors
     /// [`ServeError::TenantIdTooLong`] for ids over [`MAX_TENANT_LEN`] bytes;
@@ -313,18 +331,14 @@ impl ModelRegistry {
                 path.display()
             )));
         }
+        // Before the guard: every return unlocks, then joins these.
+        let mut retired = Vec::new();
         let mut t = guard(&self.tenants);
         match t.slots.get_mut(tenant) {
-            Some(slot) => {
-                if matches!(slot.state, SlotState::Loading) {
-                    return Err(ServeError::TenantLoading { tenant: tenant.to_string() });
-                }
-                if let SlotState::Resident { engine: old, .. } = &slot.state {
-                    let old = Arc::clone(old);
-                    slot.absorb(&old);
-                }
-                slot.state = SlotState::Spilled { path };
+            Some(slot) if matches!(slot.state, SlotState::Loading) => {
+                return Err(ServeError::TenantLoading { tenant: tenant.to_string() })
             }
+            Some(slot) => retired.extend(slot.replace(SlotState::Spilled { path })),
             None => {
                 t.slots.insert(tenant.to_string(), TenantSlot::fresh(SlotState::Spilled { path }));
                 self.registered.fetch_add(1, Ordering::Relaxed);
@@ -346,101 +360,135 @@ impl ModelRegistry {
     /// tenant stays spilled; the error names what broke) — including a file
     /// whose header records another tenant's id.
     pub fn get(&self, tenant: &str) -> Result<Arc<ImputationEngine>, ServeError> {
+        self.resolve(tenant, |engine, _, _| Arc::clone(engine))
+    }
+
+    /// Resolves `tenant` as [`ModelRegistry::get`] does and returns a client
+    /// of the batcher serving its engine, spawned from `config` on first use.
+    ///
+    /// # Errors
+    /// As for [`ModelRegistry::get`].
+    pub fn client(&self, tenant: &str, config: BatcherConfig) -> Result<BatchClient, ServeError> {
+        self.resolve(tenant, |engine, batcher, panics| {
+            batcher
+                .get_or_insert_with(|| {
+                    MicroBatcher::spawn_counting(Arc::clone(engine), config, Arc::clone(panics))
+                })
+                .client()
+        })
+    }
+
+    /// Drops every batcher, which answers its queue with the typed
+    /// [`ServeError::Shutdown`]; the engines stay resident.
+    pub fn close_batchers(&self) {
+        // The guard is a temporary of this statement: unlocked before the drop.
+        let retired: Vec<MicroBatcher> = guard(&self.tenants)
+            .slots
+            .values_mut()
+            .filter_map(|slot| match &mut slot.state {
+                SlotState::Resident { batcher, .. } => batcher.take(),
+                SlotState::Loading | SlotState::Spilled { .. } => None,
+            })
+            .collect();
+        drop(retired);
+    }
+
+    /// Panics caught by `tenant`'s batchers over every residency (`None`:
+    /// every tenant's), and the requests queued on them now.
+    ///
+    /// # Errors
+    /// [`ServeError::UnknownTenant`] for ids never registered.
+    pub fn batcher_counters(&self, tenant: Option<&str>) -> Result<(u64, usize), ServeError> {
+        let t = guard(&self.tenants);
+        let Some(tenant) = tenant else {
+            return Ok(t
+                .slots
+                .values()
+                .map(TenantSlot::batcher_counters)
+                .fold((0, 0), |(panics, depth), (p, d)| (panics + p, depth + d)));
+        };
+        t.slots.get(tenant).map(TenantSlot::batcher_counters).ok_or_else(|| unknown(tenant))
+    }
+
+    /// The resolve path of `get` and `client`: `serve` runs under the lock on
+    /// the resident engine, its batcher and the tenant's panic counter.
+    fn resolve<R>(
+        &self,
+        tenant: &str,
+        serve: impl FnOnce(&Arc<ImputationEngine>, &mut Option<MicroBatcher>, &Arc<AtomicU64>) -> R,
+    ) -> Result<R, ServeError> {
+        // Before the guard: every return unlocks, then joins these.
+        let mut retired = Vec::new();
         let path = {
             let mut t = guard(&self.tenants);
             t.clock += 1;
             let now = t.clock;
-            let Some(slot) = t.slots.get_mut(tenant) else {
-                return Err(ServeError::UnknownTenant { tenant: tenant.to_string() });
-            };
-            match &mut slot.state {
-                SlotState::Resident { engine, last_used } => {
+            let slot = t.slots.get_mut(tenant).ok_or_else(|| unknown(tenant))?;
+            let path = match &mut slot.state {
+                SlotState::Resident { engine, batcher, last_used } => {
                     *last_used = now;
-                    let engine = Arc::clone(engine);
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(engine);
+                    return Ok(serve(engine, batcher, &slot.panics));
                 }
                 SlotState::Loading => {
                     return Err(ServeError::TenantLoading { tenant: tenant.to_string() });
                 }
                 SlotState::Spilled { path } => path.clone(),
-            }
-        };
-        // The slot is spilled: reserve a residency slot under the lock, then
-        // load outside it so other tenants' warm gets proceed unblocked.
-        {
-            let mut t = guard(&self.tenants);
-            // Re-check: another thread may have loaded (or started loading)
-            // between the two critical sections.
-            match t.slots.get(tenant).map(|s| &s.state) {
-                Some(SlotState::Resident { engine, .. }) => {
-                    let engine = Arc::clone(engine);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(engine);
-                }
-                Some(SlotState::Loading) => {
-                    return Err(ServeError::TenantLoading { tenant: tenant.to_string() });
-                }
-                Some(SlotState::Spilled { .. }) => {}
-                None => {
-                    return Err(ServeError::UnknownTenant { tenant: tenant.to_string() });
-                }
-            }
-            self.make_room(&mut t)?;
+            };
+            // Spilled: reserve a residency slot under the lock, then load
+            // outside it so other tenants' warm gets proceed unblocked.
+            self.make_room(&mut t, &mut retired)?;
             if let Some(slot) = t.slots.get_mut(tenant) {
                 slot.state = SlotState::Loading;
             }
-        }
+            path
+        };
+        drop(retired);
         self.run_load_hook(tenant);
         let loaded = load(&path, tenant);
         let mut t = guard(&self.tenants);
         t.clock += 1;
         let now = t.clock;
+        // The loading marker pins the slot, and slots are never removed.
+        let slot = t.slots.get_mut(tenant).ok_or_else(|| unknown(tenant))?;
         match loaded {
             Ok(engine) => {
                 let engine = Arc::new(engine);
-                let state = SlotState::Resident { engine: Arc::clone(&engine), last_used: now };
-                match t.slots.get_mut(tenant) {
-                    Some(slot) => slot.state = state,
-                    None => {
-                        t.slots.insert(tenant.to_string(), TenantSlot::fresh(state));
-                    }
-                }
+                let mut batcher = None;
+                let served = serve(&engine, &mut batcher, &slot.panics);
+                slot.state = SlotState::Resident { engine, batcher, last_used: now };
                 self.loads.fetch_add(1, Ordering::Relaxed);
-                Ok(engine)
+                Ok(served)
             }
             Err(e) => {
                 // The load failed: release the reserved slot back to spilled
                 // so a later attempt (or a fixed snapshot) can retry.
-                if let Some(slot) = t.slots.get_mut(tenant) {
-                    slot.state = SlotState::Spilled { path };
-                }
+                slot.state = SlotState::Spilled { path };
                 self.load_failures.fetch_add(1, Ordering::Relaxed);
                 Err(e)
             }
         }
     }
 
-    /// Evicts `tenant` now: snapshot to disk, drop the engine, return the
-    /// spill path. Idempotent on already-spilled tenants (returns their
-    /// existing path).
+    /// Evicts `tenant` now: snapshot to disk, drop the engine and batcher,
+    /// return the spill path. Idempotent on already-spilled tenants
+    /// (returns their existing path).
     ///
     /// # Errors
     /// [`ServeError::UnknownTenant`] / [`ServeError::TenantLoading`] as for
     /// [`ModelRegistry::get`]; [`ServeError::Snapshot`] when the snapshot
     /// write fails (the tenant stays resident — eviction never loses state).
     pub fn evict(&self, tenant: &str) -> Result<PathBuf, ServeError> {
+        // Before the guard: every return unlocks, then joins these.
+        let mut retired = Vec::new();
         let mut t = guard(&self.tenants);
         match t.slots.get(tenant).map(|s| &s.state) {
-            None => Err(ServeError::UnknownTenant { tenant: tenant.to_string() }),
+            None => Err(unknown(tenant)),
             Some(SlotState::Loading) => {
                 Err(ServeError::TenantLoading { tenant: tenant.to_string() })
             }
             Some(SlotState::Spilled { path }) => Ok(path.clone()),
-            Some(SlotState::Resident { .. }) => {
-                let key = tenant.to_string();
-                self.evict_slot(&mut t, &key)
-            }
+            Some(SlotState::Resident { .. }) => self.evict_slot(&mut t, tenant, &mut retired),
         }
     }
 
@@ -496,9 +544,7 @@ impl ModelRegistry {
     /// [`ServeError::UnknownTenant`] for ids never registered.
     pub fn tenant_health(&self, tenant: &str) -> Result<HealthReport, ServeError> {
         let t = guard(&self.tenants);
-        let Some(slot) = t.slots.get(tenant) else {
-            return Err(ServeError::UnknownTenant { tenant: tenant.to_string() });
-        };
+        let slot = t.slots.get(tenant).ok_or_else(|| unknown(tenant))?;
         let mut report = slot.carried_health.clone();
         if let SlotState::Resident { engine, .. } = &slot.state {
             let live = engine.health();
@@ -515,9 +561,7 @@ impl ModelRegistry {
     /// [`ServeError::UnknownTenant`] for ids never registered.
     pub fn tenant_stats(&self, tenant: &str) -> Result<EngineStats, ServeError> {
         let t = guard(&self.tenants);
-        let Some(slot) = t.slots.get(tenant) else {
-            return Err(ServeError::UnknownTenant { tenant: tenant.to_string() });
-        };
+        let slot = t.slots.get(tenant).ok_or_else(|| unknown(tenant))?;
         let mut stats = slot.carried_stats;
         if let SlotState::Resident { engine, .. } = &slot.state {
             add_stats(&mut stats, &engine.stats());
@@ -559,8 +603,12 @@ impl ModelRegistry {
     }
 
     /// Frees residency slots until `occupied < capacity` (so one more slot
-    /// can be taken), evicting least-recently-used residents.
-    fn make_room(&self, t: &mut Tenants) -> Result<(), ServeError> {
+    /// can be taken), evicting least-recently-used residents into `retired`.
+    fn make_room(
+        &self,
+        t: &mut Tenants,
+        retired: &mut Vec<MicroBatcher>,
+    ) -> Result<(), ServeError> {
         while t.occupied() >= self.config.capacity {
             let victim = t
                 .slots
@@ -573,21 +621,22 @@ impl ModelRegistry {
             let Some((_, key)) = victim else {
                 return Err(ServeError::RegistryFull { capacity: self.config.capacity });
             };
-            self.evict_slot(t, &key)?;
+            self.evict_slot(t, &key, retired)?;
         }
         Ok(())
     }
 
     /// Snapshots the resident engine under `key` to its spill path, folds
-    /// its counters into the carried totals, and drops it. On a failed
-    /// snapshot write the tenant stays resident and the error propagates.
-    fn evict_slot(&self, t: &mut Tenants, key: &str) -> Result<PathBuf, ServeError> {
-        let Some(slot) = t.slots.get_mut(key) else {
-            return Err(ServeError::UnknownTenant { tenant: key.to_string() });
-        };
-        let SlotState::Resident { engine, .. } = &slot.state else {
-            return Err(ServeError::UnknownTenant { tenant: key.to_string() });
-        };
+    /// its counters into the carried totals, drops it and moves its batcher
+    /// to `retired`. On a failed snapshot write the tenant stays resident.
+    fn evict_slot(
+        &self,
+        t: &mut Tenants,
+        key: &str,
+        retired: &mut Vec<MicroBatcher>,
+    ) -> Result<PathBuf, ServeError> {
+        let slot = t.slots.get_mut(key).ok_or_else(|| unknown(key))?;
+        let SlotState::Resident { engine, .. } = &slot.state else { return Err(unknown(key)) };
         std::fs::create_dir_all(&self.config.spill_dir).map_err(|e| {
             ServeError::Snapshot(format!(
                 "cannot create spill directory `{}`: {e}",
@@ -596,10 +645,7 @@ impl ModelRegistry {
         })?;
         let path = spill_path(&self.config.spill_dir, key);
         crate::durable::write_file(&engine.snapshot(), &path, key)?;
-        let engine = Arc::clone(engine);
-        slot.absorb(&engine);
-        slot.state = SlotState::Spilled { path: path.clone() };
-        drop(engine);
+        retired.extend(slot.replace(SlotState::Spilled { path: path.clone() }));
         self.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(path)
     }
@@ -616,6 +662,10 @@ impl std::fmt::Debug for ModelRegistry {
             .field("spilled", &stats.spilled)
             .finish()
     }
+}
+
+fn unknown(tenant: &str) -> ServeError {
+    ServeError::UnknownTenant { tenant: tenant.to_string() }
 }
 
 fn check_id(tenant: &str) -> Result<(), ServeError> {

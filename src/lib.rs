@@ -1,8 +1,8 @@
 //! Umbrella crate for the DeepMVI reproduction workspace.
 //!
 //! Re-exports the public crates so examples and integration tests can use a single
-//! dependency. See `README.md` for the architecture overview and `DESIGN.md` for the
-//! per-experiment index.
+//! dependency. See `README.md` for the overview and `ARCHITECTURE.md` ("Paper → crate
+//! map") for where each paper component and experiment lives.
 
 pub use deepmvi;
 pub use mvi_autograd as autograd;

@@ -573,8 +573,9 @@ fn guarded_happy_path_is_bitwise_identical_to_unguarded() {
     assert_eq!(rg.values_quarantined, 0, "sane data must not quarantine");
     assert_eq!(rt.recorded, rg.recorded);
 
+    let guarded = Arc::new(guarded);
     let batcher = MicroBatcher::spawn_with(
-        Arc::new(guarded),
+        Arc::clone(&guarded),
         BatcherConfig { max_batch: 8, queue_cap: 64, deadline: Some(Duration::from_secs(30)) },
     );
     let client = batcher.client();
@@ -587,7 +588,7 @@ fn guarded_happy_path_is_bitwise_identical_to_unguarded() {
         }
     }
     assert_eq!(batcher.panics_caught(), 0);
-    let health = batcher.engine().health();
+    let health = guarded.health();
     assert_eq!(health.quarantined, 0);
     assert_eq!(health.degraded_events, 0);
     assert_eq!(health.poison_recoveries, 0);
