@@ -1,40 +1,29 @@
-//! Known-bad fixture for the `lock-order` pass: three protocol violations.
+//! Known-bad fixture for the `lock-order` pass: two protocol violations.
 //! This file is never compiled — it only needs to lex.
 
-use std::collections::BTreeSet;
-
 impl Engine {
-    /// VIOLATION (line below `lock_for_series`): a shard lock is taken and
+    /// VIOLATION (line below `lock_health`): the health lock is taken and
     /// then the core state mutex — the inversion that deadlocks against any
-    /// writer holding core and waiting on the shard.
-    fn shard_before_core(&self, s: usize) {
-        let mut shard = self.shards.lock_for_series(s);
-        shard.quarantined += 1;
+    /// writer holding core and waiting on health.
+    fn health_before_core(&self, s: usize) {
+        let mut health = self.lock_health();
+        health.quarantined_by_series[s] += 1;
         let state = self.state.lock();
         drop(state);
     }
 
-    /// VIOLATION: the terminal poison level is held conceptually before a
-    /// shard acquisition.
-    fn poison_before_shard(&self) {
-        self.shards.bump_poison();
-        let guards = self.shards.lock_all();
-        drop(guards);
-    }
-
-    /// VIOLATION: two direct shard acquisitions in one body instead of one
-    /// `lock_many` — nothing proves they were taken ascending.
-    fn unordered_double_shard(&self, a: usize, b: usize) {
-        let ga = self.shards.lock_for_series(a);
-        let gb = self.shards.lock_for_series(b);
-        drop((ga, gb));
+    /// VIOLATION: two health acquisitions in one body — the second blocks
+    /// forever on the non-reentrant mutex the first guard still holds.
+    fn double_health(&self) {
+        let guard = self.lock_health();
+        let again = self.health.lock();
+        drop((guard, again));
     }
 
     /// Clean: the full protocol in order, for contrast.
     fn in_order(&self) {
         let state = self.state.lock();
-        let guards = self.shards.lock_all();
-        self.shards.bump_poison();
-        drop((state, guards));
+        self.lock_health().poison_recoveries += 1;
+        drop(state);
     }
 }

@@ -1,7 +1,5 @@
 //! Clean fixture for the `lock-order` pass: every body follows
-//! `core → shard (ascending) → poison`, including level skips.
-
-use std::collections::BTreeSet;
+//! `core → health`, including skipping a level.
 
 impl Engine {
     /// Core only.
@@ -10,33 +8,29 @@ impl Engine {
         drop(state);
     }
 
-    /// Core, then a single multi-shard acquisition, then the poison counter.
-    fn full_protocol(&self, shards: &BTreeSet<usize>) {
+    /// Core, then one health acquisition for every counter change.
+    fn full_protocol(&self, events: u64, healed: u64) {
         let state = self.lock_state();
-        for (idx, mut guard) in self.shards.lock_many(shards) {
-            guard.degraded_events += idx as u64;
-        }
-        self.shards.bump_poison();
-        drop(state);
+        let mut health = self.lock_health();
+        health.degraded_events += events;
+        health.degraded_windows = health.degraded_windows.saturating_sub(healed);
+        drop((health, state));
     }
 
-    /// Skipping levels is allowed: core straight to poison.
-    fn skip_shard_level(&self) {
+    /// A raw `try_lock` on core, then the raw health mutex.
+    fn raw_mutexes(&self) {
         let state = self.state.try_lock();
-        self.shards.bump_poison();
-        drop(state);
+        let health = self.health.lock();
+        drop((health, state));
     }
 
-    /// Shard then poison, never touching core (the health-report shape).
-    fn aggregate(&self) -> u64 {
-        let guards = self.shards.lock_all();
-        let poisoned = self.shards.poison_recoveries();
-        drop(guards);
-        poisoned
+    /// Health alone, never touching core (the health-report shape).
+    fn report(&self) -> Report {
+        self.lock_health().clone()
     }
 
-    /// One single-shard acquisition per body is fine.
-    fn single_shard(&self, s: usize) {
-        self.shards.lock_for_series(s).quarantined += 1;
+    /// One health acquisition per body is fine.
+    fn reject(&self) {
+        self.lock_health().nonfinite_input_rejections += 1;
     }
 }

@@ -30,7 +30,7 @@ pub struct Token {
 /// Token payload: the passes only ever need identifiers and punctuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenKind {
-    /// An identifier or keyword (`unsafe`, `lock_many`, `Ordering`, …).
+    /// An identifier or keyword (`unsafe`, `lock_health`, `Ordering`, …).
     Ident(String),
     /// A single punctuation character (`.`, `(`, `!`, `{`, …). Multi-char
     /// operators arrive as consecutive tokens (`::` is `:` `:`).

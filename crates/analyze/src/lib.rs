@@ -2,8 +2,8 @@
 //! concurrency, unsafety and panic-surface invariants the serving layer's
 //! correctness rests on.
 //!
-//! PR 7 made the engine's correctness depend on hand-maintained invariants:
-//! a `core → shard (ascending) → poison` lock-acquisition order, a SeqCst
+//! The engine's correctness depends on hand-maintained invariants:
+//! a `core → health` lock-acquisition order, a SeqCst
 //! publication protocol in `crates/serve/src/shard.rs`, and a set of
 //! SAFETY-justified `unsafe` blocks. Until this crate those lived only in
 //! ARCHITECTURE.md prose and reviewer vigilance; as the system grows more
@@ -12,7 +12,7 @@
 //!
 //! | pass | lint id | what it proves |
 //! |------|---------|----------------|
-//! | [lock order](passes) | `lock-order` | no function body acquires locks against the documented `core → shard (ascending) → poison` protocol |
+//! | [lock order](passes) | `lock-order` | no function body acquires locks against the documented `core → health` protocol, or takes the non-reentrant health lock twice |
 //! | [SAFETY](passes) | `safety` | every `unsafe` block/fn/impl carries an adjacent `// SAFETY:` justification (or a `# Safety` doc section for `unsafe fn`) |
 //! | [atomic ordering](passes) | `atomic-ordering` | no `Ordering::Relaxed` inside publication-protocol modules (files defining `AtomicPtr` cells), except the allowlisted pin-slot round-robin counter |
 //! | [panic surface](passes) | `panic` | no `unwrap`/`expect`/`panic!` in non-test code of the serving hot-path modules |
@@ -49,7 +49,7 @@ pub use report::Report;
 /// The lint a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
-    /// The `core → shard (ascending) → poison` lock-order protocol.
+    /// The `core → health` lock-order protocol.
     LockOrder,
     /// Adjacent `// SAFETY:` justification on every `unsafe`.
     Safety,

@@ -94,7 +94,7 @@ fn allow_annotation(lexed: &Lexed, lint: Lint, line: u32) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: lock order (core → shard ascending → poison)
+// Pass 1: lock order (core → health)
 // ---------------------------------------------------------------------------
 
 /// The documented lock levels, in the only order they may be acquired.
@@ -102,46 +102,41 @@ fn allow_annotation(lexed: &Lexed, lint: Lint, line: u32) -> Option<String> {
 enum LockLevel {
     /// The engine's core state mutex (`state.lock()` / `lock_state()`).
     Core,
-    /// A shard health lock (`lock_for_series` / `lock_many` / `lock_all` /
-    /// `lock_shard`). Ascending order *within* the level is delegated to the
-    /// blessed multi-lock entry points, which is why a second shard
-    /// acquisition in the same body is itself a finding.
-    Shard,
-    /// The poison-recovery counter, the terminal level.
-    Poison,
+    /// The engine's health-counter mutex (`health.lock()` / `lock_health()`),
+    /// the terminal level.
+    Health,
 }
 
 impl LockLevel {
     fn name(self) -> &'static str {
         match self {
             LockLevel::Core => "core",
-            LockLevel::Shard => "shard",
-            LockLevel::Poison => "poison",
+            LockLevel::Health => "health",
         }
     }
 }
 
-/// Enforces the `core → shard (ascending) → poison` protocol per function
-/// body (the unit the runtime protocol is stated over: every critical
-/// section in `crates/serve` opens and closes inside one function).
+/// Enforces the `core → health` protocol per function body (the unit the
+/// runtime protocol is stated over: every critical section in `crates/serve`
+/// opens and closes inside one function).
 ///
 /// Two rules:
 /// * acquisitions inside one body must be non-descending in [`LockLevel`];
-/// * at most one shard-level acquisition per body — multi-shard work must go
-///   through `lock_many`/`lock_all`, whose ascending iteration *is* the
-///   within-level order proof, so a second shard call site in the same body
-///   is an unordered double acquisition waiting to happen.
+/// * at most one health-lock acquisition per body — the health mutex is not
+///   reentrant, so a second acquisition while the first guard lives is a
+///   self-deadlock, and a body's counter changes belong under one guard
+///   anyway (that is what keeps every health report untorn).
 ///
 /// The analysis is intraprocedural and drop-agnostic, i.e. deliberately
-/// conservative: a body that releases a shard guard before taking the core
-/// lock is still flagged, because the protocol (ARCHITECTURE.md, "Sharded
-/// state & the lock-free warm read path") bans that shape outright rather
-/// than reasoning about guard lifetimes.
+/// conservative: a body that releases a health guard before taking the core
+/// lock is still flagged, because the protocol (ARCHITECTURE.md, "Locks & the
+/// lock-free warm read path") bans that shape outright rather than
+/// reasoning about guard lifetimes.
 fn lock_order_pass(file: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     for body in function_bodies(&lexed.tokens) {
         let toks = &lexed.tokens[body.clone()];
         let mut max_seen: Option<(LockLevel, u32)> = None;
-        let mut shard_sites = 0usize;
+        let mut health_sites = 0usize;
         let mut i = 0;
         while i < toks.len() {
             let Some((level, line, width)) = acquisition_at(toks, i) else {
@@ -156,7 +151,7 @@ fn lock_order_pass(file: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
                         line,
                         message: format!(
                             "{} lock acquired after {} lock (line {}); the protocol is \
-                             core → shard (ascending) → poison",
+                             core → health",
                             level.name(),
                             max.name(),
                             max_line
@@ -164,16 +159,16 @@ fn lock_order_pass(file: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
                     });
                 }
             }
-            if level == LockLevel::Shard {
-                shard_sites += 1;
-                if shard_sites == 2 {
+            if level == LockLevel::Health {
+                health_sites += 1;
+                if health_sites == 2 {
                     out.push(Finding {
                         lint: Lint::LockOrder,
                         file: file.to_string(),
                         line,
-                        message: "second shard-lock acquisition in one function body; \
-                                  multi-shard work must go through lock_many/lock_all \
-                                  (the ascending-order entry points)"
+                        message: "second health-lock acquisition in one function body; \
+                                  the health mutex is not reentrant, so take it once and \
+                                  apply every counter change under that guard"
                             .to_string(),
                     });
                 }
@@ -192,33 +187,19 @@ fn acquisition_at(toks: &[Token], i: usize) -> Option<(LockLevel, u32, usize)> {
     let ident = toks[i].ident()?;
     let line = toks[i].line;
     let called = |width: usize| toks.get(i + width).is_some_and(|t| t.is_punct('('));
+    // `<field>.lock()` / `<field>.try_lock()` on one of the engine's mutexes.
+    let raw_lock = || {
+        toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
+            && toks.get(i + 2).is_some_and(|t| t.is_ident("lock") || t.is_ident("try_lock"))
+            && called(3)
+    };
     match ident {
         // `self.lock_state()` — the engine's poison-recovering core acquire.
         "lock_state" if called(1) => Some((LockLevel::Core, line, 2)),
-        // `state.lock()` / `state.try_lock()` — the raw core mutex.
-        "state"
-            if toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|t| t.is_ident("lock") || t.is_ident("try_lock"))
-                && called(3) =>
-        {
-            Some((LockLevel::Core, line, 4))
-        }
-        "lock_for_series" | "lock_many" | "lock_all" | "lock_shard" if called(1) => {
-            Some((LockLevel::Shard, line, 2))
-        }
-        // `bump_poison()` / `poison_recoveries()` / `poison_recoveries.lock()`
-        // — the terminal counter, whichever door it is reached through.
-        "bump_poison" if called(1) => Some((LockLevel::Poison, line, 2)),
-        "poison_recoveries" if called(1) => Some((LockLevel::Poison, line, 2)),
-        "poison_recoveries"
-            if toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
-                && toks.get(i + 2).is_some_and(|t| t.is_ident("lock"))
-                && called(3) =>
-        {
-            Some((LockLevel::Poison, line, 4))
-        }
+        "state" if raw_lock() => Some((LockLevel::Core, line, 4)),
+        // `self.lock_health()` — the poison-recovering health acquire.
+        "lock_health" if called(1) => Some((LockLevel::Health, line, 2)),
+        "health" if raw_lock() => Some((LockLevel::Health, line, 4)),
         _ => None,
     }
 }

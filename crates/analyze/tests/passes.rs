@@ -23,20 +23,19 @@ fn only(lint: Lint) -> PassSet {
 }
 
 #[test]
-fn lock_order_rejects_shard_before_core() {
+fn lock_order_rejects_health_before_core_and_double_health() {
     let report = run("lock_order_bad.rs", only(Lint::LockOrder));
-    assert_eq!(report.findings.len(), 3, "findings: {:#?}", report.findings);
-    // The headline inversion: a shard lock acquired before the core lock.
+    assert_eq!(report.findings.len(), 2, "findings: {:#?}", report.findings);
+    // The headline inversion: the health lock acquired before the core lock.
     assert!(
-        report.findings[0].message.contains("core lock acquired after shard lock"),
-        "first finding must be the shard-before-core inversion: {:?}",
+        report.findings[0].message.contains("core lock acquired after health lock"),
+        "first finding must be the health-before-core inversion: {:?}",
         report.findings[0]
     );
-    assert!(report.findings[1].message.contains("poison"), "{:?}", report.findings[1]);
     assert!(
-        report.findings[2].message.contains("lock_many"),
-        "double direct shard acquisition must point at the blessed entry points: {:?}",
-        report.findings[2]
+        report.findings[1].message.contains("second health-lock acquisition"),
+        "a second health acquisition must be named as a self-deadlock: {:?}",
+        report.findings[1]
     );
 }
 

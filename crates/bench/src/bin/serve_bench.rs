@@ -724,7 +724,7 @@ fn faults(ctx: &Ctx) -> Artifact {
     }
 }
 
-/// `BENCH_7`: warm-read scaling of the sharded engine.
+/// `BENCH_7`: warm-read scaling of the lock-free warm read path.
 ///
 /// **Scaling sweep** — the same seeded warm-query trace runs at 1/2/4/8
 /// concurrent reader threads against the engine in both read postures:
@@ -763,10 +763,8 @@ fn sharded(ctx: &Ctx) -> Artifact {
 
     // ---- Scaling sweep: aggregate warm rps at 1/2/4/8 readers per mode. ----
     let mut points: Vec<(&str, usize, usize, f64)> = Vec::new();
-    let mut shards = 0;
     for (mode, warm) in [("locked", false), ("sharded", true)] {
         let engine = build(warm);
-        shards = engine.shard_count();
         for readers in [1usize, 2, 4, 8] {
             let t0 = Instant::now();
             let served = mvi_parallel::run_workers(readers, |w| {
@@ -780,8 +778,7 @@ fn sharded(ctx: &Ctx) -> Artifact {
             let wall_secs = t0.elapsed().as_secs_f64();
             let ops: usize = served.iter().sum();
             eprintln!(
-                "{mode:>8} x{readers}: {ops} warm queries in {wall_secs:.3}s = {:>9.0} q/s \
-                 ({shards} shards)",
+                "{mode:>8} x{readers}: {ops} warm queries in {wall_secs:.3}s = {:>9.0} q/s",
                 ops as f64 / wall_secs
             );
             points.push((mode, readers, ops, wall_secs));
@@ -877,7 +874,6 @@ fn sharded(ctx: &Ctx) -> Artifact {
         arms: Vec::new(),
         extra: vec![
             ("host_cores", host_cores.to_string()),
-            ("shards", shards.to_string()),
             ("ops_per_worker", ops_per_worker.to_string()),
             ("scaling", rows(scaling)),
             (

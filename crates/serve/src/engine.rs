@@ -9,7 +9,7 @@
 //! demand — coalesced across a batch so overlapping requests share one forward
 //! pass per window ([`ImputationEngine::query_batch`]).
 //!
-//! ## Sharded reads: the lock-free warm path
+//! ## Locks and the lock-free warm path
 //!
 //! The core mutex serializes *mutations and recomputes* — DeepMVI's forward
 //! pass reads every series (the kernel regression samples sibling values
@@ -21,10 +21,10 @@
 //! answered entirely from that snapshot — no mutex, no blocking of appends
 //! to other series, no blocking of other warm readers. Stale windows and
 //! invalid ranges fall through to the locked path, which recomputes, answers
-//! and republishes. Health counters are hash-sharded behind shard-local
-//! locks with an explicit multi-shard ordering protocol (ascending shard
-//! index, all guards held together) so [`ImputationEngine::health`] is a
-//! consistent point-in-time aggregate.
+//! and republishes. The health counters sit behind a second mutex of their
+//! own, taken after the core lock and never before it (`core → health`), so
+//! [`ImputationEngine::health`] and the non-finite input gate never wait on
+//! a recompute, and every report is one point in time.
 //!
 //! **Linearizability**: a warm read linearizes at its single atomic snapshot
 //! load; since publication happens before a mutation returns, any read
@@ -117,15 +117,15 @@
 //! invalidates the rest of the series for lazy healing, exactly mirroring the
 //! append consistency contract.
 
-use crate::shard::{SeriesSnap, ShardSet};
+use crate::shard::{SeriesSnap, WarmSnaps};
 use deepmvi::{FrozenModel, ScratchPool, WindowQuery};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::windows::WindowGrid;
 use mvi_tensor::Tensor;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// Errors produced by the serving layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -361,7 +361,8 @@ pub struct ImputeResponse {
 }
 
 /// Point-in-time fault/degradation counters — the serving health surface
-/// ([`ImputationEngine::health`]). Everything here is monotonic except
+/// ([`ImputationEngine::health`]). The engine keeps one of these behind its
+/// health lock and hands out copies. Everything here is monotonic except
 /// `degraded_windows`, which is the *current* number of windows serving the
 /// baseline fallback.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -586,21 +587,6 @@ impl EngineState {
 /// to survive; it is equally usable for chaos testing a deployment.
 pub type EvalHook = Box<dyn FnMut(&mut [Vec<f64>]) + Send>;
 
-/// Construction-time knobs for [`ImputationEngine::with_options`]. The
-/// plain constructors are shorthands: [`ImputationEngine::new`] is all
-/// defaults, [`ImputationEngine::with_retention`] sets `retention` only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Retention window in time steps (`None` = unbounded storage); see
-    /// [`ImputationEngine::with_retention`].
-    pub retention: Option<usize>,
-    /// Health-counter shard count (`None` = derived from the machine's
-    /// available parallelism, clamped to `[1, 16]`). Purely a contention
-    /// knob: the shard map only buckets health counters, so any count
-    /// serves identical data.
-    pub shards: Option<usize>,
-}
-
 /// The online imputation engine. Shareable across threads behind an `Arc`;
 /// all methods take `&self`.
 pub struct ImputationEngine {
@@ -614,8 +600,11 @@ pub struct ImputationEngine {
     ring_cap: Option<usize>,
     state: Mutex<EngineState>,
     counters: Counters,
-    /// Sharded health counters + per-series lock-free warm snapshots.
-    shards: ShardSet,
+    /// The health counters, reached only through
+    /// [`ImputationEngine::lock_health`].
+    health: Mutex<HealthReport>,
+    /// Per-series lock-free warm snapshots.
+    snaps: WarmSnaps,
     /// Whether the lock-free warm read path is enabled (default: yes).
     /// Disabled, every query goes through the core lock — the single-mutex
     /// baseline the sharded bench arm and the bitwise replay test compare
@@ -645,26 +634,7 @@ impl ImputationEngine {
     /// [`ServeError::Geometry`] when `obs` does not match the geometry the
     /// model was built for.
     pub fn new(model: FrozenModel, obs: ObservedDataset) -> Result<Self, ServeError> {
-        Self::with_options(model, obs, EngineOptions::default())
-    }
-
-    /// Builds an engine with explicit [`EngineOptions`] — the fully general
-    /// constructor behind [`ImputationEngine::new`] and
-    /// [`ImputationEngine::with_retention`].
-    ///
-    /// # Errors
-    /// As [`ImputationEngine::new`] / [`ImputationEngine::with_retention`].
-    pub fn with_options(
-        model: FrozenModel,
-        obs: ObservedDataset,
-        options: EngineOptions,
-    ) -> Result<Self, ServeError> {
-        if options.retention == Some(0) {
-            return Err(ServeError::Geometry(
-                "retention window must be at least one time step".into(),
-            ));
-        }
-        Self::build(model, obs, options)
+        Self::build(model, obs, None)
     }
 
     /// Like [`ImputationEngine::new`], but with a **retention ring**: resident
@@ -720,25 +690,19 @@ impl ImputationEngine {
         obs: ObservedDataset,
         retention_len: usize,
     ) -> Result<Self, ServeError> {
-        Self::with_options(
-            model,
-            obs,
-            EngineOptions { retention: Some(retention_len), shards: None },
-        )
-    }
-
-    /// The default health-counter shard count: one per available hardware
-    /// thread, clamped to `[1, 16]`.
-    fn default_shard_count() -> usize {
-        mvi_parallel::available_threads().clamp(1, 16)
+        if retention_len == 0 {
+            return Err(ServeError::Geometry(
+                "retention window must be at least one time step".into(),
+            ));
+        }
+        Self::build(model, obs, Some(retention_len))
     }
 
     fn build(
         model: FrozenModel,
         obs: ObservedDataset,
-        options: EngineOptions,
+        retention: Option<usize>,
     ) -> Result<Self, ServeError> {
-        let retention = options.retention;
         // A poisoned model (NaN/±inf weights — a diverged training run, or a
         // snapshot restored through a path without its own check) would
         // silently answer every query with NaN; refuse to serve it at all.
@@ -801,7 +765,20 @@ impl ImputationEngine {
         }
         state.fresh = vec![vec![false; state.grid.n_windows()]; n_series];
         state.degraded = vec![vec![false; state.grid.n_windows()]; n_series];
-        let n_shards = options.shards.unwrap_or_else(Self::default_shard_count).max(1);
+        Ok(Self::assemble(model, retention, ring_cap, state))
+    }
+
+    /// Wraps a built state into an engine and publishes the initial warm
+    /// snapshots (nothing is fresh yet, so they only short-circuit
+    /// trivially-empty reads, but they establish the invariant that
+    /// published state always mirrors the locked state).
+    fn assemble(
+        model: FrozenModel,
+        retention: Option<usize>,
+        ring_cap: Option<usize>,
+        state: EngineState,
+    ) -> Self {
+        let n_series = state.obs.n_series();
         let engine = Self {
             model,
             n_series,
@@ -809,21 +786,18 @@ impl ImputationEngine {
             ring_cap,
             state: Mutex::new(state),
             counters: Counters::default(),
-            shards: ShardSet::new(n_series, n_shards),
+            health: Mutex::new(HealthReport {
+                quarantined_by_series: vec![0; n_series],
+                ..HealthReport::default()
+            }),
+            snaps: WarmSnaps::new(n_series),
             warm: AtomicBool::new(true),
             scratch: ScratchPool::new(),
         };
-        engine.publish_initial();
-        Ok(engine)
-    }
-
-    /// Publishes the initial warm snapshots at construction time (nothing is
-    /// fresh yet, so they only short-circuit trivially-empty reads, but they
-    /// establish the invariant that published state always mirrors the
-    /// locked state).
-    fn publish_initial(&self) {
-        let state = self.lock_state();
-        self.publish_all(&state);
+        let state = engine.lock_state();
+        engine.publish_all(&state);
+        drop(state);
+        engine
     }
 
     /// Rebuilds and publishes the warm snapshot of series `s` from the
@@ -856,7 +830,7 @@ impl ImputationEngine {
             degraded: state.degraded[s].clone(),
             missing,
         };
-        self.shards.publish(s, snap);
+        self.snaps.publish(s, snap);
     }
 
     /// Publishes every series' warm snapshot (skipped entirely while the
@@ -895,7 +869,6 @@ impl ImputationEngine {
             grid.retain_from(retained_start);
         }
         let ring_cap = retention.map(|r| w * (r.div_ceil(w) + 1));
-        let n_series = obs.n_series();
         debug_assert_eq!(obs.t_len(), grid.retained_len(), "physical span mismatch");
         let degraded = fresh.iter().map(|f| vec![false; f.len()]).collect();
         let state = EngineState {
@@ -908,19 +881,7 @@ impl ImputationEngine {
             eval_hook: None,
             watermark,
         };
-        let engine = Self {
-            model,
-            n_series,
-            retention,
-            ring_cap,
-            state: Mutex::new(state),
-            counters: Counters::default(),
-            shards: ShardSet::new(n_series, Self::default_shard_count()),
-            warm: AtomicBool::new(true),
-            scratch: ScratchPool::new(),
-        };
-        engine.publish_initial();
-        engine
+        Self::assemble(model, retention, ring_cap, state)
     }
 
     /// Acquires the state lock, **recovering from poisoning**: when a panic
@@ -953,7 +914,7 @@ impl ImputationEngine {
                 for fresh in &mut guard.fresh {
                     fresh.iter_mut().for_each(|f| *f = false);
                 }
-                self.shards.bump_poison();
+                self.lock_health().poison_recoveries += 1;
                 // The published warm snapshots predate the scrub; republish
                 // so the lock-free path cannot serve windows the recovery
                 // just distrusted.
@@ -961,6 +922,15 @@ impl ImputationEngine {
                 guard
             }
         }
+    }
+
+    /// Acquires the health counters. Lock order is `core → health`: this is
+    /// taken alone or while holding the core lock, never before it, and at
+    /// most once per critical section (the mutex is not reentrant). The
+    /// critical sections are pure counter arithmetic, so a poisoned lock
+    /// still guards valid counts and recovery simply continues.
+    fn lock_health(&self) -> MutexGuard<'_, HealthReport> {
+        self.health.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Installs (or clears) the [`ValueGuard`] that screens every value
@@ -982,49 +952,15 @@ impl ImputationEngine {
     /// Point-in-time health counters: quarantine activity, rejected
     /// non-finite inputs, output-guard degradations and poison recoveries.
     ///
-    /// The report is a **consistent snapshot**: it is assembled while
-    /// holding every shard lock at once (ascending order — the same
-    /// multi-shard protocol every mutator follows), and mutators bump all
-    /// counters a mutation touches under one such acquisition. The report
-    /// therefore never shows a torn aggregate: `quarantined` always equals
-    /// the sum of `quarantined_by_series`, and the degraded gauge never
-    /// counts a half-applied batch. Never takes the core state lock, so
-    /// health stays responsive while a recompute runs.
+    /// The report is a **consistent snapshot**: one copy taken under the
+    /// health lock, and every mutation applies all the counter changes it
+    /// makes under a single acquisition of that lock. The report therefore
+    /// never shows a torn aggregate: `quarantined` always equals the sum of
+    /// `quarantined_by_series`, and the degraded gauge never counts a
+    /// half-applied batch. Never takes the core state lock, so health stays
+    /// responsive while a recompute runs.
     pub fn health(&self) -> HealthReport {
-        let guards = self.shards.lock_all();
-        let mut report = HealthReport {
-            quarantined_by_series: vec![0; self.n_series],
-            ..HealthReport::default()
-        };
-        for shard in &guards {
-            for (total, per) in
-                report.quarantined_by_series.iter_mut().zip(&shard.quarantined_by_series)
-            {
-                *total += per;
-            }
-            report.quarantined += shard.quarantined;
-            report.nonfinite_input_rejections += shard.nonfinite_input_rejections;
-            report.degraded_events += shard.degraded_events;
-            report.degraded_windows += shard.degraded_windows;
-        }
-        // Poison count is the terminal lock level: still inside the shard
-        // guards, so the whole report is one point in time.
-        report.poison_recoveries = self.shards.poison_recoveries();
-        drop(guards);
-        report
-    }
-
-    /// Number of health-counter shards (a construction-time contention knob;
-    /// see [`EngineOptions::shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.shards.n_shards()
-    }
-
-    /// The shard owning series `s`'s health counters (a stable hash of the
-    /// series id). Exposed so tests can construct shard-collision and
-    /// shard-isolation workloads deterministically.
-    pub fn shard_of(&self, s: usize) -> usize {
-        self.shards.shard_of(s)
+        self.lock_health().clone()
     }
 
     /// Whether the lock-free warm read path is enabled (it is by default).
@@ -1189,7 +1125,7 @@ impl ImputationEngine {
                 if r.s >= self.n_series {
                     continue; // typed error produced by the locked path below
                 }
-                let snap = self.shards.snapshot(r.s);
+                let snap = self.snaps.snapshot(r.s);
                 if let Some((resp, snap_hits)) = snap.answer(r.start, r.end) {
                     hits += snap_hits;
                     *slot = Some(Ok(resp));
@@ -1489,7 +1425,7 @@ impl ImputationEngine {
         match values.iter().position(|v| !v.is_finite()) {
             None => Ok(()),
             Some(offset) => {
-                self.shards.lock_for_series(s).nonfinite_input_rejections += 1;
+                self.lock_health().nonfinite_input_rejections += 1;
                 Err(ServeError::NonFiniteInput { s, offset })
             }
         }
@@ -1668,22 +1604,15 @@ impl ImputationEngine {
                 }
             }
         }
-        // Evicted degraded slots leave the gauge: collect per-shard deltas,
-        // then apply them under one ascending multi-shard acquisition.
-        let mut gauge_deltas: BTreeMap<usize, u64> = BTreeMap::new();
-        for (s, degraded) in state.degraded.iter_mut().enumerate() {
+        // Evicted degraded slots leave the gauge.
+        let mut gone = 0u64;
+        for degraded in &mut state.degraded {
             let evicted = drop_w.min(degraded.len());
-            let gone = degraded[..evicted].iter().filter(|&&d| d).count() as u64;
-            if gone > 0 {
-                *gauge_deltas.entry(self.shards.shard_of(s)).or_default() += gone;
-            }
-            degraded.drain(..evicted);
+            gone += degraded.drain(..evicted).filter(|&d| d).count() as u64;
         }
-        if !gauge_deltas.is_empty() {
-            let shards: BTreeSet<usize> = gauge_deltas.keys().copied().collect();
-            for (idx, mut guard) in self.shards.lock_many(&shards) {
-                guard.degraded_windows = guard.degraded_windows.saturating_sub(gauge_deltas[&idx]);
-            }
+        if gone > 0 {
+            let mut health = self.lock_health();
+            health.degraded_windows = health.degraded_windows.saturating_sub(gone);
         }
         self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         self.counters.steps_evicted.fetch_add(drop as u64, Ordering::Relaxed);
@@ -1734,11 +1663,11 @@ impl ImputationEngine {
             state.imputed.series_mut(s)[p + run..p + values.len()].copy_from_slice(&values[run..]);
         }
         if quarantined > 0 {
-            // Per-series count and shard total move together under one lock
+            // Per-series count and total move together under one lock
             // acquisition, so no health report can see them torn apart.
-            let mut shard = self.shards.lock_for_series(s);
-            shard.quarantined_by_series[s] += quarantined as u64;
-            shard.quarantined += quarantined as u64;
+            let mut health = self.lock_health();
+            health.quarantined_by_series[s] += quarantined as u64;
+            health.quarantined += quarantined as u64;
         }
         quarantined
     }
@@ -1842,11 +1771,10 @@ impl ImputationEngine {
         if let Some(hook) = state.eval_hook.as_mut() {
             hook(&mut results);
         }
-        // Degrade/heal transitions are applied to the shard-guarded health
-        // counters in one multi-shard acquisition (ascending, all guards
-        // held together) after the cache writes, so a concurrent health
-        // report sees either none or all of this batch's transitions.
-        let mut deltas: BTreeMap<usize, (u64, i64)> = BTreeMap::new();
+        // Degrade/heal transitions are applied to the health counters in one
+        // acquisition after the cache writes, so a concurrent health report
+        // sees either none or all of this batch's transitions.
+        let (mut events, mut healed, mut degraded) = (0u64, 0u64, 0u64);
         for (q, vals) in queries.iter().zip(&results) {
             let intact = vals.len() == q.positions.len() && vals.iter().all(|v| v.is_finite());
             if intact {
@@ -1855,7 +1783,7 @@ impl ImputationEngine {
                     series[t] = v;
                 }
                 if state.degraded[q.s][q.window_j] {
-                    deltas.entry(self.shards.shard_of(q.s)).or_default().1 -= 1;
+                    healed += 1;
                 }
                 state.degraded[q.s][q.window_j] = false;
             } else {
@@ -1864,22 +1792,18 @@ impl ImputationEngine {
                 for &t in &q.positions {
                     series[t] = level;
                 }
-                let delta = deltas.entry(self.shards.shard_of(q.s)).or_default();
-                delta.0 += 1;
+                events += 1;
                 if !state.degraded[q.s][q.window_j] {
-                    delta.1 += 1;
+                    degraded += 1;
                 }
                 state.degraded[q.s][q.window_j] = true;
             }
             state.fresh[q.s][q.window_j] = true;
         }
-        if !deltas.is_empty() {
-            let shards: BTreeSet<usize> = deltas.keys().copied().collect();
-            for (idx, mut guard) in self.shards.lock_many(&shards) {
-                let (events, gauge) = deltas[&idx];
-                guard.degraded_events += events;
-                guard.degraded_windows = (guard.degraded_windows as i64 + gauge).max(0) as u64;
-            }
+        if events + healed > 0 {
+            let mut health = self.lock_health();
+            health.degraded_events += events;
+            health.degraded_windows = (health.degraded_windows + degraded).saturating_sub(healed);
         }
         self.counters.windows_computed.fetch_add(queries.len() as u64, Ordering::Relaxed);
     }

@@ -14,8 +14,9 @@
 //!   serves cached queries with zero forward passes. The [`durable`] layer
 //!   persists snapshots to disk atomically in a sectioned binary format and
 //!   restores through an ordered fallback list
-//!   ([`ImputationEngine::restore_with_fallback`]); JSON (wire v4) remains
-//!   for text transports.
+//!   ([`ImputationEngine::restore_with_fallback`]). A JSON encoding (wire
+//!   v4) remains for test and example fixtures and the benchmark's
+//!   snapshot encode/decode spans; no transport carries it.
 //! * [`ImputationEngine`] — the serving core: a full-tensor imputation cache
 //!   with per-window freshness, coalesced micro-batch queries
 //!   ([`ImputationEngine::query_batch`]), a streaming
@@ -54,12 +55,13 @@
 //!   [`engine::ServeError::TenantLoading`],
 //!   [`engine::ServeError::RegistryFull`]) instead of blocking or dropping
 //!   requests.
-//! * **Sharded, lock-free warm reads** — engine state is split along the
+//! * **Lock-free warm reads** — engine state is split along the
 //!   read/write axis: mutations stay sequenced on the core lock (DeepMVI's
-//!   forward pass couples every series), while health counters shard per
-//!   series and warm queries answer from per-series snapshots published
-//!   through atomic cells — no mutex on the warm path at all, so concurrent
-//!   queries never block appends to other series and never block each other.
+//!   forward pass couples every series), health counters sit behind one
+//!   health lock taken after it (`core → health`), and warm queries answer
+//!   from per-series snapshots published through atomic cells — no mutex on
+//!   the warm path at all, so concurrent queries never block appends to
+//!   other series and never block each other.
 //!   Warm reads linearize at their snapshot load; snapshots are published
 //!   before each mutation returns, so reads always see completed writes.
 //!   Single-threaded replay with the warm path on and off is bitwise
@@ -109,7 +111,7 @@
 //! [`ImputationEngine::snapshot_to_path`] /
 //! [`ImputationEngine::restore_with_fallback`]. See the `online_serving`
 //! example for an end-to-end tour, `ARCHITECTURE.md` for where the engine
-//! sits in the system (including the failure-domain map and the shard map),
+//! sits in the system (including the failure-domain map and the lock order),
 //! `tests/serve_faults.rs` for the fault-injection suite,
 //! `tests/serve_concurrency.rs` for the concurrency stress +
 //! linearizability suite, and `serve_bench` for the methodology behind
@@ -128,8 +130,8 @@ pub mod snapshot;
 
 pub use batch::{BatchClient, BatcherConfig, MicroBatcher};
 pub use engine::{
-    AppendReport, EngineOptions, EngineStats, EvalHook, HealthReport, ImputationEngine,
-    ImputeRequest, ImputeResponse, ServeError, ValueGuard,
+    AppendReport, EngineStats, EvalHook, HealthReport, ImputationEngine, ImputeRequest,
+    ImputeResponse, ServeError, ValueGuard,
 };
 pub use registry::{LoadHook, ModelRegistry, RegistryConfig, RegistryStats};
 pub use snapshot::ServeSnapshot;

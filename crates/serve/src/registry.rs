@@ -59,7 +59,7 @@
 //! keeps "resident + loading ≤ capacity" a hard invariant. Batchers are
 //! spawned under the lock but dropped (joined) only after its release.
 //! The registry takes no engine locks itself; per-engine calls (`health`,
-//! `snapshot`) follow the engine's own `core → shard → poison` protocol.
+//! `snapshot`) follow the engine's own `core → health` protocol.
 
 use crate::batch::{BatchClient, BatcherConfig, MicroBatcher};
 use crate::engine::{EngineStats, HealthReport, ServeError};

@@ -1,32 +1,16 @@
-//! Sharded serving state: per-shard health counters and the lock-free
-//! publication cells behind the engine's warm read path.
+//! The lock-free publication cells behind the engine's warm read path.
 //!
 //! The engine's *write* path stays serialized behind the core state mutex —
 //! DeepMVI's forward pass couples every series (the kernel regression reads
 //! sibling values pointwise), so every mutation is inherently cross-series
-//! work and needs a consistent multi-series view. What this module shards is
-//! everything a *read* needs:
-//!
-//! * **Warm snapshots** — one [`Published`] cell per series holding an
-//!   `Arc<SeriesSnap>`: the imputed values over the retained span plus
-//!   per-window freshness/degradation/has-missing bits. Mutations republish
-//!   the affected series *before* releasing the core lock (and therefore
-//!   before returning to their caller), so a read that starts after a
-//!   mutation completed always observes it — the linearization point of a
-//!   warm read is its single atomic pointer load.
-//! * **Health counters** — hash-sharded behind shard-local mutexes so
-//!   concurrent mutators on different shards never contend, while
-//!   [`crate::ImputationEngine::health`] can take *all* shard locks at once
-//!   (ascending order) for a true point-in-time aggregate.
-//!
-//! ## Lock ordering protocol
-//!
-//! `core state mutex → shard locks (ascending index) → poison counter`.
-//! Holding a prefix and skipping levels is fine; acquiring a lower level
-//! while holding a higher one is not. Any operation touching several shards
-//! acquires all of them ascending and holds them together for its whole
-//! critical section — that is what makes both multi-shard counter updates
-//! and the health aggregate atomic with respect to each other.
+//! work and needs a consistent multi-series view. Reads need no such view:
+//! each series has one [`Published`] cell holding an `Arc<SeriesSnap>` — the
+//! imputed values over the retained span plus per-window
+//! freshness/degradation/has-missing bits. Mutations republish the affected
+//! series *before* releasing the core lock (and therefore before returning
+//! to their caller), so a read that starts after a mutation completed always
+//! observes it — the linearization point of a warm read is its single atomic
+//! pointer load.
 //!
 //! ## Why the warm path is safe without a lock
 //!
@@ -53,9 +37,8 @@
 //! the next quiescent publication), never correctness.
 
 use std::cell::Cell;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::engine::ImputeResponse;
 
@@ -270,104 +253,19 @@ impl SeriesSnap {
     }
 }
 
-/// One shard's slice of the health counters. Everything in here is guarded
-/// by the shard's mutex; a counter for series `s` lives only in shard
-/// `shard_of(s)`, so single-series mutations lock exactly one shard.
-#[derive(Default)]
-pub(crate) struct ShardHealth {
-    /// Quarantined values per series (full-length vector; only the series
-    /// this shard owns are ever non-zero).
-    pub quarantined_by_series: Vec<u64>,
-    /// Total quarantined values across the shard's series. Bumped together
-    /// with the per-series entry under one lock acquisition, so the sum
-    /// invariant `Σ per-series == total` holds in every health report.
-    pub quarantined: u64,
-    /// Mutations rejected for carrying NaN/±inf, by target series' shard.
-    pub nonfinite_input_rejections: u64,
-    /// Output-guard degradation events for the shard's series.
-    pub degraded_events: u64,
-    /// Current number of the shard's windows serving the mean baseline
-    /// (a gauge, maintained transitionally at every degrade/heal/evict).
-    pub degraded_windows: u64,
-}
-
-/// The engine's shard table: hash-sharded health counters plus the
-/// per-series publication cells of the warm read path.
-pub(crate) struct ShardSet {
-    n_shards: usize,
-    shards: Vec<Mutex<ShardHealth>>,
+/// The engine's per-series publication cells, all reclaiming against one
+/// shared [`PinDomain`].
+pub(crate) struct WarmSnaps {
     cells: Vec<Published<SeriesSnap>>,
     pins: PinDomain,
-    /// Engine-global poison-recovery count (not per-series work, so it gets
-    /// its own terminal lock level rather than a shard).
-    poison_recoveries: Mutex<u64>,
 }
 
-impl ShardSet {
-    pub(crate) fn new(n_series: usize, n_shards: usize) -> Self {
-        let n_shards = n_shards.max(1);
+impl WarmSnaps {
+    pub(crate) fn new(n_series: usize) -> Self {
         Self {
-            n_shards,
-            shards: (0..n_shards)
-                .map(|_| {
-                    Mutex::new(ShardHealth {
-                        quarantined_by_series: vec![0; n_series],
-                        ..ShardHealth::default()
-                    })
-                })
-                .collect(),
             cells: (0..n_series).map(|_| Published::new(Arc::new(SeriesSnap::empty()))).collect(),
             pins: PinDomain::new(),
-            poison_recoveries: Mutex::new(0),
         }
-    }
-
-    pub(crate) fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// The shard owning series `s` (Fibonacci hash — stable across runs, and
-    /// spreads consecutive ids instead of striping them).
-    pub(crate) fn shard_of(&self, s: usize) -> usize {
-        (((s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize % self.n_shards
-    }
-
-    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, ShardHealth> {
-        // Shard critical sections are pure counter arithmetic; a poisoned
-        // lock still guards valid counts, so recover by continuing.
-        self.shards[idx].lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Locks the single shard owning series `s`.
-    pub(crate) fn lock_for_series(&self, s: usize) -> MutexGuard<'_, ShardHealth> {
-        self.lock_shard(self.shard_of(s))
-    }
-
-    /// Locks the given shards **ascending** and returns all guards together
-    /// — the multi-shard ordering protocol (see the module docs). Holding
-    /// every involved guard for the whole critical section is what makes a
-    /// multi-shard counter update atomic relative to [`ShardSet::lock_all`].
-    pub(crate) fn lock_many(
-        &self,
-        idxs: &BTreeSet<usize>,
-    ) -> Vec<(usize, MutexGuard<'_, ShardHealth>)> {
-        idxs.iter().map(|&i| (i, self.lock_shard(i))).collect()
-    }
-
-    /// Locks every shard ascending — the health aggregate's point-in-time
-    /// snapshot.
-    pub(crate) fn lock_all(&self) -> Vec<MutexGuard<'_, ShardHealth>> {
-        (0..self.n_shards).map(|i| self.lock_shard(i)).collect()
-    }
-
-    /// Bumps the global poison-recovery count.
-    pub(crate) fn bump_poison(&self) {
-        *self.poison_recoveries.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-    }
-
-    /// Current global poison-recovery count.
-    pub(crate) fn poison_recoveries(&self) -> u64 {
-        *self.poison_recoveries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Lock-free load of series `s`'s current warm snapshot.
@@ -387,19 +285,6 @@ impl ShardSet {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        let set = ShardSet::new(16, 4);
-        for s in 0..16 {
-            let shard = set.shard_of(s);
-            assert!(shard < 4);
-            assert_eq!(shard, set.shard_of(s), "shard map must be deterministic");
-        }
-        // Degenerate single-shard map sends everything to shard 0.
-        let one = ShardSet::new(16, 1);
-        assert!((0..16).all(|s| one.shard_of(s) == 0));
-    }
 
     /// A tiny deterministic LCG for seeded yield schedules.
     struct Lcg(u64);

@@ -15,9 +15,11 @@
 //! * the **binary file** of [`crate::durable`] — what [`ServeSnapshot::to_path`]
 //!   and every durable path (registry eviction, warm restarts) write;
 //! * **JSON, version 4** ([`ServeSnapshot::to_json`] /
-//!   [`ServeSnapshot::from_json`]) for text transports: f64 buffers as base64
-//!   little-endian bytes, boolean buffers bit-packed (LSB-first) then
-//!   base64'd, and a CRC-32 per packed section over its raw bytes.
+//!   [`ServeSnapshot::from_json`]): f64 buffers as base64 little-endian
+//!   bytes, boolean buffers bit-packed (LSB-first) then base64'd, and a
+//!   CRC-32 per packed section over its raw bytes. No transport carries it;
+//!   it is kept for test and example fixtures and the benchmark's snapshot
+//!   encode/decode spans.
 //!
 //! Both decoders verify every checksum first — a mismatch is the typed
 //! [`ServeError::Corrupt`] naming the section — then build the snapshot and

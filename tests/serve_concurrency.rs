@@ -1,6 +1,6 @@
-//! Concurrency stress + linearizability suite for the sharded serving
-//! engine (PR 7): N-thread mixed append/query/fill_range traffic against
-//! the lock-free warm read path, checked against sequential oracles.
+//! Concurrency stress + linearizability suite for the serving engine:
+//! N-thread mixed append/query/fill_range traffic against the lock-free warm
+//! read path, checked against sequential oracles.
 //!
 //! What is proven here:
 //!
@@ -14,16 +14,18 @@
 //! * **Sequential-oracle equivalence at quiescence** — after all writers
 //!   join, the engine's healed cache equals `FrozenModel::impute` over the
 //!   final observed state (the same oracle the single-threaded suites use).
-//! * **Bitwise replay determinism** — the sharded engine (warm reads on)
-//!   replays any recorded operation log bitwise-identically to the
-//!   single-lock engine (warm reads off) at one thread.
-//! * **Fault isolation across shards** — a panicking evaluator triggered
-//!   through series on shard A neither stalls nor corrupts reads of series
-//!   on shards B..N, and poison recovery is counted exactly once.
-//! * **Point-in-time health aggregation** — under parallel quarantine
-//!   traffic, every `health()` report satisfies the sum invariant
-//!   `quarantined == Σ quarantined_by_series`, and final counts are exact
-//!   and invariant under the shard count.
+//! * **Bitwise replay determinism** — the engine with warm reads on replays
+//!   any recorded operation log bitwise-identically to the single-lock
+//!   posture (warm reads off) at one thread.
+//! * **Fault isolation across series** — a panicking evaluator triggered
+//!   through series 0 neither stalls nor corrupts reads of the other
+//!   series, and poison recovery is counted exactly once.
+//! * **Point-in-time health** — under parallel quarantine traffic, every
+//!   `health()` report satisfies the sum invariant
+//!   `quarantined == Σ quarantined_by_series` and final counts are exact
+//!   per series; a concurrent poller sees a multi-series degrade batch
+//!   either not at all or whole; and `health()` and the non-finite input
+//!   gate answer while another thread holds the core lock.
 //!
 //! Seeded schedules: iteration counts scale with `MVI_STRESS_READS` (reads
 //! per reader thread; default 50). The defaults run 600+ oracle-checked
@@ -37,10 +39,11 @@ use deepmvi::{DeepMviConfig, DeepMviModel};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
-use mvi_serve::{EngineOptions, ImputationEngine, ServeSnapshot, ValueGuard};
+use mvi_serve::{ImputationEngine, ImputeRequest, ServeError, ServeSnapshot, ValueGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 const SERIES: usize = 6;
 const T_LEN: usize = 120;
@@ -75,15 +78,11 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn engine_with(options: EngineOptions) -> ImputationEngine {
+fn engine() -> ImputationEngine {
     let fix = fixture();
     let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
     let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    ImputationEngine::with_options(frozen, fix.obs.clone(), options).expect("engine builds")
-}
-
-fn engine() -> ImputationEngine {
-    engine_with(EngineOptions::default())
+    ImputationEngine::new(frozen, fix.obs.clone()).expect("engine builds")
 }
 
 /// Reads per reader thread (`MVI_STRESS_READS`, default 50).
@@ -312,7 +311,7 @@ fn stress_hot_spot_single_series() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: sharded == single-lock, bitwise, under sequential replay
+// Property: warm path on == warm path off, bitwise, under sequential replay
 // ---------------------------------------------------------------------------
 
 /// One recorded operation of the replay log.
@@ -356,7 +355,7 @@ fn op_log(seed: u64, n_ops: usize) -> Vec<Op> {
 #[test]
 fn sharded_replay_is_bitwise_identical_to_single_lock_engine() {
     for seed in [3u64, 17, 91] {
-        let sharded = engine();
+        let warm = engine();
         let locked = engine();
         locked.set_warm_reads(false);
         assert!(!locked.warm_reads());
@@ -364,17 +363,17 @@ fn sharded_replay_is_bitwise_identical_to_single_lock_engine() {
         for op in op_log(seed, 80) {
             match op {
                 Op::Append(s, vals) => {
-                    let a = sharded.append(s, &vals).expect("sharded append");
+                    let a = warm.append(s, &vals).expect("warm append");
                     let b = locked.append(s, &vals).expect("locked append");
                     assert_eq!(a, b, "append reports diverged (seed {seed})");
                 }
                 Op::Fill(s, start, vals) => {
-                    let a = sharded.fill_range(s, start, &vals).expect("sharded fill");
+                    let a = warm.fill_range(s, start, &vals).expect("warm fill");
                     let b = locked.fill_range(s, start, &vals).expect("locked fill");
                     assert_eq!(a, b, "fill reports diverged (seed {seed})");
                 }
                 Op::Query(s, a, b) => {
-                    let x = sharded.query_flagged(s, a, b).expect("sharded query");
+                    let x = warm.query_flagged(s, a, b).expect("warm query");
                     let y = locked.query_flagged(s, a, b).expect("locked query");
                     assert_eq!(x.degraded, y.degraded);
                     assert_eq!(x.values.len(), y.values.len());
@@ -390,13 +389,13 @@ fn sharded_replay_is_bitwise_identical_to_single_lock_engine() {
         }
         // Full-state equality: cache bitwise, stats and health identical —
         // the warm path changed *where* answers come from, never *what*.
-        let (cs, cl) = (sharded.cached_values(), locked.cached_values());
+        let (cs, cl) = (warm.cached_values(), locked.cached_values());
         assert_eq!(cs.shape(), cl.shape());
         for (a, b) in cs.data().iter().zip(cl.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "cache diverged (seed {seed})");
         }
-        assert_eq!(sharded.stats(), locked.stats(), "counter streams diverged (seed {seed})");
-        assert_eq!(sharded.health(), locked.health(), "health diverged (seed {seed})");
+        assert_eq!(warm.stats(), locked.stats(), "counter streams diverged (seed {seed})");
+        assert_eq!(warm.health(), locked.health(), "health diverged (seed {seed})");
     }
 }
 
@@ -413,12 +412,12 @@ fn panicking_evaluator_on_one_shard_does_not_stall_or_corrupt_others() {
         (0..SERIES).map(|s| eng.watermark(s).expect("fixture series")).collect();
 
     // The hook panics exactly once — armed to fire during the eager
-    // recompute of a series-0 mutation (shard A's traffic).
+    // recompute of a series-0 mutation.
     let armed = Arc::new(AtomicBool::new(true));
     let armed_hook = Arc::clone(&armed);
     eng.set_eval_hook(Some(Box::new(move |_results| {
         if armed_hook.swap(false, Ordering::SeqCst) {
-            panic!("injected shard-A evaluator panic");
+            panic!("injected series-0 evaluator panic");
         }
     })));
 
@@ -431,8 +430,8 @@ fn panicking_evaluator_on_one_shard_does_not_stall_or_corrupt_others() {
     };
     std::thread::scope(|scope| {
         let (eng, stop, served) = (&eng, &stop, &served);
-        // Readers on series 1..6 (shards B..N): warm reads that must keep
-        // succeeding before, during and after the shard-A panic.
+        // Readers on series 1..6: warm reads that must keep succeeding
+        // before, during and after the series-0 panic.
         for (i, s) in (1..SERIES).enumerate() {
             scope.spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
@@ -447,7 +446,7 @@ fn panicking_evaluator_on_one_shard_does_not_stall_or_corrupt_others() {
         // Every reader is demonstrably serving before the fault lands ...
         wait_past(&[0; SERIES - 1]);
 
-        // Shard A: the panicking mutation, caught like the batcher's
+        // Series 0: the panicking mutation, caught like the batcher's
         // supervisor would.
         let result = catch_unwind(AssertUnwindSafe(|| eng.append(0, &[1.0, 2.0, 3.0])));
         assert!(result.is_err(), "armed hook must panic through the append");
@@ -456,7 +455,7 @@ fn panicking_evaluator_on_one_shard_does_not_stall_or_corrupt_others() {
         eng.append(0, &[4.0]).expect("engine wedged after panic");
 
         // ... and every reader demonstrably serves *again* after it: a
-        // panic on shard A stalled nobody.
+        // panic on series 0 stalled nobody.
         let floor: Vec<usize> = served.iter().map(|c| c.load(Ordering::SeqCst)).collect();
         wait_past(&floor);
         stop.store(true, Ordering::SeqCst);
@@ -466,7 +465,7 @@ fn panicking_evaluator_on_one_shard_does_not_stall_or_corrupt_others() {
     assert_eq!(health.poison_recoveries, 1, "exactly one poison recovery");
     assert_eq!(health.degraded_events, 0, "a panic is not a degradation");
 
-    // Shard B..N reads are still exactly right after recovery, and the
+    // Sibling reads are still exactly right after recovery, and the
     // whole engine converges to the sequential oracle.
     eng.set_eval_hook(None);
     for s in 1..SERIES {
@@ -487,73 +486,61 @@ fn panicking_evaluator_on_one_shard_does_not_stall_or_corrupt_others() {
 
 #[test]
 fn degraded_and_quarantine_counters_stay_accurate_under_parallel_load() {
-    // Run the identical fault workload against different shard counts
-    // concurrently probed by health readers: per-shard bucketing must never
-    // lose or double a count (the aggregate is invariant under sharding),
-    // and every in-flight report must satisfy the sum invariant.
-    let mut reports = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let eng = Arc::new(engine_with(EngineOptions { retention: None, shards: Some(shards) }));
-        assert_eq!(eng.shard_count(), shards);
-        eng.warm_up();
-        eng.set_value_guard(Some(ValueGuard { abs_max: Some(100.0), max_jump: None }));
+    // The fault workload runs concurrently probed by a health reader: no
+    // count may be lost or doubled, and every in-flight report must satisfy
+    // the sum invariant.
+    let eng = Arc::new(engine());
+    eng.warm_up();
+    eng.set_value_guard(Some(ValueGuard { abs_max: Some(100.0), max_jump: None }));
 
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let (eng, stop) = (&eng, &stop);
-            let health_reader = scope.spawn(move || {
-                let mut checks = 0usize;
-                while !stop.load(Ordering::SeqCst) {
-                    let h = eng.health();
-                    assert_eq!(
-                        h.quarantined,
-                        h.quarantined_by_series.iter().sum::<u64>(),
-                        "torn health aggregate ({shards} shards)"
-                    );
-                    checks += 1;
-                }
-                checks
-            });
-            // Writers: every series gets 10 appends of [ok, spike, ok] —
-            // exactly 10 quarantined values per series.
-            let writers: Vec<_> = (0..SERIES)
-                .map(|s| {
-                    scope.spawn(move || {
-                        for _ in 0..10 {
-                            eng.append(s, &[1.0, 5000.0, 2.0]).expect("guarded append");
-                        }
-                    })
-                })
-                .collect();
-            for w in writers {
-                w.join().expect("writer panicked");
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let (eng, stop) = (&eng, &stop);
+        let health_reader = scope.spawn(move || {
+            let mut checks = 0usize;
+            while !stop.load(Ordering::SeqCst) {
+                let h = eng.health();
+                assert_eq!(
+                    h.quarantined,
+                    h.quarantined_by_series.iter().sum::<u64>(),
+                    "torn health report"
+                );
+                checks += 1;
             }
-            stop.store(true, Ordering::SeqCst);
-            assert!(health_reader.join().expect("health reader panicked") > 0);
+            checks
         });
+        // Writers: every series gets 10 appends of [ok, spike, ok] —
+        // exactly 10 quarantined values per series.
+        let writers: Vec<_> = (0..SERIES)
+            .map(|s| {
+                scope.spawn(move || {
+                    for _ in 0..10 {
+                        eng.append(s, &[1.0, 5000.0, 2.0]).expect("guarded append");
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().expect("writer panicked");
+        }
+        stop.store(true, Ordering::SeqCst);
+        assert!(health_reader.join().expect("health reader panicked") > 0);
+    });
 
-        let h = eng.health();
-        assert_eq!(h.quarantined_by_series, vec![10u64; SERIES], "{shards} shards");
-        assert_eq!(h.quarantined, 10 * SERIES as u64);
-        reports.push(h);
-    }
-    assert!(reports.windows(2).all(|w| w[0] == w[1]), "aggregate must be shard-count invariant");
+    let h = eng.health();
+    assert_eq!(h.quarantined_by_series, vec![10u64; SERIES]);
+    assert_eq!(h.quarantined, 10 * SERIES as u64);
 }
 
 #[test]
 fn shard_collisions_and_nonfinite_rejections_stay_per_series_exact() {
-    let eng = engine_with(EngineOptions { retention: None, shards: Some(2) });
-    // With 6 series over 2 shards some pair must collide; drive concurrent
-    // guarded traffic through a colliding pair and a non-colliding series.
-    let colliding: Vec<usize> =
-        (1..SERIES).filter(|&s| eng.shard_of(s) == eng.shard_of(0)).collect();
-    let other = (1..SERIES).find(|&s| eng.shard_of(s) != eng.shard_of(0));
-    assert!(!colliding.is_empty() || other.is_some());
+    // Concurrent guarded writers on three series: quarantine counts land on
+    // exactly the series that produced them, and every rejected non-finite
+    // payload is counted once, whichever series it targeted.
+    let eng = engine();
     eng.set_value_guard(Some(ValueGuard { abs_max: Some(100.0), max_jump: None }));
 
-    let mut targets = vec![0usize];
-    targets.extend(colliding.first().copied());
-    targets.extend(other);
+    let targets = [0usize, 1, 4];
     std::thread::scope(|scope| {
         let eng = &eng;
         for &s in &targets {
@@ -563,20 +550,81 @@ fn shard_collisions_and_nonfinite_rejections_stay_per_series_exact() {
                     // non-finite payload per round.
                     eng.append(s, &[0.5, 9000.0, 0.5]).expect("guarded append");
                     let err = eng.append(s, &[f64::NAN]).unwrap_err();
-                    assert!(
-                        matches!(err, mvi_serve::ServeError::NonFiniteInput { .. }),
-                        "round {k}"
-                    );
+                    assert!(matches!(err, ServeError::NonFiniteInput { .. }), "round {k}");
                 }
             });
         }
     });
     let h = eng.health();
-    for &s in &targets {
-        assert_eq!(h.quarantined_by_series[s], 8, "series {s} (shard {})", eng.shard_of(s));
+    for s in 0..SERIES {
+        let want = if targets.contains(&s) { 8 } else { 0 };
+        assert_eq!(h.quarantined_by_series[s], want, "series {s}");
     }
     assert_eq!(h.quarantined, 8 * targets.len() as u64);
     assert_eq!(h.nonfinite_input_rejections, 8 * targets.len() as u64);
+}
+
+/// Spins until the poller has completed `n` more polls.
+fn await_polls(polls: &AtomicUsize, n: usize) {
+    let floor = polls.load(Ordering::SeqCst);
+    while polls.load(Ordering::SeqCst) < floor + n {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn degrade_batch_is_atomic_to_health_readers() {
+    // One cold multi-series batch whose every forward result the hook
+    // poisons: all of its windows degrade in one recompute. A concurrent
+    // poller must see the degraded gauge and the event count either before
+    // the batch or after it, never part-way.
+    let eng = engine();
+    let polls = Arc::new(AtomicUsize::new(0));
+    let stop = AtomicBool::new(false);
+    let before = eng.health();
+    assert_eq!((before.degraded_windows, before.degraded_events), (0, 0));
+
+    let seen = std::thread::scope(|scope| {
+        let (eng, polls, stop) = (&eng, &polls, &stop);
+        let poller = scope.spawn(move || {
+            let mut seen = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                let h = eng.health();
+                seen.push((h.degraded_windows, h.degraded_events));
+                polls.fetch_add(1, Ordering::SeqCst);
+            }
+            seen
+        });
+        // The hook waits until the poller is demonstrably running before it
+        // poisons, so polling overlaps the batch's health update.
+        let hook_polls = Arc::clone(polls);
+        eng.set_eval_hook(Some(Box::new(move |results| {
+            await_polls(&hook_polls, 8);
+            for vals in results.iter_mut() {
+                vals.iter_mut().for_each(|v| *v = f64::NAN);
+            }
+        })));
+        let requests: Vec<ImputeRequest> =
+            (0..SERIES).map(|s| ImputeRequest { s, start: 0, end: T_LEN }).collect();
+        for got in eng.query_batch(&requests) {
+            assert!(got.expect("degraded answers are still answers").iter().all(|v| v.is_finite()));
+        }
+        // Keep polling a little past the batch, then stop.
+        await_polls(polls, 8);
+        stop.store(true, Ordering::SeqCst);
+        poller.join().expect("health poller panicked")
+    });
+    eng.set_eval_hook(None);
+
+    let after = eng.health();
+    // Every series carries the hidden gap, so the batch spans every series.
+    assert!(after.degraded_windows >= SERIES as u64, "{after:?}");
+    assert_eq!(after.degraded_events, after.degraded_windows, "one event per degraded window");
+    let (pre, post) = ((0, 0), (after.degraded_windows, after.degraded_events));
+    assert!(seen.contains(&pre) && seen.contains(&post), "poller never saw both sides");
+    for &reading in &seen {
+        assert!(reading == pre || reading == post, "half-applied degrade batch: {reading:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -638,12 +686,30 @@ fn warm_path_actually_serves_without_the_core_lock() {
             let got = eng.query(s, 0, T_LEN).expect("warm read blocked by a held core lock");
             assert_eq!(got.len(), T_LEN);
         }
-        assert_eq!(
-            eng.lock_wait_nanos(),
-            wait_before,
-            "warm reads must not touch (let alone wait on) the core lock"
-        );
+        // Health and the non-finite input gate stay off the core lock too.
+        // They run on a helper thread, so a regression that routes them
+        // through the core lock fails at the deadline instead of hanging.
+        let gate = scope.spawn(|| {
+            let rejected_before = eng.health().nonfinite_input_rejections;
+            let err = eng.append(1, &[f64::NAN]).expect_err("non-finite payload accepted");
+            (err, rejected_before, eng.health().nonfinite_input_rejections)
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !gate.is_finished() && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let answered = gate.is_finished();
+        let wait_after = eng.lock_wait_nanos();
         release.store(true, Ordering::SeqCst);
+        assert!(answered, "health() or the non-finite gate waited on the held core lock");
+        let (err, rejected_before, rejected_after) = gate.join().expect("gate thread panicked");
+        assert!(matches!(err, ServeError::NonFiniteInput { s: 1, offset: 0 }), "{err:?}");
+        assert_eq!(rejected_after, rejected_before + 1, "the rejection must be counted");
+        assert_eq!(
+            wait_after, wait_before,
+            "warm reads, health and the non-finite gate must not touch (let alone wait on) \
+             the core lock"
+        );
         mutator.join().expect("mutator panicked");
     });
     eng.set_eval_hook(None);

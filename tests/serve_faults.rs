@@ -382,6 +382,58 @@ fn nonfinite_forward_output_degrades_to_the_mean_baseline_and_heals() {
     assert_eq!(eng.health().degraded_windows, 0, "all degradation must heal");
 }
 
+#[test]
+fn retention_eviction_drops_evicted_degraded_windows_from_the_gauge() {
+    let fix = fixture();
+    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
+    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
+    let eng = ImputationEngine::with_retention(frozen, fix.obs.clone(), T_LEN).unwrap();
+    assert_eq!(eng.retained_start(), 0, "the fixture fits the ring");
+    let w = eng.grid().window_len();
+    const DEGRADED_WINDOWS: usize = 6;
+
+    // Degrade the oldest windows of every series with a NaN-poisoning hook.
+    eng.set_eval_hook(Some(Box::new(|results| {
+        for vals in results.iter_mut() {
+            vals.iter_mut().for_each(|v| *v = f64::NAN);
+        }
+    })));
+    for s in 0..SERIES {
+        eng.query(s, 0, DEGRADED_WINDOWS * w).unwrap();
+    }
+    eng.set_eval_hook(None);
+    // Which windows degraded (fully observed ones never run a forward pass).
+    // They are all fresh now, so these reads recompute nothing.
+    let degraded: Vec<(usize, usize)> = (0..SERIES)
+        .flat_map(|s| (0..DEGRADED_WINDOWS).map(move |j| (s, j)))
+        .filter(|&(s, j)| eng.query_flagged(s, j * w, (j + 1) * w).unwrap().degraded)
+        .collect();
+    let before = eng.health();
+    assert_eq!(before.degraded_windows, degraded.len() as u64);
+    assert!(before.degraded_windows > 0, "the poisoned reads degraded nothing");
+
+    // Stream series 1 past the ring cap, one value at a time, until the ring
+    // first evicts. The recomputes this triggers sit at the live end, far
+    // from the degraded windows, so none of them heal.
+    let mut k = 0;
+    while eng.retained_start() == 0 {
+        eng.append(1, &[0.25 + 0.001 * k as f64]).unwrap();
+        k += 1;
+    }
+    let evicted_windows = eng.retained_start() / w;
+    assert!(evicted_windows < DEGRADED_WINDOWS, "eviction must leave some degraded windows");
+    let evicted = degraded.iter().filter(|&&(_, j)| j < evicted_windows).count() as u64;
+    assert!(evicted > 0, "no degraded window was evicted");
+
+    let after = eng.health();
+    assert_eq!(
+        after.degraded_windows,
+        before.degraded_windows - evicted,
+        "the gauge must fall by exactly the evicted degraded windows"
+    );
+    assert_eq!(after.degraded_events, before.degraded_events, "eviction is not a degrade event");
+}
+
 // ---------------------------------------------------------------------------
 // Durable snapshots: fuzzing + fallback
 // ---------------------------------------------------------------------------
