@@ -120,12 +120,14 @@ pub fn analyze_source(label: &str, source: &str, passes: PassSet) -> FileReport 
 /// * `panic` runs over the serving hot-path modules (`engine`, `shard`,
 ///   `batch`, the tenancy `registry` every routed request resolves
 ///   through, and the `snapshot`/`durable` codecs a cold-tenant request
-///   decodes from disk) and the network front door's connection/frame hot path
-///   (`mvi-net`'s `frame`, `server`, `client`) — the code a request
-///   traverses, where a panic means a dropped request (or a dead
-///   connection thread) instead of a typed error.
+///   decodes from disk), the network front door's connection/frame hot path
+///   (`mvi-net`'s `frame`, `server`, `client`) and DeepMVI's `infer` module,
+///   which every cold-window request runs — the code a request traverses,
+///   where a panic means a dropped request (or a dead connection thread)
+///   instead of a typed error.
 pub fn workspace_passes(rel: &str) -> PassSet {
-    const HOT_PATH: [&str; 9] = [
+    const HOT_PATH: [&str; 10] = [
+        "crates/core/src/infer.rs",
         "crates/serve/src/engine.rs",
         "crates/serve/src/shard.rs",
         "crates/serve/src/batch.rs",

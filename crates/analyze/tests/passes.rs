@@ -149,6 +149,7 @@ fn panic_surface_quiet_on_typed_tenancy_errors() {
 #[test]
 fn workspace_scoping_pins_panic_pass_to_serve_and_net_hot_paths() {
     for rel in [
+        "crates/core/src/infer.rs",
         "crates/serve/src/engine.rs",
         "crates/serve/src/shard.rs",
         "crates/serve/src/batch.rs",

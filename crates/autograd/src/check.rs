@@ -1,9 +1,9 @@
 //! Finite-difference gradient verification.
 //!
-//! Every operator's backward closure in this crate — and every model forward pass in
-//! the downstream crates — is validated against central finite differences. This is
-//! the single most effective defence against silent training bugs in a from-scratch
-//! autodiff engine.
+//! Every operator's backward closure in this crate is validated against central
+//! finite differences, by the hand-picked cases below and the randomized
+//! compositions in `tests/property_gradients.rs`. This is the single most effective
+//! defence against silent training bugs in a from-scratch autodiff engine.
 
 use crate::graph::{Graph, VarId};
 use crate::params::ParamStore;
@@ -142,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_div_ln_sqrt() {
+    fn grad_check_div() {
         let mut store = ParamStore::new();
         let a = store.add("a", Tensor::from_slice(&[1.2, 0.8]));
         let b = store.add("b", Tensor::from_slice(&[2.0, 3.0]));
@@ -152,9 +152,8 @@ mod tests {
                 let av = g.param(store, a);
                 let bv = g.param(store, b);
                 let q = g.div(av, bv);
-                let l = g.ln_eps(q, 1e-9);
-                let r = g.sqrt_eps(l, 2.0);
-                g.sum(r)
+                let sq = g.square(q);
+                g.sum(sq)
             },
             1e-6,
             1e-5,
@@ -275,18 +274,18 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_mul_colvec_and_transpose() {
+    fn grad_check_transpose() {
         let mut store = ParamStore::new();
         let a = store.add("a", Tensor::from_vec(vec![2, 3], vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]));
-        let v = store.add("v", Tensor::from_slice(&[1.5, -0.5]));
+        let w = store.add("w", Tensor::from_vec(vec![2, 2], vec![1.5, -0.5, 0.25, 2.0]));
         check_gradients(
             &mut store,
             &mut |store, g| {
                 let av = g.param(store, a);
-                let vv = g.param(store, v);
-                let scaled = g.mul_colvec(av, vv);
-                let t = g.transpose(scaled);
-                let sq = g.square(t);
+                let wv = g.param(store, w);
+                let t = g.transpose(av);
+                let p = g.matmul(t, wv);
+                let sq = g.square(p);
                 g.sum(sq)
             },
             1e-6,

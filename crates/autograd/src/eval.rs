@@ -231,21 +231,6 @@ fn resolve<'a>(slots: &'a [Slot], pool_head: &'a [Tensor], v: EvalVar) -> &'a Te
 }
 
 impl Eval {
-    /// Creates an empty evaluator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of values produced since the last recycle.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no values have been produced since the last recycle.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Ends the current pass: invalidates all issued [`EvalVar`]s and rewinds
     /// the slot arena for reuse. Buffer capacity (and therefore the zero
     /// allocation steady state) is retained.
@@ -701,7 +686,7 @@ mod tests {
     {
         let mut g = Graph::new();
         let gv = gf(&mut g);
-        let mut e = Eval::new();
+        let mut e = Eval::default();
         let ev = ef(&mut e);
         let (gt, et) = (g.value(gv), e.value(ev));
         assert_eq!(gt.shape(), et.shape(), "shape diverged");
@@ -824,7 +809,7 @@ mod tests {
         let xg = g.constant(x.clone());
         let yg = layer.forward(&mut g, &store, xg);
 
-        let mut e = Eval::new();
+        let mut e = Eval::default();
         let xe = e.input(x.shape(), |t| t.data_mut().copy_from_slice(x.data()));
         let ye = layer.forward(&mut e, &store, xe);
 
@@ -839,7 +824,7 @@ mod tests {
 
     #[test]
     fn recycle_reaches_a_zero_allocation_steady_state() {
-        let mut e = Eval::new();
+        let mut e = Eval::default();
         for pass in 0..3 {
             e.recycle();
             let a = e.input(&[4, 4], |t| t.data_mut().iter_mut().for_each(|x| *x = 1.5));

@@ -61,16 +61,6 @@ impl Graph {
         Self::default()
     }
 
-    /// Number of nodes recorded so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no nodes have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Clears the tape for reuse, keeping the node and binding vectors'
     /// capacity. Inference paths that evaluate many small forward passes
     /// (one per window task) recycle one `Graph` instead of reallocating the
@@ -129,7 +119,7 @@ impl Graph {
     }
 
     /// Shape of a node's value.
-    pub fn shape(&self, id: VarId) -> &[usize] {
+    pub(crate) fn shape(&self, id: VarId) -> &[usize] {
         self.nodes[id].value.get().shape()
     }
 
@@ -228,37 +218,6 @@ impl Graph {
         self.add_rowvec(a, nv)
     }
 
-    /// Scales each row `i` of `a[m,n]` by `v[i]`.
-    pub fn mul_colvec(&mut self, a: VarId, v: VarId) -> VarId {
-        let (m, n) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
-        assert_eq!(self.nodes[v].value.get().shape(), &[m], "mul_colvec dim mismatch");
-        let mut out = self.nodes[a].value.get().clone();
-        for i in 0..m {
-            let vi = self.nodes[v].value.get().at(i);
-            for o in out.row_mut(i) {
-                *o *= vi;
-            }
-        }
-        self.push(
-            out,
-            vec![a, v],
-            Some(Box::new(move |g, p| {
-                let mut da = g.clone();
-                let mut dv = vec![0.0; m];
-                for i in 0..m {
-                    let vi = p[1].at(i);
-                    let arow = p[0].row(i);
-                    for (j, d) in da.row_mut(i).iter_mut().enumerate() {
-                        dv[i] += *d * arow[j];
-                        *d *= vi;
-                    }
-                }
-                let _ = n;
-                vec![da, Tensor::from_vec(vec![m], dv)]
-            })),
-        )
-    }
-
     // ==================================================================
     // Linear algebra
     // ==================================================================
@@ -340,31 +299,10 @@ impl Graph {
         self.push(v, vec![a], Some(Box::new(move |g, _| vec![g.zip_map(&saved, |gi, ei| gi * ei)])))
     }
 
-    /// `ln(x + eps)` — epsilon keeps the log finite at zero.
-    pub fn ln_eps(&mut self, a: VarId, eps: f64) -> VarId {
-        let v = self.nodes[a].value.get().map(|x| (x + eps).ln());
-        self.push(
-            v,
-            vec![a],
-            Some(Box::new(move |g, p| vec![g.zip_map(p[0], |gi, xi| gi / (xi + eps))])),
-        )
-    }
-
     /// Elementwise square.
     pub fn square(&mut self, a: VarId) -> VarId {
         let v = self.nodes[a].value.get().map(|x| x * x);
         self.push(v, vec![a], Some(Box::new(|g, p| vec![g.zip_map(p[0], |gi, xi| 2.0 * gi * xi)])))
-    }
-
-    /// `sqrt(x + eps)`.
-    pub fn sqrt_eps(&mut self, a: VarId, eps: f64) -> VarId {
-        let v = self.nodes[a].value.get().map(|x| (x + eps).sqrt());
-        let saved = v.clone();
-        self.push(
-            v,
-            vec![a],
-            Some(Box::new(move |g, _| vec![g.zip_map(&saved, |gi, si| gi / (2.0 * si))])),
-        )
     }
 
     // ==================================================================

@@ -36,6 +36,6 @@ pub(crate) mod vops;
 pub use check::check_gradients;
 pub use eval::{Eval, EvalVar, Evaluator};
 pub use graph::{Graph, VarId};
-pub use nn::{fill_positional_encoding, glorot, positional_encoding, randn};
+pub use nn::{fill_positional_encoding, positional_encoding, randn};
 pub use nn::{Embedding, GruCell, Linear};
 pub use params::{AdamConfig, ParamId, ParamStore, Restore};

@@ -19,7 +19,7 @@ pub fn randn(rng: &mut impl Rng) -> f64 {
 }
 
 /// Glorot/Xavier-normal initialization for a `[fan_in, fan_out]` weight matrix.
-pub fn glorot(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Tensor {
+pub(crate) fn glorot(rng: &mut impl Rng, fan_in: usize, fan_out: usize) -> Tensor {
     let std = (2.0 / (fan_in + fan_out) as f64).sqrt();
     Tensor::from_fn(&[fan_in, fan_out], |_| randn(rng) * std)
 }
@@ -89,7 +89,7 @@ impl Linear {
     /// from `source` instead of drawn.
     ///
     /// # Errors
-    /// Propagates a name/shape mismatch from [`Restore::add`].
+    /// `source` has run out, or its next tensor has another name or shape.
     pub fn restored(
         store: &mut ParamStore,
         source: &mut Restore,
@@ -156,7 +156,7 @@ impl Embedding {
     /// drawn.
     ///
     /// # Errors
-    /// Propagates a name/shape mismatch from [`Restore::add`].
+    /// `source` has run out, or its next tensor has another name or shape.
     pub fn restored(
         store: &mut ParamStore,
         source: &mut Restore,

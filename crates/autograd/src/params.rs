@@ -70,16 +70,6 @@ impl ParamStore {
         id
     }
 
-    /// Number of registered parameters (tensors, not scalars).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no parameters are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Total number of trainable scalars.
     pub fn num_scalars(&self) -> usize {
         self.entries.iter().map(|e| e.value.len()).sum()
@@ -98,7 +88,7 @@ impl ParamStore {
     /// Shared handle to a parameter value — what forward passes bind instead
     /// of cloning the tensor (see [`crate::Graph::param`] and the value-only
     /// evaluator in [`crate::eval`]).
-    pub fn value_arc(&self, id: ParamId) -> &Arc<Tensor> {
+    pub(crate) fn value_arc(&self, id: ParamId) -> &Arc<Tensor> {
         &self.entries[id.0].value
     }
 
@@ -106,11 +96,6 @@ impl ParamStore {
     /// Copy-on-write: in-place unless a forward pass still shares the value.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
         Arc::make_mut(&mut self.entries[id.0].value)
-    }
-
-    /// Current accumulated gradient of a parameter.
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.entries[id.0].grad
     }
 
     /// All parameter ids, in registration order.
@@ -126,14 +111,14 @@ impl ParamStore {
     }
 
     /// Zeroes all accumulated gradients.
-    pub fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         for e in &mut self.entries {
             e.grad.map_inplace(|_| 0.0);
         }
     }
 
     /// Global L2 norm of the accumulated gradients.
-    pub fn grad_norm(&self) -> f64 {
+    pub(crate) fn grad_norm(&self) -> f64 {
         self.entries
             .iter()
             .map(|e| e.grad.data().iter().map(|&x| x * x).sum::<f64>())
@@ -170,17 +155,6 @@ impl ParamStore {
                 let mhat = mdata[i] / bias1;
                 let vhat = vdata[i] / bias2;
                 value[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
-            }
-        }
-        self.zero_grads();
-    }
-
-    /// Plain SGD step (used by a few tests for analytic comparisons).
-    pub fn sgd_step(&mut self, lr: f64, scale: f64) {
-        for e in &mut self.entries {
-            let gdata = e.grad.data().to_vec();
-            for (v, g) in Arc::make_mut(&mut e.value).data_mut().iter_mut().zip(gdata) {
-                *v -= lr * g * scale;
             }
         }
         self.zero_grads();
@@ -278,7 +252,7 @@ impl Restore {
     ///
     /// # Errors
     /// The snapshot has run out, or its next tensor has another name or shape.
-    pub fn add(
+    pub(crate) fn add(
         &mut self,
         store: &mut ParamStore,
         name: String,
@@ -331,21 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_matches_analytic_gradient_step() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::scalar(2.0));
-        let mut g = Graph::new();
-        let wv = g.param(&store, w);
-        let sq = g.square(wv);
-        let loss = g.mean(sq);
-        let grads = g.backward(loss);
-        store.accumulate(g.param_grads(&grads));
-        store.sgd_step(0.25, 1.0);
-        // d(w^2)/dw = 4 at w=2; w' = 2 - 0.25*4 = 1.
-        assert!((store.value(w).at(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn accumulate_sums_multiple_contributions() {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::from_slice(&[1.0, 2.0]));
@@ -353,9 +312,9 @@ mod tests {
             (w, Tensor::from_slice(&[1.0, 1.0])),
             (w, Tensor::from_slice(&[0.5, -1.0])),
         ]);
-        assert_eq!(store.grad(w).data(), &[1.5, 0.0]);
+        assert_eq!(store.entries[w.0].grad.data(), &[1.5, 0.0]);
         store.zero_grads();
-        assert_eq!(store.grad(w).data(), &[0.0, 0.0]);
+        assert_eq!(store.entries[w.0].grad.data(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -422,6 +381,6 @@ mod tests {
         store.add("a", Tensor::zeros(&[3, 4]));
         store.add("b", Tensor::zeros(&[5]));
         assert_eq!(store.num_scalars(), 17);
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.ids().len(), 2);
     }
 }

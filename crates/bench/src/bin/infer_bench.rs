@@ -14,16 +14,13 @@
 //! The two arms are **bitwise identical** in output (asserted here and
 //! property-tested in `tests/eval_equivalence.rs`); the artifact's headline
 //! `cold_window_speedup_vs_tape` is eval-to-tape window throughput, floor 3×.
-//! A second scenario measures the `(series, window)` grouping in
-//! `predict_batch`: a batch with 4× duplicated window queries versus the
-//! same batch evaluated query-by-query.
 //!
 //! ```text
 //! cargo run -p mvi-bench --release --bin infer_bench -- \
 //!     [--threads=N] [--passes=N] [--out=PATH] [--quick]
 //! ```
 
-use deepmvi::{DeepMviConfig, DeepMviModel, InferScratch, TapeScratch, WindowQuery};
+use deepmvi::{DeepMviConfig, DeepMviModel, InferScratch, TapeScratch};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
 use std::fmt::Write as _;
@@ -163,35 +160,6 @@ fn main() {
             headline_speedup = speedup;
         }
 
-        // Grouping scenario: every query duplicated 4x (overlapping request
-        // shapes), grouped batch vs per-query evaluation of the same batch.
-        let dup = 4usize;
-        let batch: Vec<WindowQuery> =
-            queries.iter().flat_map(|q| std::iter::repeat_with(|| q.clone()).take(dup)).collect();
-        let group_passes = passes.div_ceil(4).max(1);
-        let t0 = Instant::now();
-        for _ in 0..group_passes {
-            for q in &batch {
-                out.clear();
-                model.predict_window_into(&mut eval, &obs, q, &mut out);
-                std::hint::black_box(out.last());
-            }
-        }
-        let ungrouped_secs = t0.elapsed().as_secs_f64();
-        // One worker on the grouped arm too: both arms are serial, so the
-        // ratio isolates window grouping from thread fan-out.
-        let t0 = Instant::now();
-        for _ in 0..group_passes {
-            std::hint::black_box(model.predict_batch(&obs, &batch, 1));
-        }
-        let grouped_secs = t0.elapsed().as_secs_f64();
-        let group_speedup = ungrouped_secs / grouped_secs;
-        eprintln!(
-            "  grouped predict_batch over {dup}x duplicated windows: {:.3}s vs {:.3}s ungrouped \
-             = {group_speedup:.2}x",
-            grouped_secs, ungrouped_secs
-        );
-
         let mut sj = String::new();
         let _ = writeln!(sj, "    {{\"scale\": \"{scale_name}\",");
         let _ = writeln!(
@@ -219,12 +187,6 @@ fn main() {
             sj.push_str(if i == 1 { "\n" } else { ",\n" });
         }
         let _ = writeln!(sj, "     ],");
-        let _ = writeln!(
-            sj,
-            "     \"grouped_batch\": {{\"duplicates\": {dup}, \"ungrouped_secs\": \
-             {ungrouped_secs:.6}, \"grouped_secs\": {grouped_secs:.6}, \"speedup\": \
-             {group_speedup:.3}}},"
-        );
         let _ = write!(sj, "     \"cold_window_speedup_vs_tape\": {speedup:.3}}}");
         scale_jsons.push(sj);
     }

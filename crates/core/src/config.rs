@@ -112,7 +112,7 @@ impl DeepMviConfig {
     }
 
     /// Resolves the window size per §4.3 given the mean missing-block length.
-    pub fn resolve_window(&self, mean_block_len: f64) -> usize {
+    pub(crate) fn resolve_window(&self, mean_block_len: f64) -> usize {
         self.window.unwrap_or(if mean_block_len > 100.0 { 20 } else { 10 })
     }
 }

@@ -18,16 +18,14 @@
 //! * [`FrozenModel`] — a trained [`DeepMviModel`] sealed for inference: built
 //!   by [`DeepMviModel::freeze`] or rehydrated from an exported parameter
 //!   snapshot with [`FrozenModel::from_snapshot`], shared read-only across
-//!   worker threads ([`FrozenModel::predict_batch`] fans queries out over
-//!   `mvi-parallel`).
+//!   worker threads through [`FrozenModel::model`].
 //!
 //! [`DeepMviModel::impute`] itself routes through this module, so batch
-//! imputation and online serving exercise the same forward path.
-//! [`DeepMviModel::predict_batch`] additionally **groups** queries by
-//! `(series, window)`: duplicate window requests inside one batch share a
-//! single forward pass (the attention context is computed once per window per
-//! batch), and per-position predictions are independent, so grouping never
-//! changes a result bit.
+//! imputation and online serving exercise the same forward path:
+//! [`DeepMviModel::predict_batch`] runs one forward pass per query, fanned out
+//! over `mvi-parallel`. Callers hand it at most one query per
+//! `(series, window)`: [`DeepMviModel::missing_queries`] emits one per window,
+//! and the serving engine deduplicates its batches before evaluating them.
 
 use crate::config::DeepMviConfig;
 use crate::model::{DeepMviModel, ForwardScratch, WindowTask};
@@ -36,8 +34,6 @@ use mvi_autograd::{Eval, EvalVar, Evaluator, Graph, VarId};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::windows::WindowGrid;
 use mvi_tensor::Tensor;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// One inference work item: predict the given `positions` (all inside window
 /// `window_j`) of series `s`. Positions are time indices into the dataset the
@@ -71,12 +67,6 @@ pub struct WindowQuery {
 pub struct InferScratch {
     ev: Eval,
     fs: ForwardScratch<EvalVar>,
-    /// Reusable `(series, window)` duplicate detector for
-    /// [`DeepMviModel::predict_batch_with`]: the engine's steady-state
-    /// batches are pre-deduplicated, and probing them must not allocate.
-    keys: std::collections::HashMap<(usize, usize), usize>,
-    /// Window forward passes executed through this scratch (monotonic).
-    passes: u64,
 }
 
 impl InferScratch {
@@ -84,18 +74,10 @@ impl InferScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// How many window forward passes this scratch has executed — the
-    /// evaluator-level counter behind zero-recompute assertions (e.g. a
-    /// warm-restarted serving engine must answer cached queries without
-    /// moving it). Parallel batch paths warm one scratch per worker, so for
-    /// cross-thread totals prefer the serving engine's
-    /// `windows_computed` statistic; this counter is exact for the serial
-    /// paths that share one scratch.
-    pub fn forward_passes(&self) -> u64 {
-        self.passes
-    }
 }
+
+/// How many warm scratches a [`ScratchPool`] keeps resident.
+const POOL_CAP: usize = 4;
 
 /// A small checkout pool of [`InferScratch`] buffers for callers whose
 /// forward passes are *not* serialized by one long-lived owner — e.g. a
@@ -104,23 +86,17 @@ impl InferScratch {
 /// warms a fresh one) and must not be welded to the engine's state lock.
 ///
 /// `take` pops a warm scratch (or creates an empty one when the pool is
-/// dry); `put` returns it for reuse, keeping at most `cap` resident so a
-/// burst of concurrent checkouts cannot pin memory forever.
+/// dry); `put` returns it for reuse, keeping at most 4 resident so a burst
+/// of concurrent checkouts cannot pin memory forever.
+#[derive(Default)]
 pub struct ScratchPool {
     pool: std::sync::Mutex<Vec<InferScratch>>,
-    cap: usize,
 }
 
 impl ScratchPool {
-    /// A pool keeping up to 4 warm scratches resident.
+    /// An empty pool.
     pub fn new() -> Self {
-        Self::with_capacity(4)
-    }
-
-    /// A pool keeping up to `cap` warm scratches resident (`cap = 0` never
-    /// retains anything — every checkout is cold).
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { pool: std::sync::Mutex::new(Vec::new()), cap }
+        Self::default()
     }
 
     /// Checks out a scratch: warm if one is pooled, freshly created
@@ -134,23 +110,12 @@ impl ScratchPool {
     }
 
     /// Returns a scratch for reuse. Dropped instead when the pool already
-    /// holds its configured capacity.
+    /// holds its capacity.
     pub fn put(&self, scratch: InferScratch) {
         let mut pool = self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if pool.len() < self.cap {
+        if pool.len() < POOL_CAP {
             pool.push(scratch);
         }
-    }
-
-    /// How many warm scratches are currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-}
-
-impl Default for ScratchPool {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -195,7 +160,6 @@ impl DeepMviModel {
         out: &mut Vec<f64>,
     ) {
         scratch.ev.recycle();
-        scratch.passes += 1;
         let task = WindowTask {
             obs,
             s: query.s,
@@ -210,7 +174,7 @@ impl DeepMviModel {
     /// Value-only forward pass for one query. Returns one prediction per
     /// query position (see [`DeepMviModel::predict_window_into`] for the
     /// allocation-free form).
-    pub fn predict_window(
+    pub(crate) fn predict_window(
         &self,
         scratch: &mut InferScratch,
         obs: &ObservedDataset,
@@ -242,97 +206,13 @@ impl DeepMviModel {
         scratch.fs.preds.iter().map(|&p| scratch.g.value(p).at(0)).collect()
     }
 
-    /// Evaluates a batch of queries data-parallel over `threads` workers (each
-    /// worker owns one [`InferScratch`]; the parameter store is shared read
-    /// only). Results are returned in query order regardless of thread count,
-    /// so the output is deterministic for a fixed model and input.
-    ///
-    /// Queries are first **grouped by `(series, window)`**: when a batch
-    /// carries several queries into the same window, the window's forward
-    /// pass (attention context included) runs once over the union of their
-    /// positions and the per-query results are sliced back out. Per-position
-    /// predictions are mutually independent given the window context, so the
-    /// grouped results are bitwise identical to evaluating each query alone.
+    /// Evaluates a batch of queries, one forward pass each: serial on the
+    /// caller's `scratch`, or data-parallel over `threads` workers that each
+    /// warm their own [`InferScratch`] (the spawn already dwarfs that cost;
+    /// the parameter store is shared read only). Results are returned in
+    /// query order regardless of thread count, so the output is deterministic
+    /// for a fixed model and input.
     pub fn predict_batch(
-        &self,
-        obs: &ObservedDataset,
-        queries: &[WindowQuery],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        self.predict_batch_with(&mut InferScratch::new(), obs, queries, threads)
-    }
-
-    /// [`DeepMviModel::predict_batch`] reusing a caller-held scratch for the
-    /// serial path (parallel chunks still warm one scratch per worker; the
-    /// spawn already dwarfs that cost). The serving engine holds one scratch
-    /// for its whole lifetime, so per-append micro-batches run allocation-lean.
-    pub fn predict_batch_with(
-        &self,
-        scratch: &mut InferScratch,
-        obs: &ObservedDataset,
-        queries: &[WindowQuery],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        // Fast path: probe for duplicate (series, window) keys with the
-        // scratch's reusable map. The engine's steady-state batches are
-        // deduplicated upstream, so the common case builds no grouping
-        // structures (and, with a warm map, allocates nothing).
-        scratch.keys.clear();
-        let mut duplicates = false;
-        for (qi, q) in queries.iter().enumerate() {
-            if scratch.keys.insert((q.s, q.window_j), qi).is_some() {
-                duplicates = true;
-                break;
-            }
-        }
-        if !duplicates {
-            return self.predict_queries(scratch, obs, queries, threads);
-        }
-
-        // Group by (series, window), preserving first-occurrence order.
-        let mut key_to_group: HashMap<(usize, usize), usize> =
-            HashMap::with_capacity(queries.len());
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            match key_to_group.entry((q.s, q.window_j)) {
-                Entry::Occupied(e) => groups[*e.get()].push(qi),
-                Entry::Vacant(e) => {
-                    e.insert(groups.len());
-                    groups.push(vec![qi]);
-                }
-            }
-        }
-        let merged: Vec<WindowQuery> = groups
-            .iter()
-            .map(|g| {
-                let first = &queries[g[0]];
-                if g.len() == 1 {
-                    return first.clone();
-                }
-                let mut positions: Vec<usize> =
-                    g.iter().flat_map(|&qi| queries[qi].positions.iter().copied()).collect();
-                positions.sort_unstable();
-                positions.dedup();
-                WindowQuery { s: first.s, window_j: first.window_j, positions }
-            })
-            .collect();
-        let merged_results = self.predict_queries(scratch, obs, &merged, threads);
-        let mut out: Vec<Vec<f64>> =
-            queries.iter().map(|q| Vec::with_capacity(q.positions.len())).collect();
-        for (group, (mq, mr)) in groups.iter().zip(merged.iter().zip(&merged_results)) {
-            for &qi in group {
-                for &t in &queries[qi].positions {
-                    let idx = mq.positions.binary_search(&t).expect("merged positions cover query");
-                    out[qi].push(mr[idx]);
-                }
-            }
-        }
-        out
-    }
-
-    /// Evaluates each query exactly once (no grouping), serial on the given
-    /// scratch or fanned out over `threads` workers.
-    fn predict_queries(
         &self,
         scratch: &mut InferScratch,
         obs: &ObservedDataset,
@@ -352,53 +232,32 @@ impl DeepMviModel {
         .collect()
     }
 
-    /// Enumerates the missing entries of `obs` as window queries, every series.
+    /// Enumerates the missing entries of `obs` as window queries, every
+    /// series: one query per window holding missing entries, carrying all of
+    /// that window's missing positions in ascending order.
     ///
     /// `obs` may be longer than the trained series length: the grid follows
     /// the dataset's live length, and windows past the trained range are
     /// evaluated with the rolling trained-length horizon (see
     /// [`DeepMviModel::t_len`]).
     pub fn missing_queries(&self, obs: &ObservedDataset) -> Vec<WindowQuery> {
-        let mut out = Vec::new();
-        for s in 0..obs.n_series() {
-            self.missing_queries_in(obs, s, 0, obs.t_len(), &mut out);
-        }
-        out
-    }
-
-    /// Appends the window queries covering the missing entries of series `s`
-    /// inside `[start, end)` to `out`. One query per (missing run × window)
-    /// intersection, ascending. Windows are indexed on the grid of `obs`'s
-    /// live length, which may extend past the trained range.
-    pub fn missing_queries_in(
-        &self,
-        obs: &ObservedDataset,
-        s: usize,
-        start: usize,
-        end: usize,
-        out: &mut Vec<WindowQuery>,
-    ) {
         let grid = WindowGrid::new(self.w, obs.t_len());
-        let base = out.len();
-        for (run_start, run_len) in obs.available.gap_runs_in(s, start, end) {
-            let run_end = run_start + run_len;
-            for wj in grid.windows_overlapping(run_start, run_end) {
-                let (lo, hi) = grid.bounds(wj);
-                let positions: Vec<usize> = (lo.max(run_start)..hi.min(run_end)).collect();
-                debug_assert!(!positions.is_empty());
-                // Merge with a preceding query of *this call* for the same
-                // window (two missing runs can cross one window). Entries the
-                // caller accumulated earlier are already finalized — merging
-                // into them would duplicate positions across calls.
-                let merge = out.len() > base
-                    && out.last().is_some_and(|prev| prev.s == s && prev.window_j == wj);
-                if merge {
-                    out.last_mut().expect("non-empty").positions.extend(positions);
-                } else {
-                    out.push(WindowQuery { s, window_j: wj, positions });
+        let mut out: Vec<WindowQuery> = Vec::new();
+        for s in 0..obs.n_series() {
+            for (run_start, run_len) in obs.available.gap_runs_in(s, 0, obs.t_len()) {
+                let run_end = run_start + run_len;
+                for wj in grid.windows_overlapping(run_start, run_end) {
+                    let (lo, hi) = grid.bounds(wj);
+                    let span = lo.max(run_start)..hi.min(run_end);
+                    // Two missing runs can cross one window: extend its query.
+                    match out.last_mut() {
+                        Some(q) if (q.s, q.window_j) == (s, wj) => q.positions.extend(span),
+                        _ => out.push(WindowQuery { s, window_j: wj, positions: span.collect() }),
+                    }
                 }
             }
         }
+        out
     }
 
     /// Imputes every missing entry of `obs`, fanning the window queries out
@@ -406,7 +265,7 @@ impl DeepMviModel {
     /// [`DeepMviModel::impute`].
     pub(crate) fn impute_batch(&self, obs: &ObservedDataset) -> Tensor {
         let queries = self.missing_queries(obs);
-        let results = self.predict_batch(obs, &queries, self.cfg.threads);
+        let results = self.predict_batch(&mut InferScratch::new(), obs, &queries, self.cfg.threads);
         let mut out = obs.values.clone();
         let t_len = obs.t_len();
         for (q, vals) in queries.iter().zip(&results) {
@@ -474,21 +333,16 @@ impl FrozenModel {
         &self.model
     }
 
-    /// Model configuration.
-    pub fn config(&self) -> &DeepMviConfig {
-        &self.model.cfg
-    }
-
     /// The window grid the model computes over.
     pub fn grid(&self) -> WindowGrid {
         self.model.grid()
     }
 
-    /// Series length the model was trained for. Inference (every predict/
-    /// impute method here) also accepts datasets *longer* than this: windows
-    /// past the trained range roll the trained temporal context forward
-    /// instead of erroring, which is what lets the serving engine grow series
-    /// under live appends.
+    /// Series length the model was trained for. Inference (`impute` here and
+    /// the wrapped model's predict methods) also accepts datasets *longer*
+    /// than this: windows past the trained range roll the trained temporal
+    /// context forward instead of erroring, which is what lets the serving
+    /// engine grow series under live appends.
     pub fn t_len(&self) -> usize {
         self.model.t_len
     }
@@ -496,67 +350,6 @@ impl FrozenModel {
     /// Shape of the non-time axes the model was built for.
     pub fn series_shape(&self) -> &[usize] {
         &self.model.series_shape
-    }
-
-    /// Trained shared imputation std-dev, if available.
-    pub fn shared_std(&self) -> Option<f64> {
-        self.model.shared_std()
-    }
-
-    /// Value-only forward pass for one query (see
-    /// [`DeepMviModel::predict_window`]).
-    pub fn predict_window(
-        &self,
-        scratch: &mut InferScratch,
-        obs: &ObservedDataset,
-        query: &WindowQuery,
-    ) -> Vec<f64> {
-        self.model.predict_window(scratch, obs, query)
-    }
-
-    /// Allocation-free forward pass into a caller buffer (see
-    /// [`DeepMviModel::predict_window_into`]).
-    pub fn predict_window_into(
-        &self,
-        scratch: &mut InferScratch,
-        obs: &ObservedDataset,
-        query: &WindowQuery,
-        out: &mut Vec<f64>,
-    ) {
-        self.model.predict_window_into(scratch, obs, query, out);
-    }
-
-    /// The tape-backed reference forward pass (see
-    /// [`DeepMviModel::predict_window_tape`]).
-    pub fn predict_window_tape(
-        &self,
-        scratch: &mut TapeScratch,
-        obs: &ObservedDataset,
-        query: &WindowQuery,
-    ) -> Vec<f64> {
-        self.model.predict_window_tape(scratch, obs, query)
-    }
-
-    /// Parallel batch evaluation (see [`DeepMviModel::predict_batch`]).
-    pub fn predict_batch(
-        &self,
-        obs: &ObservedDataset,
-        queries: &[WindowQuery],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        self.model.predict_batch(obs, queries, threads)
-    }
-
-    /// Batch evaluation reusing a caller-held scratch (see
-    /// [`DeepMviModel::predict_batch_with`]).
-    pub fn predict_batch_with(
-        &self,
-        scratch: &mut InferScratch,
-        obs: &ObservedDataset,
-        queries: &[WindowQuery],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        self.model.predict_batch_with(scratch, obs, queries, threads)
     }
 
     /// Full batch imputation with the frozen weights (identical to
@@ -588,7 +381,9 @@ mod tests {
         let queries = model.missing_queries(&obs);
         let w = model.window();
         let mut seen = std::collections::HashSet::new();
+        let mut windows = std::collections::HashSet::new();
         for q in &queries {
+            assert!(windows.insert((q.s, q.window_j)), "two queries for one window");
             for &t in &q.positions {
                 assert_eq!(t / w, q.window_j, "position outside its window");
                 assert!(!obs.available.series(q.s)[t], "query covers an observed entry");
@@ -603,17 +398,14 @@ mod tests {
     fn predict_batch_matches_sequential_and_is_thread_invariant() {
         let (obs, model) = trained();
         let queries = model.missing_queries(&obs);
-        let seq = model.predict_batch(&obs, &queries, 1);
-        let par = model.predict_batch(&obs, &queries, 4);
+        let seq = model.predict_batch(&mut InferScratch::new(), &obs, &queries, 1);
+        let par = model.predict_batch(&mut InferScratch::new(), &obs, &queries, 4);
         assert_eq!(seq, par, "thread count changed inference results");
-        // Scratch reuse does not leak state between queries, and the
-        // forward-pass counter accounts for exactly one pass per query.
+        // Scratch reuse does not leak state between queries.
         let mut scratch = InferScratch::new();
-        assert_eq!(scratch.forward_passes(), 0);
         for (q, expect) in queries.iter().zip(&seq) {
             assert_eq!(&model.predict_window(&mut scratch, &obs, q), expect);
         }
-        assert_eq!(scratch.forward_passes(), queries.len() as u64);
     }
 
     #[test]
@@ -625,46 +417,40 @@ mod tests {
         let std = model.shared_std();
         let frozen = FrozenModel::from_snapshot(&cfg, &obs, snap, std).unwrap();
         assert_eq!(frozen.impute(&obs), expected);
-        assert_eq!(frozen.shared_std(), std);
+        assert_eq!(frozen.model().shared_std(), std);
         assert_eq!(frozen.grid().window_len(), cfg.resolve_window(10.0));
     }
 
     #[test]
-    fn accumulating_overlapping_ranges_never_duplicates_positions_within_a_query() {
+    fn missing_runs_crossing_one_window_share_one_query() {
         use mvi_data::dataset::{Dataset, DimSpec};
         use mvi_tensor::{Mask, Tensor};
-        // One series, w = 10, missing runs [5, 25) and [35, 38): window 2
-        // (t 20..30) holds missing entries visible from both call ranges.
+        // One series, w = 10, missing runs [5, 25), [27, 29) and [35, 38):
+        // window 2 (t 20..30) holds entries of the first two runs.
         let ds = Dataset::new(
-            "overlap",
+            "runs",
             vec![DimSpec::indexed("series", "s", 1)],
             Tensor::from_fn(&[1, 60], |idx| (idx[1] as f64 / 6.0).sin()),
         );
         let mut missing = Mask::falses(&[1, 60]);
         missing.set_range(0, 5, 25, true);
+        missing.set_range(0, 27, 29, true);
         missing.set_range(0, 35, 38, true);
         let obs = ds.with_missing(missing).observed();
         let model = DeepMviModel::new(&DeepMviConfig::tiny(), &obs);
         assert_eq!(model.window(), 10);
 
-        // Two overlapping calls for the same series into one accumulator, as
-        // the serving engine issues them for one micro-batch: the second call
-        // must start fresh queries, not extend the first call's last one.
-        let mut out = Vec::new();
-        model.missing_queries_in(&obs, 0, 0, 30, &mut out);
-        assert_eq!(out.last().map(|q| q.window_j), Some(2), "first call must end on window 2");
-        model.missing_queries_in(&obs, 0, 20, 60, &mut out);
-        for q in &out {
-            let mut positions = q.positions.clone();
-            positions.dedup();
-            assert_eq!(positions, q.positions, "window {} accumulated duplicates", q.window_j);
-            assert!(positions.windows(2).all(|w| w[0] < w[1]), "positions not ascending");
-        }
-        // Window 2's missing positions appear once per call — cross-call
-        // dedup is the caller's job — but never merged into one query.
-        let win2: Vec<_> = out.iter().filter(|q| q.window_j == 2).collect();
-        assert_eq!(win2.len(), 2);
-        assert_eq!(win2[0].positions, win2[1].positions);
+        let queries = model.missing_queries(&obs);
+        let windows: Vec<_> = queries.iter().map(|q| (q.window_j, q.positions.clone())).collect();
+        assert_eq!(
+            windows,
+            vec![
+                (0, (5..10).collect()),
+                (1, (10..20).collect()),
+                (2, (20..25).chain(27..29).collect()),
+                (3, (35..38).collect()),
+            ]
+        );
     }
 
     #[test]
@@ -713,21 +499,9 @@ mod tests {
         // Thread-count invariance holds for grown windows too.
         let grown_queries = model.missing_queries(&grown);
         assert_eq!(
-            model.predict_batch(&grown, &grown_queries, 1),
-            model.predict_batch(&grown, &grown_queries, 4),
+            model.predict_batch(&mut InferScratch::new(), &grown, &grown_queries, 1),
+            model.predict_batch(&mut InferScratch::new(), &grown, &grown_queries, 4),
             "thread count changed rolled-inference results"
         );
-    }
-
-    #[test]
-    fn tail_queries_restrict_to_the_range() {
-        let (obs, model) = trained();
-        let mut tail = Vec::new();
-        let t = obs.t_len();
-        model.missing_queries_in(&obs, 1, t / 2, t, &mut tail);
-        for q in &tail {
-            assert_eq!(q.s, 1);
-            assert!(q.positions.iter().all(|&p| p >= t / 2 && p < t));
-        }
     }
 }

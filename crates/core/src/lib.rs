@@ -30,13 +30,11 @@ pub mod infer;
 pub mod model;
 pub mod sampling;
 pub mod train;
-pub mod tune;
 
 pub use config::{DeepMviConfig, KernelMode};
 pub use infer::{FrozenModel, InferScratch, ScratchPool, TapeScratch, WindowQuery};
 pub use model::DeepMviModel;
 pub use train::TrainReport;
-pub use tune::{grid_search, TuneReport};
 
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::imputer::Imputer;

@@ -346,22 +346,12 @@ impl DeepMviModel {
     /// NaN, so serving layers check this **up front** — at
     /// [`crate::FrozenModel::from_snapshot`] and at engine construction —
     /// rather than discovering it one poisoned prediction at a time.
-    pub fn first_non_finite_param(&self) -> Option<String> {
+    pub(crate) fn first_non_finite_param(&self) -> Option<String> {
         self.store
             .ids()
             .into_iter()
             .find(|&id| !self.store.value(id).all_finite())
             .map(|id| self.store.name(id).to_string())
-    }
-
-    /// Kernel similarity `K(a, b) = exp(-γ‖E[a] − E[b]‖²)` between two members of
-    /// dimension `dim` under the current embeddings (Eq 17) — the model's learned
-    /// notion of relatedness, useful for inspection and tests.
-    pub fn kernel_similarity(&self, dim: usize, a: usize, b: usize) -> f64 {
-        let Some(kr) = &self.kr else { return 0.0 };
-        let table = self.store.value(kr.tables[dim].table);
-        let d2: f64 = table.row(a).iter().zip(table.row(b)).map(|(&x, &y)| (x - y) * (x - y)).sum();
-        (-kr.gamma * d2).exp()
     }
 
     /// Resolved window size `w`.

@@ -27,7 +27,6 @@ pub struct BlockShape {
 #[derive(Clone, Debug)]
 pub struct BlockSampler {
     shapes: Vec<BlockShape>,
-    n_dims: usize,
 }
 
 impl BlockSampler {
@@ -68,7 +67,7 @@ impl BlockSampler {
         if shapes.is_empty() {
             shapes.push(BlockShape { t_len: 1, dim_counts: vec![1; n_dims] });
         }
-        Self { shapes, n_dims }
+        Self { shapes }
     }
 
     /// Draws one shape uniformly from the empirical distribution.
@@ -85,11 +84,6 @@ impl BlockSampler {
     /// the window size `w` (§4.3: `w = 20` when the average block exceeds 100).
     pub fn mean_t_len(&self) -> f64 {
         self.shapes.iter().map(|b| b.t_len as f64).sum::<f64>() / self.shapes.len() as f64
-    }
-
-    /// Number of non-time dimensions the shapes describe.
-    pub fn n_dims(&self) -> usize {
-        self.n_dims
     }
 }
 

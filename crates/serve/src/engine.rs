@@ -1050,9 +1050,10 @@ impl ImputationEngine {
     pub fn warm_up(&self) -> usize {
         let mut state = self.lock_state();
         let mut queries = Vec::new();
+        let mut needed = BTreeSet::new();
         let (base, live_t) = (state.base(), state.live_t());
         for s in 0..self.n_series {
-            self.collect_stale(&state, s, base, live_t, &mut queries);
+            self.collect_stale(&state, s, base, live_t, &mut needed, &mut queries);
         }
         self.compute_and_fill(&mut state, &queries);
         self.publish_all(&state);
@@ -1158,14 +1159,7 @@ impl ImputationEngine {
                     *slot = Some(Err(e));
                     continue;
                 }
-                hits += self.collect_stale_dedup(
-                    &state,
-                    r.s,
-                    r.start,
-                    r.end,
-                    &mut needed,
-                    &mut queries,
-                );
+                hits += self.collect_stale(&state, r.s, r.start, r.end, &mut needed, &mut queries);
             }
             self.compute_and_fill(&mut state, &queries);
             for (slot, r) in answers.iter_mut().zip(requests) {
@@ -1397,11 +1391,11 @@ impl ImputationEngine {
         if !eager.is_empty() {
             let (eager_lo, _) = state.grid.bounds(eager.start);
             let (_, eager_hi) = state.grid.bounds(eager.end - 1);
-            self.collect_stale_dedup(state, s, eager_lo, eager_hi, &mut needed, &mut queries);
+            self.collect_stale(state, s, eager_lo, eager_hi, &mut needed, &mut queries);
         }
         for sib in 0..self.n_series {
             if sib != s {
-                self.collect_stale_dedup(state, sib, start, end, &mut needed, &mut queries);
+                self.collect_stale(state, sib, start, end, &mut needed, &mut queries);
             }
         }
         let positions_refreshed = queries.iter().map(|q| q.positions.len()).sum();
@@ -1673,20 +1667,7 @@ impl ImputationEngine {
     }
 
     /// Appends the stale windows with missing entries of series `s` inside
-    /// logical `[start, end)` to `queries` (no dedup across calls).
-    fn collect_stale(
-        &self,
-        state: &EngineState,
-        s: usize,
-        start: usize,
-        end: usize,
-        queries: &mut Vec<WindowQuery>,
-    ) {
-        let mut needed = BTreeSet::new();
-        self.collect_stale_dedup(state, s, start, end, &mut needed, queries);
-    }
-
-    /// Like [`ImputationEngine::collect_stale`], but skips `(s, window)` pairs
+    /// logical `[start, end)` to `queries`, skipping `(s, slot)` pairs
     /// already in `needed` — the coalescing step that lets overlapping
     /// requests in one micro-batch share a single forward pass per window.
     /// Returns how many windows were skipped because they were fresh (cache
@@ -1702,7 +1683,7 @@ impl ImputationEngine {
     /// `start`/`end` are logical; the produced [`WindowQuery`]s are
     /// **physical** (storage slots and storage positions) — precisely the
     /// coordinates the frozen model evaluates the bounded storage buffer in.
-    fn collect_stale_dedup(
+    fn collect_stale(
         &self,
         state: &EngineState,
         s: usize,
@@ -1739,9 +1720,12 @@ impl ImputationEngine {
 
     /// Evaluates `queries` (physical coordinates) data-parallel over the
     /// frozen model, writes the predictions into the cache and marks the
-    /// windows fresh. The capacity slack past the retained span is
-    /// all-missing, so evaluating against the capacity-padded observed state
-    /// is bitwise identical to evaluating against the retained span alone.
+    /// windows fresh. Every batch carries distinct `(s, slot)` keys: each
+    /// caller collects it through one `needed` set in
+    /// [`ImputationEngine::collect_stale`]. The capacity slack past the
+    /// retained span is all-missing, so evaluating against the
+    /// capacity-padded observed state is bitwise identical to evaluating
+    /// against the retained span alone.
     ///
     /// Runs through the tape-free evaluator with the engine's long-lived
     /// scratch, so the serial cold-window path (small per-append
@@ -1760,7 +1744,8 @@ impl ImputationEngine {
         }
         let threads = mvi_parallel::current_threads();
         let mut scratch = self.scratch.take();
-        let mut results = self.model.predict_batch_with(&mut scratch, &state.obs, queries, threads);
+        let mut results =
+            self.model.model().predict_batch(&mut scratch, &state.obs, queries, threads);
         // Return the scratch before the fault-injection seam runs: a hook
         // panic abandons nothing warm (the pool re-issues these buffers),
         // and a hook stall never pins scratch memory.

@@ -101,12 +101,6 @@ impl Mask {
         self.data[flat]
     }
 
-    /// Sets the entry at a flat offset.
-    #[inline]
-    pub fn set_at(&mut self, flat: usize, value: bool) {
-        self.data[flat] = value;
-    }
-
     /// Number of `true` entries.
     pub fn count(&self) -> usize {
         self.data.iter().filter(|&&b| b).count()
@@ -158,12 +152,6 @@ impl Mask {
     // ------------------------------------------------------------------
     // Time-series access (time = last axis), mirroring Tensor.
     // ------------------------------------------------------------------
-
-    /// Number of series (product of the non-time axes).
-    pub fn n_series(&self) -> usize {
-        let (series_shape, _) = shape::split_time(&self.shape);
-        shape::num_elements(series_shape)
-    }
 
     /// Length of the time axis.
     pub fn t_len(&self) -> usize {

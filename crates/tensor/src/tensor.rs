@@ -96,22 +96,10 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element at a multi-index.
     #[inline]
     pub fn get(&self, idx: &[usize]) -> f64 {
         self.data[shape::flat_index(&self.shape, idx)]
-    }
-
-    /// Sets the element at a multi-index.
-    #[inline]
-    pub fn set(&mut self, idx: &[usize], value: f64) {
-        let flat = shape::flat_index(&self.shape, idx);
-        self.data[flat] = value;
     }
 
     /// Element at a flat row-major offset.

@@ -1,11 +1,11 @@
 //! Differential tests for the tape-free forward evaluator: the value-only
 //! `Eval` backend must be **bitwise identical** to the differentiation-tape
 //! path over randomized models, datasets and windows — including windows past
-//! the trained length (rolled temporal horizon) and grouped batches. CI runs
-//! this suite under `MVI_THREADS=1` and the default thread budget, so the
-//! guarantee holds across worker splits too.
+//! the trained length (rolled temporal horizon). CI runs this suite under
+//! `MVI_THREADS=1` and the default thread budget, so the guarantee holds
+//! across worker splits too.
 
-use deepmvi::{DeepMviConfig, DeepMviModel, InferScratch, KernelMode, TapeScratch, WindowQuery};
+use deepmvi::{DeepMviConfig, DeepMviModel, InferScratch, KernelMode, TapeScratch};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
 use proptest::prelude::*;
@@ -104,41 +104,4 @@ proptest! {
             );
         }
     }
-}
-
-#[test]
-fn grouped_batches_match_per_query_evaluation_bitwise() {
-    let ds = generate_with_shape(DatasetName::Gas, &[4], 120, 11);
-    let obs = Scenario::mcar(1.0).apply(&ds, 5).observed();
-    let model = DeepMviModel::new(&DeepMviConfig::tiny(), &obs);
-    let base = model.missing_queries(&obs);
-    assert!(!base.is_empty());
-
-    // A batch with heavy (series, window) duplication: the full query, a
-    // prefix, a suffix, and a reversed-order duplicate of each base query.
-    let mut batch: Vec<WindowQuery> = Vec::new();
-    for q in &base {
-        batch.push(q.clone());
-        let half = q.positions.len().div_ceil(2);
-        batch.push(WindowQuery {
-            s: q.s,
-            window_j: q.window_j,
-            positions: q.positions[..half].to_vec(),
-        });
-        batch.push(WindowQuery {
-            s: q.s,
-            window_j: q.window_j,
-            positions: q.positions[q.positions.len() - half..].to_vec(),
-        });
-    }
-
-    let grouped = model.predict_batch(&obs, &batch, 1);
-    let mut scratch = InferScratch::new();
-    for (q, got) in batch.iter().zip(&grouped) {
-        let solo = model.predict_window(&mut scratch, &obs, q);
-        assert_eq!(bits(&solo), bits(got), "grouping changed s={} w={}", q.s, q.window_j);
-    }
-
-    // Thread fan-out over the duplicated batch is equally invariant.
-    assert_eq!(grouped, model.predict_batch(&obs, &batch, 4), "thread count changed grouping");
 }
