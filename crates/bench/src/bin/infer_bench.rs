@@ -91,8 +91,8 @@ fn main() {
     let mut scale_jsons = Vec::new();
     // Headline = the serving-scale speedup: that is the shape the engine's
     // cold-window path actually runs (BENCH_2/BENCH_3 fixtures). The paper
-    // scale is reported alongside — there the forward pass is GEMM-bound, so
-    // the backend overhead it removes is a smaller share of the wall clock.
+    // scale is reported alongside: its wider layers do more arithmetic per
+    // op, so the per-op overhead the evaluator removes is a smaller share.
     let mut headline_speedup = f64::NAN;
     for (scale_name, cfg) in &scales {
         let model = DeepMviModel::new(cfg, &obs);

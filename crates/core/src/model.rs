@@ -59,10 +59,9 @@ impl SynthMask {
 /// `preds` receives one `[1]`-shaped prediction handle per requested position
 /// — it is the output channel of [`DeepMviModel::forward_positions`].
 pub(crate) struct ForwardScratch<V> {
-    /// Attention availability mask, rebuilt per window pass (Eq 9).
+    /// The target row's `[1, ctx]` attention mask, rebuilt per window pass:
+    /// one key-availability flag per context window (Eq 9).
     mask: Mask,
-    /// Per-context-window key availability (any missing value voids the key).
-    kmask_cols: Vec<bool>,
     /// Per-head attention outputs awaiting concatenation (Eq 12).
     head_outs: Vec<V>,
     /// Per-position feature parts awaiting concatenation (Eq 6).
@@ -93,7 +92,6 @@ impl<V> Default for ForwardScratch<V> {
     fn default() -> Self {
         Self {
             mask: Mask::falses(&[0]),
-            kmask_cols: Vec::new(),
             head_outs: Vec::new(),
             parts: Vec::new(),
             kr_parts: Vec::new(),
@@ -159,6 +157,10 @@ pub struct DeepMviModel {
     /// Shared imputation std-dev estimated from validation residuals (§4: the mean
     /// parameterizes a Gaussian with shared variance). Set by `fit`.
     pub(crate) shared_std: Option<f64>,
+    /// Runs the full-row transformer block instead of the target row alone
+    /// (the reference the one-row path is tested against).
+    #[cfg(test)]
+    pub(crate) full_row_reference: bool,
 }
 
 /// Where [`DeepMviModel::build`] takes parameter values from as it lays out
@@ -310,6 +312,8 @@ impl DeepMviModel {
             out,
             sampler,
             shared_std: None,
+            #[cfg(test)]
+            full_row_reference: false,
         })
     }
 
@@ -375,6 +379,12 @@ impl DeepMviModel {
     /// (shared read-only across worker threads). Writes one `[1]`-shaped
     /// prediction handle per requested position into `fs.preds`.
     ///
+    /// The temporal transformer computes the window features, K and V over
+    /// all `ctx` context rows, and then only the target window's row `jc`:
+    /// its query, its `[1, ctx]` masked softmax, attn·V, the head concat and
+    /// the `d1`/`d2`/`dec` decoder. Those ops are row-local, so this is the
+    /// same function as decoding every context row and keeping row `jc`.
+    ///
     /// Generic over the execution backend ([`Evaluator`]): training runs it on
     /// the differentiation tape ([`mvi_autograd::Graph`]) and gets a backward
     /// pass; inference runs it on the value-only evaluator
@@ -420,9 +430,8 @@ impl DeepMviModel {
         // Per-position hidden vectors from the temporal transformer.
         let tt_rows: Option<E::Var> = self.tt.as_ref().map(|tt| {
             let series_vals = task.obs.values.series(task.s);
-            fs.kmask_cols.clear();
-            fs.kmask_cols.resize(ctx, true);
-            let kmask_cols = &mut fs.kmask_cols;
+            fs.mask.reset_full(&[1, ctx], true);
+            let keys_ok = fs.mask.data_mut();
             let xv = g.input(&[ctx, w], |xw| {
                 for j in 0..ctx {
                     let wj = j_start + j;
@@ -431,30 +440,21 @@ impl DeepMviModel {
                         if t < live_t && task.avail(t) {
                             xw.set_m(j, o, series_vals[t]);
                         } else {
-                            kmask_cols[j] = false; // Eq 9: any missing value voids the key
+                            keys_ok[j] = false; // Eq 9: any missing value voids the key
                         }
                     }
                 }
             });
-            // Every mask row is the same key-availability vector: fill row 0,
-            // broadcast it.
-            fs.mask.reset_falses(&[ctx, ctx]);
-            let mdata = fs.mask.data_mut();
-            for (col, &ok) in fs.kmask_cols.iter().enumerate() {
-                mdata[col] = ok;
-            }
-            for row in 1..ctx {
-                mdata.copy_within(0..ctx, row * ctx);
-            }
 
             let y = tt.wf.forward(g, store, xv); // Eq 7: [ctx, p]
             let yprev = g.shift_rows(y, 1);
             let ynext = g.shift_rows(y, -1);
             let neighbours = g.concat_cols(&[yprev, ynext]); // [ctx, 2p]
-                                                             // Horizon-relative window positions: identical to absolute
-                                                             // indices inside the trained range (h0 == 0), and rolled back
-                                                             // into the trained positional range for grown windows. Cached by
-                                                             // horizon start in the scratch (same bits either way).
+
+            // Horizon-relative window positions: identical to absolute
+            // indices inside the trained range (h0 == 0), and rolled back
+            // into the trained positional range for grown windows. Cached by
+            // horizon start in the scratch (same bits either way).
             if fs.pe_cache.len() <= j_start_rel {
                 fs.pe_cache.resize_with(j_start_rel + 1, || None);
             }
@@ -475,29 +475,14 @@ impl DeepMviModel {
             // positional encoding, exactly dropping the contextual information.
             let qk_in = if self.cfg.use_context_window { g.add(neighbours, pe) } else { pe };
 
-            let scale = 1.0 / ((2 * p) as f64).sqrt();
-            fs.head_outs.clear();
-            for head in &tt.heads {
-                let q = head.wq.forward(g, store, qk_in); // Eq 8
-                let k = head.wk.forward(g, store, qk_in); // Eq 9 (masking via softmax)
-                let v = head.wv.forward(g, store, y); // Eq 10
-                let kt = g.transpose(k);
-                let scores_raw = g.matmul(q, kt);
-                let scores = g.scale(scores_raw, scale);
-                let attn = g.masked_softmax_rows(scores, &fs.mask); // Eq 11
-                let head_out = g.matmul(attn, v);
-                fs.head_outs.push(head_out);
+            #[cfg(test)]
+            if self.full_row_reference {
+                return self.full_row_reference_block(tt, store, g, fs, qk_in, y, jc);
             }
-            let h = g.concat_cols(&fs.head_outs); // Eq 12: [ctx, n_heads·p]
-            let h = g.relu(h);
-            let h = tt.d1.forward(g, store, h);
-            let h = g.relu(h);
-            let h = tt.d2.forward(g, store, h);
-            let hff = g.relu(h); // Eq 13
-            let dec = tt.dec.forward(g, store, hff);
-            let dec = g.relu(dec); // Eq 14: [ctx, w·p]
-            let target_row = g.row(dec, jc); // [w·p]
-            g.reshape(target_row, &[w, p])
+            let q_in = g.row(qk_in, jc);
+            let q_in = g.reshape(q_in, &[1, 2 * p]);
+            let dec = self.attend(tt, store, g, &mut fs.head_outs, &fs.mask, q_in, qk_in, y);
+            g.reshape(dec, &[w, p]) // the target window's [w, p] rows
         });
 
         // Assemble per-position predictions.
@@ -536,6 +521,69 @@ impl DeepMviModel {
             let pred = self.out.forward_vec(g, store, feat); // Eq 6
             fs.preds.push(pred);
         }
+    }
+
+    /// Attention and decoder (Eq 8–14) for the query rows `q_in` against the
+    /// full context's keys (`qk_in`) and values (`y`): `[m, 2p]` queries
+    /// yield `[m, w·p]` decoded rows. Every op after K and V is row-local, so
+    /// each output row depends on its own query row alone. `mask` is
+    /// `[m, ctx]`; `head_outs` is scratch for the per-head outputs.
+    #[allow(clippy::too_many_arguments)]
+    fn attend<E: Evaluator>(
+        &self,
+        tt: &TtParams,
+        store: &ParamStore,
+        g: &mut E,
+        head_outs: &mut Vec<E::Var>,
+        mask: &Mask,
+        q_in: E::Var,
+        qk_in: E::Var,
+        y: E::Var,
+    ) -> E::Var {
+        let scale = 1.0 / ((2 * self.cfg.p) as f64).sqrt();
+        head_outs.clear();
+        for head in &tt.heads {
+            let q = head.wq.forward(g, store, q_in); // Eq 8
+            let k = head.wk.forward(g, store, qk_in); // Eq 9 (masking via softmax)
+            let v = head.wv.forward(g, store, y); // Eq 10
+            let kt = g.transpose(k);
+            let scores_raw = g.matmul(q, kt);
+            let scores = g.scale(scores_raw, scale);
+            let attn = g.masked_softmax_rows(scores, mask); // Eq 11
+            let head_out = g.matmul(attn, v);
+            head_outs.push(head_out);
+        }
+        let h = g.concat_cols(head_outs); // Eq 12: [m, n_heads·p]
+        let h = g.relu(h);
+        let h = tt.d1.forward(g, store, h);
+        let h = g.relu(h);
+        let h = tt.d2.forward(g, store, h);
+        let hff = g.relu(h); // Eq 13
+        let dec = tt.dec.forward(g, store, hff);
+        g.relu(dec) // Eq 14: [m, w·p]
+    }
+
+    /// The transformer block over every context row, the reference the
+    /// one-row path is tested against: each row is a query under a
+    /// `[ctx, ctx]` broadcast of the key mask, and row `jc` is kept.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    fn full_row_reference_block<E: Evaluator>(
+        &self,
+        tt: &TtParams,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        qk_in: E::Var,
+        y: E::Var,
+        jc: usize,
+    ) -> E::Var {
+        let keys_ok = fs.mask.data();
+        let ctx = keys_ok.len();
+        let mask = Mask::from_vec(vec![ctx, ctx], keys_ok.repeat(ctx));
+        let dec = self.attend(tt, store, g, &mut fs.head_outs, &mask, qk_in, qk_in, y);
+        let target_row = g.row(dec, jc); // [w·p]
+        g.reshape(target_row, &[self.w, self.cfg.p])
     }
 
     /// The kernel-regression features `[U, V, W]` per dimension at time `t`
@@ -732,5 +780,141 @@ mod tests {
         assert!(touched.iter().any(|n| n.starts_with("out")), "no output grads");
         let total: f64 = pgrads.iter().map(|(_, g)| g.max_abs()).sum();
         assert!(total > 0.0, "all gradients vanished");
+    }
+
+    mod full_row_reference {
+        use super::*;
+        use crate::infer::{InferScratch, TapeScratch, WindowQuery};
+        use mvi_data::generators::{generate_with_shape, DatasetName};
+
+        /// How far the one-row path may drift from the full-row reference,
+        /// relative to each value (absolute below magnitude 1). The two run
+        /// the same ops on the same values, but a 1-row GEMM takes the
+        /// kernels' portable tail where a ≥8-row one takes the FMA tile, so
+        /// they agree to rounding rather than bitwise.
+        const REF_TOL: f64 = 1e-12;
+
+        /// Largest `|new − ref| / max(|ref|, 1)` over paired values.
+        fn gap(new: &[f64], reference: &[f64]) -> f64 {
+            assert_eq!(new.len(), reference.len());
+            new.iter()
+                .zip(reference)
+                .map(|(&a, &b)| (a - b).abs() / b.abs().max(1.0))
+                .fold(0.0, f64::max)
+        }
+
+        /// 8 series × 300 steps, w = 10: 30 windows against the tiny
+        /// config's 16-window context, so the context clips at both ends.
+        fn obs() -> ObservedDataset {
+            let ds = generate_with_shape(DatasetName::Gas, &[8], 300, 5);
+            Scenario::mcar(1.0).apply(&ds, 2).observed()
+        }
+
+        fn trained(cfg: DeepMviConfig, obs: &ObservedDataset) -> DeepMviModel {
+            let mut model = DeepMviModel::new(&DeepMviConfig { max_steps: 10, ..cfg }, obs);
+            model.fit(obs);
+            model
+        }
+
+        /// The largest gap between the one-row path and the full-row
+        /// reference over every window in `windows` of every series, on the
+        /// evaluator and on the tape. Also checks that the one-row path is
+        /// bitwise identical across the two backends.
+        fn max_gap(model: &mut DeepMviModel, obs: &ObservedDataset, windows: &[usize]) -> f64 {
+            let w = model.window();
+            let mut worst: f64 = 0.0;
+            for s in 0..obs.n_series() {
+                for &window_j in windows {
+                    let q = WindowQuery {
+                        s,
+                        window_j,
+                        positions: (window_j * w..(window_j + 1) * w).collect(),
+                    };
+                    let run = |model: &mut DeepMviModel, reference: bool| {
+                        model.full_row_reference = reference;
+                        let eval = model.predict_window(&mut InferScratch::new(), obs, &q);
+                        let tape = model.predict_window_tape(&mut TapeScratch::new(), obs, &q);
+                        (eval, tape)
+                    };
+                    let (reference_eval, reference_tape) = run(model, true);
+                    let (eval, tape) = run(model, false);
+                    assert_eq!(eval, tape, "s={s} window {window_j}: backends diverge");
+                    worst = worst.max(gap(&eval, &reference_eval)).max(gap(&tape, &reference_tape));
+                }
+            }
+            model.full_row_reference = false;
+            worst
+        }
+
+        #[test]
+        fn target_row_matches_the_full_row_reference_at_the_clipped_edges() {
+            let obs = obs();
+            for use_context_window in [true, false] {
+                let cfg = DeepMviConfig { use_context_window, ..DeepMviConfig::tiny() };
+                let mut model = trained(cfg, &obs);
+                let n = obs.t_len() / model.window();
+                assert!(n > model.cfg.ctx_windows, "fixture must clip the context");
+                // Window 0 is context row jc = 0, window n−1 is jc = ctx−1,
+                // and the middle window is an unclipped centred context.
+                let gap = max_gap(&mut model, &obs, &[0, 1, n / 2, n - 2, n - 1]);
+                eprintln!("use_context_window={use_context_window}: max gap {gap:e}");
+                assert!(gap <= REF_TOL, "gap {gap:e} past {REF_TOL:e}");
+            }
+        }
+
+        #[test]
+        fn rolled_horizon_windows_match_the_full_row_reference() {
+            let obs = obs();
+            let mut model = trained(DeepMviConfig::tiny(), &obs);
+            let (w, n) = (model.window(), model.n_windows);
+            let mut grown = obs.clone();
+            grown.extend_time(obs.t_len() + 3 * w);
+            for s in 0..grown.n_series() {
+                let vals: Vec<f64> =
+                    (0..2 * w).map(|i| (i as f64 / 7.0 + s as f64).cos()).collect();
+                grown.record_range(s, obs.t_len(), &vals);
+            }
+            let gap = max_gap(&mut model, &grown, &[n, n + 1, n + 2]);
+            eprintln!("rolled: max gap {gap:e}");
+            assert!(gap <= REF_TOL, "gap {gap:e} past {REF_TOL:e}");
+        }
+
+        /// The key biases `tt.h*.k.b` have an exactly-zero gradient in exact
+        /// arithmetic (a per-row softmax ignores a shift shared by all its
+        /// scores), so Adam turns rounding noise into steps there and both
+        /// fits hold ~1e-13 of noise in them; the absolute floor of
+        /// [`REF_TOL`] bounds it.
+        #[test]
+        fn fixed_seed_fit_matches_a_full_row_reference_fit() {
+            let obs = obs();
+            let cfg = DeepMviConfig { max_steps: 30, ..DeepMviConfig::tiny() };
+            let mut model = DeepMviModel::new(&cfg, &obs);
+            let mut reference = DeepMviModel::new(&cfg, &obs);
+            reference.full_row_reference = true;
+            let report = model.fit(&obs);
+            let reference_report = reference.fit(&obs);
+            assert_eq!(report.steps, reference_report.steps);
+            let trace_gap = gap(&report.val_trace, &reference_report.val_trace);
+
+            let params = model.export_params();
+            let reference_params = reference.export_params();
+            let mut param_gap: f64 = 0.0;
+            assert_eq!(params.params.len(), reference_params.params.len());
+            for ((name, a), (reference_name, b)) in
+                params.params.iter().zip(&reference_params.params)
+            {
+                assert_eq!(name, reference_name);
+                param_gap = param_gap.max(gap(a.data(), b.data()));
+            }
+            let imputed = model.impute(&obs);
+            let reference_imputed = reference.impute(&obs);
+            let impute_gap = gap(imputed.data(), reference_imputed.data());
+            eprintln!("fit: val {trace_gap:e}, params {param_gap:e}, impute {impute_gap:e}");
+            for (what, g) in
+                [("val trace", trace_gap), ("params", param_gap), ("impute", impute_gap)]
+            {
+                assert!(g <= REF_TOL, "{what} gap {g:e} past {REF_TOL:e}");
+            }
+        }
     }
 }

@@ -30,15 +30,15 @@ impl Mask {
         Self::full(shape, false)
     }
 
-    /// Re-shapes the mask in place to `shape` with every entry `false`,
+    /// Re-shapes the mask in place to `shape` with every entry `value`,
     /// reusing the shape and data allocations (no heap traffic once the
     /// buffer has seen its largest shape). Scratch-reuse counterpart of
-    /// [`crate::Tensor::reset_zeroed`] for the attention availability mask
-    /// rebuilt on every window forward pass.
-    pub fn reset_falses(&mut self, shape: &[usize]) {
+    /// [`Mask::full`] for the attention availability mask rebuilt on every
+    /// window forward pass.
+    pub fn reset_full(&mut self, shape: &[usize], value: bool) {
         let vol = shape::num_elements(shape);
         self.data.clear();
-        self.data.resize(vol, false);
+        self.data.resize(vol, value);
         self.shape.clear();
         self.shape.extend_from_slice(shape);
     }
