@@ -2,19 +2,19 @@
 //! concurrency, unsafety and panic-surface invariants the serving layer's
 //! correctness rests on.
 //!
-//! The engine's correctness depends on hand-maintained invariants:
-//! a `core → health` lock-acquisition order, a SeqCst
-//! publication protocol in `crates/serve/src/shard.rs`, and a set of
-//! SAFETY-justified `unsafe` blocks. Until this crate those lived only in
-//! ARCHITECTURE.md prose and reviewer vigilance; as the system grows more
-//! engines and more lock-free state, every new PR multiplies the code
-//! shapes those invariants constrain. This tool turns them into CI gates:
+//! The engine's correctness depends on hand-maintained invariants: a
+//! `core → health` lock-acquisition order, a typed error (never a panic) on
+//! every serving hot path, and a SAFETY justification on each `unsafe`
+//! block (only `mvi-kernels` has any; `mvi-serve` and `mvi-net` forbid
+//! `unsafe` outright). Until this crate those lived only in ARCHITECTURE.md
+//! prose and reviewer vigilance; as the system grows more engines, every new
+//! PR multiplies the code shapes those invariants constrain. This tool turns
+//! them into CI gates:
 //!
 //! | pass | lint id | what it proves |
 //! |------|---------|----------------|
 //! | [lock order](passes) | `lock-order` | no function body acquires locks against the documented `core → health` protocol, or takes the non-reentrant health lock twice |
 //! | [SAFETY](passes) | `safety` | every `unsafe` block/fn/impl carries an adjacent `// SAFETY:` justification (or a `# Safety` doc section for `unsafe fn`) |
-//! | [atomic ordering](passes) | `atomic-ordering` | no `Ordering::Relaxed` inside publication-protocol modules (files defining `AtomicPtr` cells), except the allowlisted pin-slot round-robin counter |
 //! | [panic surface](passes) | `panic` | no `unwrap`/`expect`/`panic!` in non-test code of the serving hot-path modules |
 //!
 //! Findings can be suppressed — visibly, never silently — with an inline
@@ -53,8 +53,6 @@ pub enum Lint {
     LockOrder,
     /// Adjacent `// SAFETY:` justification on every `unsafe`.
     Safety,
-    /// No `Ordering::Relaxed` in publication-protocol modules.
-    AtomicOrdering,
     /// No `unwrap`/`expect`/`panic!` on the serving hot path.
     Panic,
 }
@@ -65,7 +63,6 @@ impl Lint {
         match self {
             Lint::LockOrder => "lock-order",
             Lint::Safety => "safety",
-            Lint::AtomicOrdering => "atomic-ordering",
             Lint::Panic => "panic",
         }
     }
@@ -115,9 +112,9 @@ pub fn analyze_source(label: &str, source: &str, passes: PassSet) -> FileReport 
 /// path `rel` (explicit-file mode uses [`PassSet::all`] instead):
 ///
 /// * `safety` runs everywhere;
-/// * `lock-order` and `atomic-ordering` run over `crates/serve/` — the
-///   crate whose lock protocol and publication cells they encode;
-/// * `panic` runs over the serving hot-path modules (`engine`, `shard`,
+/// * `lock-order` runs over `crates/serve/` — the crate whose lock
+///   protocol it encodes;
+/// * `panic` runs over the serving hot-path modules (`engine`, `warm`,
 ///   `batch`, the tenancy `registry` every routed request resolves
 ///   through, and the `snapshot`/`durable` codecs a cold-tenant request
 ///   decodes from disk), the network front door's connection/frame hot path
@@ -129,7 +126,7 @@ pub fn workspace_passes(rel: &str) -> PassSet {
     const HOT_PATH: [&str; 10] = [
         "crates/core/src/infer.rs",
         "crates/serve/src/engine.rs",
-        "crates/serve/src/shard.rs",
+        "crates/serve/src/warm.rs",
         "crates/serve/src/batch.rs",
         "crates/serve/src/registry.rs",
         "crates/serve/src/snapshot.rs",
@@ -138,11 +135,9 @@ pub fn workspace_passes(rel: &str) -> PassSet {
         "crates/net/src/server.rs",
         "crates/net/src/client.rs",
     ];
-    let in_serve = rel.starts_with("crates/serve/");
     PassSet {
-        lock_order: in_serve,
+        lock_order: rel.starts_with("crates/serve/"),
         safety: true,
-        atomic_ordering: in_serve,
         panic: HOT_PATH.contains(&rel),
     }
 }

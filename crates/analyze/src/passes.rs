@@ -23,8 +23,6 @@ pub struct PassSet {
     pub lock_order: bool,
     /// Run the SAFETY-comment pass.
     pub safety: bool,
-    /// Run the atomic-ordering pass.
-    pub atomic_ordering: bool,
     /// Run the panic-surface pass.
     pub panic: bool,
 }
@@ -32,7 +30,7 @@ pub struct PassSet {
 impl PassSet {
     /// Every pass enabled (explicit-file mode).
     pub fn all() -> Self {
-        Self { lock_order: true, safety: true, atomic_ordering: true, panic: true }
+        Self { lock_order: true, safety: true, panic: true }
     }
 }
 
@@ -54,9 +52,6 @@ pub fn run_passes(file: &str, lexed: &Lexed, passes: PassSet) -> FileReport {
     }
     if passes.safety {
         safety_pass(file, lexed, &mut raw);
-    }
-    if passes.atomic_ordering {
-        atomic_ordering_pass(file, lexed, &mut raw);
     }
     if passes.panic {
         panic_surface_pass(file, lexed, &mut raw);
@@ -130,7 +125,7 @@ impl LockLevel {
 /// The analysis is intraprocedural and drop-agnostic, i.e. deliberately
 /// conservative: a body that releases a health guard before taking the core
 /// lock is still flagged, because the protocol (ARCHITECTURE.md, "Locks & the
-/// lock-free warm read path") bans that shape outright rather than
+/// warm read path") bans that shape outright rather than
 /// reasoning about guard lifetimes.
 fn lock_order_pass(file: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     for body in function_bodies(&lexed.tokens) {
@@ -278,50 +273,7 @@ fn has_adjacent_safety_comment(lexed: &Lexed, line: u32, accept_doc: bool) -> bo
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3: atomic orderings in the publication protocol
-// ---------------------------------------------------------------------------
-
-/// Flags `Ordering::Relaxed` inside publication-protocol modules — files
-/// that define an `AtomicPtr` cell, i.e. participate in the lock-free
-/// publish/load handoff whose SeqCst total order the soundness argument in
-/// `crates/serve/src/shard.rs` leans on. Stat counters elsewhere in the
-/// engine may legitimately relax; the pointer-publication module may not.
-///
-/// One allowlisted exception: the pin-slot round-robin counter
-/// (`NEXT_PIN_SLOT`) only load-balances threads over pin slots — any slot is
-/// correct — so its ordering is immaterial by construction.
-fn atomic_ordering_pass(file: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    if !toks.iter().any(|t| t.is_ident("AtomicPtr")) {
-        return;
-    }
-    for i in 0..toks.len() {
-        if !(toks[i].is_ident("Ordering")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident("Relaxed")))
-        {
-            continue;
-        }
-        let line = toks[i].line;
-        // Allowlist: the statement (same source line) names the round-robin
-        // pin-slot counter.
-        if toks.iter().any(|t| t.line == line && t.is_ident("NEXT_PIN_SLOT")) {
-            continue;
-        }
-        out.push(Finding {
-            lint: Lint::AtomicOrdering,
-            file: file.to_string(),
-            line,
-            message: "Ordering::Relaxed in a publication-protocol module (defines AtomicPtr \
-                      cells); the publish/load soundness argument requires SeqCst here"
-                .to_string(),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 4: panic surface of the serving hot path
+// Pass 3: panic surface of the serving hot path
 // ---------------------------------------------------------------------------
 
 /// Denies `unwrap()` / `expect(…)` / `panic!` / `unreachable!` / `todo!` /

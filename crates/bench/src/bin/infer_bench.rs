@@ -82,7 +82,8 @@ fn main() {
     let obs = Scenario::mcar(1.0).apply(&ds, 3).observed();
 
     // Two model scales: the serving config the engine benches run at, and the
-    // paper's default sizing (p = 32, 4 heads, 64-window context).
+    // paper's default sizing (p = 32, 4 heads, 64-window context — clipped to
+    // the fixture's 40 windows).
     let scales: [(&str, DeepMviConfig); 2] = [
         ("serving_tiny", DeepMviConfig::tiny()),
         ("paper_default", DeepMviConfig { threads: 1, ..DeepMviConfig::default() }),
@@ -160,6 +161,10 @@ fn main() {
             headline_speedup = speedup;
         }
 
+        // The context the pass actually ran at: `forward_positions` clips the
+        // configured context to the model's window count.
+        let n_windows = model.t_len().div_ceil(model.window());
+        let ctx_windows = cfg.ctx_windows.min(n_windows).max(1);
         let mut sj = String::new();
         let _ = writeln!(sj, "    {{\"scale\": \"{scale_name}\",");
         let _ = writeln!(
@@ -167,7 +172,7 @@ fn main() {
             "     \"model\": {{\"p\": {}, \"n_heads\": {}, \"ctx_windows\": {}, \"window\": {}}},",
             cfg.p,
             cfg.n_heads,
-            cfg.ctx_windows,
+            ctx_windows,
             model.window()
         );
         let _ =

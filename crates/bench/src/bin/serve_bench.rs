@@ -724,12 +724,13 @@ fn faults(ctx: &Ctx) -> Artifact {
     }
 }
 
-/// `BENCH_7`: warm-read scaling of the lock-free warm read path.
+/// `BENCH_7`: warm-read scaling of the warm read path.
 ///
 /// **Scaling sweep** — the same seeded warm-query trace runs at 1/2/4/8
 /// concurrent reader threads against the engine in both read postures:
 /// `locked` (warm reads off — every query takes the core mutex) and
-/// `sharded` (lock-free per-series snapshot reads). Reader threads are
+/// `sharded` (per-series snapshot reads that never take the core lock; the
+/// name predates the retired health-counter shard map). Reader threads are
 /// spawned literally ([`mvi_parallel::run_workers`]), deliberately ignoring
 /// the core count — oversubscription *is* the serving shape being measured.
 /// The ≥3× gate on sharded-vs-locked aggregate throughput at 8 readers is

@@ -60,6 +60,8 @@
 //! server.shutdown();                             // graceful drain
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod frame;
 pub mod server;

@@ -9,27 +9,29 @@
 //! demand — coalesced across a batch so overlapping requests share one forward
 //! pass per window ([`ImputationEngine::query_batch`]).
 //!
-//! ## Locks and the lock-free warm path
+//! ## Locks and the warm path
 //!
 //! The core mutex serializes *mutations and recomputes* — DeepMVI's forward
 //! pass reads every series (the kernel regression samples sibling values
 //! pointwise), so a write is inherently cross-series work and needs one
 //! consistent multi-series view. Reads do not: every mutation **publishes**,
 //! before it releases the core lock, an immutable per-series snapshot of the
-//! retained imputed values plus freshness/degradation bits into a lock-free
-//! cell (`crate::shard`). A query whose overlapped windows are all fresh is
-//! answered entirely from that snapshot — no mutex, no blocking of appends
-//! to other series, no blocking of other warm readers. Stale windows and
-//! invalid ranges fall through to the locked path, which recomputes, answers
-//! and republishes. The health counters sit behind a second mutex of their
-//! own, taken after the core lock and never before it (`core → health`), so
-//! [`ImputationEngine::health`] and the non-finite input gate never wait on
-//! a recompute, and every report is one point in time.
+//! retained imputed values plus freshness/degradation bits into that series'
+//! `RwLock<Arc<_>>` cell (`crate::warm`). A query whose overlapped windows
+//! are all fresh is answered entirely from that snapshot: it never takes the
+//! core lock, and it holds the cell's read guard only for an `Arc` clone, so
+//! it never waits on a forward pass — not even one for its own series.
+//! Stale windows and invalid ranges fall through to the locked path, which
+//! recomputes, answers and republishes. The health counters sit behind a
+//! second mutex of their own, taken after the core lock and never before it
+//! (`core → health`), so [`ImputationEngine::health`] and the non-finite
+//! input gate never wait on a recompute, and every report is one point in
+//! time.
 //!
-//! **Linearizability**: a warm read linearizes at its single atomic snapshot
-//! load; since publication happens before a mutation returns, any read
-//! issued after a mutation completed observes it (reads-see-writes), and
-//! single-threaded runs are bitwise identical with the warm path on or off
+//! **Linearizability**: a warm read linearizes at its snapshot clone; since
+//! publication happens before a mutation returns, any read issued after a
+//! mutation completed observes it (reads-see-writes), and single-threaded
+//! runs are bitwise identical with the warm path on or off
 //! ([`ImputationEngine::set_warm_reads`]) — `tests/serve_concurrency.rs`
 //! holds both as properties under stress.
 //!
@@ -117,7 +119,7 @@
 //! invalidates the rest of the series for lazy healing, exactly mirroring the
 //! append consistency contract.
 
-use crate::shard::{SeriesSnap, WarmSnaps};
+use crate::warm::{SeriesSnap, WarmSnaps};
 use deepmvi::{FrozenModel, ScratchPool, WindowQuery};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::windows::WindowGrid;
@@ -603,9 +605,9 @@ pub struct ImputationEngine {
     /// The health counters, reached only through
     /// [`ImputationEngine::lock_health`].
     health: Mutex<HealthReport>,
-    /// Per-series lock-free warm snapshots.
+    /// Per-series warm snapshots, read without the core lock.
     snaps: WarmSnaps,
-    /// Whether the lock-free warm read path is enabled (default: yes).
+    /// Whether the warm read path is enabled (default: yes).
     /// Disabled, every query goes through the core lock — the single-mutex
     /// baseline the sharded bench arm and the bitwise replay test compare
     /// against.
@@ -802,7 +804,7 @@ impl ImputationEngine {
 
     /// Rebuilds and publishes the warm snapshot of series `s` from the
     /// locked state. Callers hold the core lock, which serializes all
-    /// publication; the cell swap itself is wait-free for readers.
+    /// publication; readers of the cell wait at most for its pointer swap.
     fn publish_series(&self, state: &EngineState, s: usize) {
         let span = state.grid.retained_len();
         let (base, live, w) = (state.base(), state.live_t(), state.grid.window_len());
@@ -916,7 +918,7 @@ impl ImputationEngine {
                 }
                 self.lock_health().poison_recoveries += 1;
                 // The published warm snapshots predate the scrub; republish
-                // so the lock-free path cannot serve windows the recovery
+                // so the warm path cannot serve windows the recovery
                 // just distrusted.
                 self.publish_all(&guard);
                 guard
@@ -963,12 +965,12 @@ impl ImputationEngine {
         self.lock_health().clone()
     }
 
-    /// Whether the lock-free warm read path is enabled (it is by default).
+    /// Whether the warm read path is enabled (it is by default).
     pub fn warm_reads(&self) -> bool {
         self.warm.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables the lock-free warm read path. Disabled, every
+    /// Enables or disables the warm read path. Disabled, every
     /// query takes the core state lock — the single-mutex baseline used by
     /// the sharded bench arm and the bitwise replay property test. Safe to
     /// flip live: re-enabling republishes every series under the core lock
@@ -1117,10 +1119,11 @@ impl ImputationEngine {
         let mut hits = 0usize;
 
         // Warm fast path: a request whose overlapped windows are all fresh
-        // in the published snapshot is answered with zero locking — it
-        // cannot block (or be blocked by) appends or other readers. Each
-        // answer linearizes at its snapshot load: publication happens before
-        // a mutation returns, so completed mutations are always visible.
+        // in the published snapshot is answered without the core lock — it
+        // never waits on a recompute, and other readers never wait on it.
+        // Each answer linearizes at its snapshot clone: publication happens
+        // before a mutation returns, so completed mutations are always
+        // visible.
         if self.warm_reads() {
             for (slot, r) in answers.iter_mut().zip(requests) {
                 if r.s >= self.n_series {

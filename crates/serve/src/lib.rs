@@ -55,15 +55,16 @@
 //!   [`engine::ServeError::TenantLoading`],
 //!   [`engine::ServeError::RegistryFull`]) instead of blocking or dropping
 //!   requests.
-//! * **Lock-free warm reads** — engine state is split along the
+//! * **Warm reads off the core lock** — engine state is split along the
 //!   read/write axis: mutations stay sequenced on the core lock (DeepMVI's
 //!   forward pass couples every series), health counters sit behind one
 //!   health lock taken after it (`core → health`), and warm queries answer
-//!   from per-series snapshots published through atomic cells — no mutex on
-//!   the warm path at all, so concurrent queries never block appends to
-//!   other series and never block each other.
-//!   Warm reads linearize at their snapshot load; snapshots are published
-//!   before each mutation returns, so reads always see completed writes.
+//!   from per-series snapshots held in one `RwLock<Arc<_>>` per series.
+//!   A warm read never takes the core lock and holds the read guard only
+//!   for an `Arc` clone, so it never waits on a forward pass, and readers
+//!   never block each other. Warm reads linearize at their snapshot clone;
+//!   snapshots are published before each mutation returns, so reads always
+//!   see completed writes.
 //!   Single-threaded replay with the warm path on and off is bitwise
 //!   identical ([`ImputationEngine::set_warm_reads`]).
 //!
@@ -119,14 +120,14 @@
 //! `BENCH_7.json` (documented in `PERFORMANCE.md`).
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod durable;
 pub mod engine;
 pub mod registry;
-pub(crate) mod shard;
 pub mod snapshot;
+pub(crate) mod warm;
 
 pub use batch::{BatchClient, BatcherConfig, MicroBatcher};
 pub use engine::{

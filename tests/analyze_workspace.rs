@@ -3,9 +3,9 @@
 //! This is the teeth behind the concurrency/unsafety/panic-surface
 //! invariants documented in `ARCHITECTURE.md`: any regression — a lock
 //! acquired out of protocol order in `crates/serve`, an `unsafe` block
-//! without a `// SAFETY:` justification, a `Relaxed` publication atomic, or
-//! a bare `unwrap` on the serving hot path — fails `cargo test` the same
-//! way it fails the dedicated CI `analyze` job.
+//! without a `// SAFETY:` justification, or a bare `unwrap` on the serving
+//! hot path — fails `cargo test` the same way it fails the dedicated CI
+//! `analyze` job.
 
 use std::path::Path;
 

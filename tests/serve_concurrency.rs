@@ -1,6 +1,6 @@
 //! Concurrency stress + linearizability suite for the serving engine:
-//! N-thread mixed append/query/fill_range traffic against the lock-free warm
-//! read path, checked against sequential oracles.
+//! N-thread mixed append/query/fill_range traffic against the warm read path,
+//! checked against sequential oracles.
 //!
 //! What is proven here:
 //!
@@ -30,10 +30,11 @@
 //! Seeded schedules: iteration counts scale with `MVI_STRESS_READS` (reads
 //! per reader thread; default 50). The defaults run 600+ oracle-checked
 //! reads across the seeds — the 500+ iteration floor of the PR-7
-//! acceptance criteria. The low-level schedule-permutation smoke over the
-//! publish/load handoff itself lives in `mvi-serve`'s unit tests
-//! (`published_cell_survives_permuted_schedules`, scaled by
-//! `MVI_SCHED_PERMUTATIONS`).
+//! acceptance criteria. The per-series snapshot cell itself is a std
+//! `RwLock<Arc<_>>`, so there is no hand-written handoff to test below
+//! this level: `warm_path_actually_serves_without_the_core_lock` shows a
+//! reader of the very series being written answers from the last published
+//! snapshot while the writer's forward pass holds the core lock.
 
 use deepmvi::{DeepMviConfig, DeepMviModel};
 use mvi_data::dataset::ObservedDataset;
@@ -669,6 +670,7 @@ fn warm_path_actually_serves_without_the_core_lock() {
         }
     })));
 
+    let pre_append = eng.query(0, 0, T_LEN).expect("warm read of series 0");
     std::thread::scope(|scope| {
         let eng_m = Arc::clone(&eng);
         let mutator = scope.spawn(move || {
@@ -686,21 +688,32 @@ fn warm_path_actually_serves_without_the_core_lock() {
             let got = eng.query(s, 0, T_LEN).expect("warm read blocked by a held core lock");
             assert_eq!(got.len(), T_LEN);
         }
-        // Health and the non-finite input gate stay off the core lock too.
-        // They run on a helper thread, so a regression that routes them
+        // So does a read of series 0, whose own append is parked mid-forward
+        // pass, and it sees the last published values, not the uncommitted
+        // ones. Health and the non-finite input gate stay off the core lock
+        // too. Both run on helper threads, so a regression that routes them
         // through the core lock fails at the deadline instead of hanging.
+        let own_series = scope.spawn(|| eng.query(0, 0, T_LEN));
         let gate = scope.spawn(|| {
             let rejected_before = eng.health().nonfinite_input_rejections;
             let err = eng.append(1, &[f64::NAN]).expect_err("non-finite payload accepted");
             (err, rejected_before, eng.health().nonfinite_input_rejections)
         });
         let deadline = Instant::now() + Duration::from_secs(30);
-        while !gate.is_finished() && Instant::now() < deadline {
+        while !(gate.is_finished() && own_series.is_finished()) && Instant::now() < deadline {
             std::thread::yield_now();
         }
+        let own_series_answered = own_series.is_finished();
         let answered = gate.is_finished();
         let wait_after = eng.lock_wait_nanos();
         release.store(true, Ordering::SeqCst);
+        assert!(own_series_answered, "a read of series 0 waited on its own parked append");
+        let during_append = own_series.join().expect("series-0 reader panicked");
+        assert_eq!(
+            during_append.expect("warm read of series 0 during its append"),
+            pre_append,
+            "a read during the parked append must see the pre-append snapshot"
+        );
         assert!(answered, "health() or the non-finite gate waited on the held core lock");
         let (err, rejected_before, rejected_after) = gate.join().expect("gate thread panicked");
         assert!(matches!(err, ServeError::NonFiniteInput { s: 1, offset: 0 }), "{err:?}");
