@@ -293,4 +293,33 @@ mod tests {
         )
         .unwrap();
     }
+
+    #[test]
+    fn grad_check_row_range_matmuls() {
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::from_vec(vec![2, 3], vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]));
+        let b = store.add(
+            "b",
+            Tensor::from_vec(
+                vec![5, 3],
+                vec![
+                    1.5, -0.5, 0.25, 2.0, 0.3, -1.1, 0.7, 0.2, 0.9, -0.4, 1.2, 0.6, 0.8, -0.9, 0.1,
+                ],
+            ),
+        );
+        check_gradients(
+            &mut store,
+            &mut |store, g| {
+                let av = g.param(store, a);
+                let bv = g.param(store, b);
+                let scores = g.matmul_nt_rows(av, bv, 1..4); // [2, 3]
+                let out = g.matmul_rows(scores, bv, 2..5); // [2, 3]
+                let sq = g.square(out);
+                g.sum(sq)
+            },
+            1e-6,
+            1e-6,
+        )
+        .unwrap();
+    }
 }

@@ -37,6 +37,7 @@
 
 use crate::params::{ParamId, ParamStore};
 use crate::vops;
+use core::ops::Range;
 use mvi_tensor::{Mask, Tensor};
 use std::sync::Arc;
 
@@ -84,8 +85,15 @@ pub trait Evaluator {
     fn sub_rowvec(&mut self, a: Self::Var, v: Self::Var) -> Self::Var;
     /// Matrix product `a[m,k] · b[k,n]`.
     fn matmul(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
-    /// Transpose of a rank-2 value.
-    fn transpose(&mut self, a: Self::Var) -> Self::Var;
+    /// `a[m,k] · b[rows]`: the product with the contiguous row range `rows`
+    /// of `b[·,n]` (so `k == rows.len()`), read in place. Bitwise equal to
+    /// the product with a copy of those rows.
+    fn matmul_rows(&mut self, a: Self::Var, b: Self::Var, rows: Range<usize>) -> Self::Var;
+    /// `a[m,k] · b[rows]ᵀ` for `b[·,k]`: one output column per row in
+    /// `rows`, read in place without materializing a transpose. Bitwise
+    /// equal to `matmul` against the transposed copy of those rows: every
+    /// kernel path computes an element as the same ordered FMA chain.
+    fn matmul_nt_rows(&mut self, a: Self::Var, b: Self::Var, rows: Range<usize>) -> Self::Var;
     /// Dot product of two rank-1 values, `[1]`-shaped.
     fn dot(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
     /// Rectified linear unit.
@@ -230,13 +238,36 @@ fn resolve<'a>(slots: &'a [Slot], pool_head: &'a [Tensor], v: EvalVar) -> &'a Te
     }
 }
 
+/// A point in an [`Eval`] pass (see [`Eval::mark`]): rewinding to it frees
+/// every var issued after it and keeps the ones issued before.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EvalMark {
+    slots: usize,
+    pool: usize,
+}
+
 impl Eval {
     /// Ends the current pass: invalidates all issued [`EvalVar`]s and rewinds
     /// the slot arena for reuse. Buffer capacity (and therefore the zero
     /// allocation steady state) is retained.
     pub fn recycle(&mut self) {
-        self.slots.clear();
-        self.pool_used = 0;
+        self.rewind(EvalMark::default());
+    }
+
+    /// The current end of the pass. Vars issued so far survive a later
+    /// [`Eval::rewind`] to this mark, so a pass can compute shared values
+    /// once and then evaluate many dependent computations after it, each
+    /// reusing the same slots.
+    pub fn mark(&self) -> EvalMark {
+        EvalMark { slots: self.slots.len(), pool: self.pool_used }
+    }
+
+    /// Invalidates every var issued after `mark` and reuses their slots;
+    /// the vars issued before it keep their values.
+    pub fn rewind(&mut self, mark: EvalMark) {
+        debug_assert!(mark.slots <= self.slots.len() && mark.pool <= self.pool_used);
+        self.slots.truncate(mark.slots);
+        self.pool_used = mark.pool;
     }
 
     /// Claims the next pooled slot at `shape`; `zeroed` controls whether the
@@ -418,17 +449,31 @@ impl Evaluator for Eval {
         })
     }
 
-    fn transpose(&mut self, a: EvalVar) -> EvalVar {
-        let (m, n) = {
+    fn matmul_rows(&mut self, a: EvalVar, b: EvalVar, rows: Range<usize>) -> EvalVar {
+        let (m, k) = {
             let av = self.value_of(a);
             (av.rows(), av.cols())
         };
-        self.unary(a, &[n, m], false, |av, out| {
-            for i in 0..m {
-                for (j, &x) in av.row(i).iter().enumerate() {
-                    out.set_m(j, i, x);
-                }
-            }
+        let n = self.value_of(b).cols();
+        assert!(rows.end <= self.value_of(b).rows(), "matmul_rows range {rows:?}");
+        assert_eq!(k, rows.len(), "matmul_rows inner dims: {k} vs {rows:?}");
+        self.binary(a, b, &[m, n], true, |av, bv, out| {
+            let b_rows = &bv.data()[rows.start * n..rows.end * n];
+            mvi_kernels::matmul(m, k, n, av.data(), b_rows, out.data_mut());
+        })
+    }
+
+    fn matmul_nt_rows(&mut self, a: EvalVar, b: EvalVar, rows: Range<usize>) -> EvalVar {
+        let (m, k) = {
+            let av = self.value_of(a);
+            (av.rows(), av.cols())
+        };
+        assert_eq!(self.value_of(b).cols(), k, "matmul_nt_rows inner dims");
+        assert!(rows.end <= self.value_of(b).rows(), "matmul_nt_rows range {rows:?}");
+        let n = rows.len();
+        self.binary(a, b, &[m, n], true, |av, bv, out| {
+            let b_rows = &bv.data()[rows.start * k..rows.end * k];
+            mvi_kernels::matmul_nt(m, k, n, av.data(), b_rows, out.data_mut());
         })
     }
 
@@ -597,11 +642,10 @@ impl Evaluator for Eval {
     }
 
     /// Fused output head. Bitwise contract with the default body: the `m = 1`
-    /// GEMM accumulates each output element over `k` ascending from a zeroed
-    /// accumulator (the kernel's single-row tail path), then the bias row is
-    /// added — exactly `(Σ_k x_k·w_{k,j}) + b_j` per element, reproduced here
-    /// in the same order, with the parameters read straight from the store
-    /// (no slot traffic).
+    /// GEMM computes each output element as one `mul_add` chain over `k`
+    /// ascending from a zeroed accumulator (every kernel path does), then the
+    /// bias row is added — reproduced here in the same order, with the
+    /// parameters read straight from the store (no slot traffic).
     fn affine_vec(
         &mut self,
         store: &ParamStore,
@@ -619,7 +663,7 @@ impl Evaluator for Eval {
             for (j, o) in out.data_mut().iter_mut().enumerate() {
                 let mut acc = 0.0;
                 for (kk, &xk) in xd.iter().enumerate() {
-                    acc += xk * wd[kk * out_dim + j];
+                    acc = xk.mul_add(wd[kk * out_dim + j], acc);
                 }
                 *o = match &bias {
                     Some(bv) => acc + bv.data()[j],
@@ -714,7 +758,6 @@ mod tests {
             (|g, a, _, _| g.square(a), |e, a, _, _| e.square(a)),
             (|g, a, _, _| g.sum(a), |e, a, _, _| e.sum(a)),
             (|g, a, _, _| g.sum_axis1(a), |e, a, _, _| e.sum_axis1(a)),
-            (|g, a, _, _| g.transpose(a), |e, a, _, _| e.transpose(a)),
             (|g, a, _, _| g.shift_rows(a, 1), |e, a, _, _| e.shift_rows(a, 1)),
             (|g, a, _, _| g.shift_rows(a, -2), |e, a, _, _| e.shift_rows(a, -2)),
             (|g, a, _, _| g.row(a, 2), |e, a, _, _| e.row(a, 2)),
@@ -763,6 +806,35 @@ mod tests {
                 let av = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
                 let bv = e.input(b.shape(), |x| x.data_mut().copy_from_slice(b.data()));
                 e.matmul(av, bv)
+            },
+        );
+        // Row ranges against the tape's gather-then-multiply (and
+        // transpose-then-multiply for the `nt` form).
+        let wide = t(&[9, 6], 13);
+        assert_same(
+            |g| {
+                let (av, bv) = (g.constant(a.clone()), g.constant(wide.clone()));
+                let rows = g.gather_rows(bv, &[2, 3, 4, 5, 6, 7]);
+                g.matmul(av, rows)
+            },
+            |e| {
+                let av = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
+                let bv = e.input(wide.shape(), |x| x.data_mut().copy_from_slice(wide.data()));
+                e.matmul_rows(av, bv, 2..8)
+            },
+        );
+        let b_t = t(&[9, 6], 14);
+        assert_same(
+            |g| {
+                let (av, bv) = (g.constant(a.clone()), g.constant(b_t.clone()));
+                let rows = g.gather_rows(bv, &[1, 2, 3, 4, 5]);
+                let rows_t = g.transpose(rows);
+                g.matmul(av, rows_t)
+            },
+            |e| {
+                let av = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
+                let bv = e.input(b_t.shape(), |x| x.data_mut().copy_from_slice(b_t.data()));
+                e.matmul_nt_rows(av, bv, 1..6)
             },
         );
         assert_same(
@@ -828,7 +900,7 @@ mod tests {
         for pass in 0..3 {
             e.recycle();
             let a = e.input(&[4, 4], |t| t.data_mut().iter_mut().for_each(|x| *x = 1.5));
-            let b = e.transpose(a);
+            let b = e.scale(a, 1.0);
             let c = e.matmul(a, b);
             let s = e.sum(c);
             assert_eq!(e.value(s).at(0), 4.0 * 4.0 * 4.0 * 1.5 * 1.5, "pass {pass}");
@@ -836,5 +908,20 @@ mod tests {
         // The pool holds exactly the four live buffers, reused across passes.
         assert_eq!(e.pool.len(), 4);
         assert_eq!(e.pool_used, 4);
+    }
+
+    #[test]
+    fn rewind_keeps_the_vars_before_the_mark_and_reuses_the_rest() {
+        let mut e = Eval::default();
+        let a = e.input(&[2, 3], |t| t.data_mut().iter_mut().for_each(|x| *x = 2.0));
+        let mark = e.mark();
+        for pass in 0..3 {
+            e.rewind(mark);
+            let b = e.scale(a, pass as f64);
+            let s = e.sum(b);
+            assert_eq!(e.value(s).at(0), 12.0 * pass as f64);
+            assert_eq!(e.value(a).data(), &[2.0; 6], "a var before the mark changed");
+        }
+        assert_eq!(e.pool.len(), 3, "passes after the mark reuse the same slots");
     }
 }

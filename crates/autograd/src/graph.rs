@@ -1,6 +1,7 @@
 //! The differentiation tape and its operator set.
 
 use crate::params::{ParamId, ParamStore};
+use core::ops::Range;
 use mvi_linalg::ops as la;
 use mvi_tensor::{Mask, Tensor};
 use std::sync::Arc;
@@ -229,6 +230,37 @@ impl Graph {
             v,
             vec![a, b],
             Some(Box::new(|g, p| vec![la::matmul_nt(g, p[1]), la::matmul_tn(p[0], g)])),
+        )
+    }
+
+    /// `a[m,k] · b[rows]`: the product with a contiguous row range of
+    /// `b[·,n]` (`k == rows.len()`). Rows of `b` outside the range get zero
+    /// gradient.
+    pub fn matmul_rows(&mut self, a: VarId, b: VarId, rows: Range<usize>) -> VarId {
+        let b_rows = rows_of(self.nodes[b].value.get(), &rows);
+        let v = la::matmul(self.nodes[a].value.get(), &b_rows);
+        self.push(
+            v,
+            vec![a, b],
+            Some(Box::new(move |g, p| {
+                let b_rows = rows_of(p[1], &rows);
+                vec![la::matmul_nt(g, &b_rows), embed_rows(p[1], &rows, la::matmul_tn(p[0], g))]
+            })),
+        )
+    }
+
+    /// `a[m,k] · b[rows]ᵀ` for `b[·,k]`, yielding `[m, rows.len()]`. Rows of
+    /// `b` outside the range get zero gradient.
+    pub fn matmul_nt_rows(&mut self, a: VarId, b: VarId, rows: Range<usize>) -> VarId {
+        let b_rows = rows_of(self.nodes[b].value.get(), &rows);
+        let v = la::matmul_nt(self.nodes[a].value.get(), &b_rows);
+        self.push(
+            v,
+            vec![a, b],
+            Some(Box::new(move |g, p| {
+                let b_rows = rows_of(p[1], &rows);
+                vec![la::matmul(g, &b_rows), embed_rows(p[1], &rows, la::matmul_tn(g, p[0]))]
+            })),
         )
     }
 
@@ -597,6 +629,25 @@ impl Graph {
     }
 }
 
+/// A copy of rows `rows` of the rank-2 `t`.
+fn rows_of(t: &Tensor, rows: &Range<usize>) -> Tensor {
+    let n = t.cols();
+    assert!(rows.end <= t.rows(), "row range {rows:?} past {} rows", t.rows());
+    Tensor::from_vec(vec![rows.len(), n], t.data()[rows.start * n..rows.end * n].to_vec())
+}
+
+/// `part` (rows `rows` of a value shaped like `like`) placed into zeros of
+/// `like`'s shape: the gradient of a row-range read.
+fn embed_rows(like: &Tensor, rows: &Range<usize>, part: Tensor) -> Tensor {
+    if rows.len() == like.rows() {
+        return part;
+    }
+    let n = like.cols();
+    let mut full = Tensor::zeros(like.shape());
+    full.data_mut()[rows.start * n..rows.end * n].copy_from_slice(part.data());
+    full
+}
+
 /// The tape is one of the two forward backends (the recording one): model
 /// forward code written against [`crate::eval::Evaluator`] runs on the tape
 /// during training — gaining a backward pass — and on [`crate::eval::Eval`]
@@ -658,8 +709,12 @@ impl crate::eval::Evaluator for Graph {
         Graph::matmul(self, a, b)
     }
 
-    fn transpose(&mut self, a: VarId) -> VarId {
-        Graph::transpose(self, a)
+    fn matmul_rows(&mut self, a: VarId, b: VarId, rows: Range<usize>) -> VarId {
+        Graph::matmul_rows(self, a, b, rows)
+    }
+
+    fn matmul_nt_rows(&mut self, a: VarId, b: VarId, rows: Range<usize>) -> VarId {
+        Graph::matmul_nt_rows(self, a, b, rows)
     }
 
     fn dot(&mut self, a: VarId, b: VarId) -> VarId {

@@ -34,7 +34,7 @@ pub mod params;
 pub(crate) mod vops;
 
 pub use check::check_gradients;
-pub use eval::{Eval, EvalVar, Evaluator};
+pub use eval::{Eval, EvalMark, EvalVar, Evaluator};
 pub use graph::{Graph, VarId};
 pub use nn::{fill_positional_encoding, positional_encoding, randn};
 pub use nn::{Embedding, GruCell, Linear};

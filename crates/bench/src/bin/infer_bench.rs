@@ -9,11 +9,16 @@
 //!   recycled autograd `Graph` per pass (tape nodes, boxed backward closures,
 //!   per-op tensors);
 //! * **eval** — `predict_window_into`: the value-only evaluator (recycled
-//!   slot arena, zero steady-state allocation, params by `Arc` share).
+//!   slot arena, zero steady-state allocation, params by `Arc` share), one
+//!   window at a time, each against a K/V table over its own context;
+//! * **batch** — `predict_batch` over the whole query set: the same
+//!   evaluator, with one K/V table per series shared by that series' windows
+//!   (the path `impute` and the serving engine take).
 //!
-//! The two arms are **bitwise identical** in output (asserted here and
+//! The three arms are **bitwise identical** in output (asserted here and
 //! property-tested in `tests/eval_equivalence.rs`); the artifact's headline
-//! `cold_window_speedup_vs_tape` is eval-to-tape window throughput, floor 3×.
+//! `cold_window_speedup_vs_tape` is eval-to-tape window throughput, floor 3×,
+//! and each scale's `batch_speedup_vs_eval` is batch-to-eval.
 //!
 //! ```text
 //! cargo run -p mvi-bench --release --bin infer_bench -- \
@@ -105,16 +110,29 @@ fn main() {
             queries.len()
         );
 
-        // Warm both scratches, and pin down bitwise agreement while at it.
+        // Warm the scratches, and pin down bitwise agreement while at it.
         let mut tape = TapeScratch::new();
         let mut eval = InferScratch::new();
+        let mut batch = InferScratch::new();
         let mut out = Vec::new();
-        for q in &queries {
+        let batched = model.predict_batch(&mut batch, &obs, &queries, threads);
+        for (q, from_batch) in queries.iter().zip(&batched) {
             let expect = model.predict_window_tape(&mut tape, &obs, q);
             out.clear();
             model.predict_window_into(&mut eval, &obs, q, &mut out);
-            let same = expect.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "tape/eval divergence on s={} w={}", q.s, q.window_j);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&expect) == bits(&out),
+                "tape/eval divergence on s={} w={}",
+                q.s,
+                q.window_j
+            );
+            assert!(
+                bits(&out) == bits(from_batch),
+                "eval/batch divergence on s={} w={}",
+                q.s,
+                q.window_j
+            );
         }
 
         // Best-of-3 repetitions per arm (the same best-of-N wall-clock
@@ -123,6 +141,7 @@ fn main() {
         const REPS: usize = 3;
         let mut tape_secs = f64::INFINITY;
         let mut eval_secs = f64::INFINITY;
+        let mut batch_secs = f64::INFINITY;
         for _ in 0..REPS {
             let t0 = Instant::now();
             for _ in 0..passes {
@@ -141,11 +160,20 @@ fn main() {
                 }
             }
             eval_secs = eval_secs.min(t0.elapsed().as_secs_f64());
-        }
-        let tape_arm = Arm { name: "tape", windows: passes * queries.len(), wall_secs: tape_secs };
-        let eval_arm = Arm { name: "eval", windows: passes * queries.len(), wall_secs: eval_secs };
 
-        for arm in [&tape_arm, &eval_arm] {
+            let t0 = Instant::now();
+            for _ in 0..passes {
+                std::hint::black_box(model.predict_batch(&mut batch, &obs, &queries, threads));
+            }
+            batch_secs = batch_secs.min(t0.elapsed().as_secs_f64());
+        }
+        let windows = passes * queries.len();
+        let tape_arm = Arm { name: "tape", windows, wall_secs: tape_secs };
+        let eval_arm = Arm { name: "eval", windows, wall_secs: eval_secs };
+        let batch_arm = Arm { name: "batch", windows, wall_secs: batch_secs };
+        let arms = [&tape_arm, &eval_arm, &batch_arm];
+
+        for arm in arms {
             eprintln!(
                 "  {:>4}: {} window passes in {:.3}s = {:>9.1} windows/s ({:.1} us/window)",
                 arm.name,
@@ -156,7 +184,10 @@ fn main() {
             );
         }
         let speedup = eval_arm.wps() / tape_arm.wps();
-        eprintln!("  cold-window speedup vs tape: {speedup:.2}x");
+        let batch_speedup = batch_arm.wps() / eval_arm.wps();
+        eprintln!(
+            "  cold-window speedup vs tape: {speedup:.2}x, batch vs eval: {batch_speedup:.2}x"
+        );
         if *scale_name == "serving_tiny" {
             headline_speedup = speedup;
         }
@@ -178,7 +209,7 @@ fn main() {
         let _ =
             writeln!(sj, "     \"cold_windows\": {}, \"positions\": {positions},", queries.len());
         let _ = writeln!(sj, "     \"arms\": [");
-        for (i, arm) in [&tape_arm, &eval_arm].into_iter().enumerate() {
+        for (i, arm) in arms.into_iter().enumerate() {
             let _ = write!(
                 sj,
                 "       {{\"name\": \"{}\", \"window_passes\": {}, \"wall_secs\": {:.6}, \
@@ -189,9 +220,10 @@ fn main() {
                 arm.wps(),
                 1e6 * arm.wall_secs / arm.windows as f64
             );
-            sj.push_str(if i == 1 { "\n" } else { ",\n" });
+            sj.push_str(if i + 1 == arms.len() { "\n" } else { ",\n" });
         }
         let _ = writeln!(sj, "     ],");
+        let _ = writeln!(sj, "     \"batch_speedup_vs_eval\": {batch_speedup:.3},");
         let _ = write!(sj, "     \"cold_window_speedup_vs_tape\": {speedup:.3}}}");
         scale_jsons.push(sj);
     }

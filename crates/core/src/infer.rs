@@ -22,9 +22,9 @@
 //!
 //! [`DeepMviModel::impute`] itself routes through this module, so batch
 //! imputation and online serving exercise the same forward path:
-//! [`DeepMviModel::predict_batch`] runs one forward pass per query, fanned out
-//! over `mvi-parallel`. Callers hand it at most one query per
-//! `(series, window)`: [`DeepMviModel::missing_queries`] emits one per window,
+//! [`DeepMviModel::predict_batch`] evaluates each run of same-series queries
+//! against one shared K/V table, fanned out over `mvi-parallel`. Callers hand
+//! it at most one query per `(series, window)`: [`DeepMviModel::missing_queries`] emits one per window,
 //! and the serving engine deduplicates its batches before evaluating them.
 
 use crate::config::DeepMviConfig;
@@ -150,8 +150,9 @@ impl DeepMviModel {
     }
 
     /// Value-only forward pass for one query through the tape-free evaluator,
-    /// appending one prediction per query position to `out`. With a warm
-    /// scratch and a caller-reused `out` this performs no heap allocation.
+    /// against a K/V table over the query's own context, appending one
+    /// prediction per query position to `out`. With a warm scratch and a
+    /// caller-reused `out` this performs no heap allocation.
     pub fn predict_window_into(
         &self,
         scratch: &mut InferScratch,
@@ -174,6 +175,7 @@ impl DeepMviModel {
     /// Value-only forward pass for one query. Returns one prediction per
     /// query position (see [`DeepMviModel::predict_window_into`] for the
     /// allocation-free form).
+    #[cfg(test)]
     pub(crate) fn predict_window(
         &self,
         scratch: &mut InferScratch,
@@ -206,12 +208,19 @@ impl DeepMviModel {
         scratch.fs.preds.iter().map(|&p| scratch.g.value(p).at(0)).collect()
     }
 
-    /// Evaluates a batch of queries, one forward pass each: serial on the
-    /// caller's `scratch`, or data-parallel over `threads` workers that each
-    /// warm their own [`InferScratch`] (the spawn already dwarfs that cost;
-    /// the parameter store is shared read only). Results are returned in
-    /// query order regardless of thread count, so the output is deterministic
-    /// for a fixed model and input.
+    /// Evaluates a batch of queries: serial on the caller's `scratch`, or
+    /// data-parallel over `threads` workers that each warm their own
+    /// [`InferScratch`] (the spawn already dwarfs that cost; the parameter
+    /// store is shared read only). Results are returned in query order.
+    ///
+    /// Each run of consecutive queries that share a series and a horizon
+    /// start is evaluated against one K/V table over the hull of its
+    /// contexts, built once, instead of one per query: for a run of all of a
+    /// series' windows that is one table row per window instead of `ctx`.
+    /// The table is bitwise equal to each query's own context
+    /// ([`DeepMviModel::predict_window_into`]), so the output does not
+    /// depend on the batch's order, its runs or the thread count. One run's
+    /// table is resident at a time per worker.
     pub fn predict_batch(
         &self,
         scratch: &mut InferScratch,
@@ -221,15 +230,61 @@ impl DeepMviModel {
     ) -> Vec<Vec<f64>> {
         let threads = threads.max(1).min(queries.len().max(1));
         if threads <= 1 {
-            return queries.iter().map(|q| self.predict_window(scratch, obs, q)).collect();
+            return self.predict_runs(scratch, obs, queries);
         }
         mvi_parallel::map_chunks(queries, threads, |chunk| {
-            let mut scratch = InferScratch::new();
-            chunk.iter().map(|q| self.predict_window(&mut scratch, obs, q)).collect::<Vec<_>>()
+            self.predict_runs(&mut InferScratch::new(), obs, chunk)
         })
         .into_iter()
         .flatten()
         .collect()
+    }
+
+    /// [`DeepMviModel::predict_batch`] on one worker: one table per run of
+    /// queries with the same `(series, horizon start)`, then each query
+    /// against it in slots recycled past the table.
+    fn predict_runs(
+        &self,
+        scratch: &mut InferScratch,
+        obs: &ObservedDataset,
+        queries: &[WindowQuery],
+    ) -> Vec<Vec<f64>> {
+        let mut out = Vec::with_capacity(queries.len());
+        let mut rest = queries;
+        while let Some(first) = rest.first() {
+            let key = (first.s, self.context(first.window_j).h0);
+            let len = rest.iter().take_while(|q| (q.s, self.context(q.window_j).h0) == key).count();
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            let (lo, hi) = run.iter().fold((usize::MAX, 0), |(lo, hi), q| {
+                let c = self.context(q.window_j);
+                (lo.min(c.j_start), hi.max(c.j_start + c.ctx))
+            });
+            scratch.ev.recycle();
+            let table_task = WindowTask { obs, s: key.0, window_j: 0, positions: &[], synth: None };
+            self.build_table(
+                &self.store,
+                &mut scratch.ev,
+                &mut scratch.fs,
+                &table_task,
+                key.1,
+                lo..hi,
+            );
+            let mark = scratch.ev.mark();
+            for q in run {
+                scratch.ev.rewind(mark);
+                let task = WindowTask {
+                    obs,
+                    s: q.s,
+                    window_j: q.window_j,
+                    positions: &q.positions,
+                    synth: None,
+                };
+                self.forward_target(&self.store, &mut scratch.ev, &mut scratch.fs, &task);
+                out.push(scratch.fs.preds.iter().map(|&p| scratch.ev.value(p).at(0)).collect());
+            }
+        }
+        out
     }
 
     /// Enumerates the missing entries of `obs` as window queries, every

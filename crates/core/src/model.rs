@@ -8,6 +8,7 @@ use mvi_data::dataset::ObservedDataset;
 use mvi_tensor::Mask;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// Per-head attention parameters: queries/keys read the concatenated left+right
 /// window features (width `2p`), values read the window's own feature (width `p`).
@@ -50,6 +51,75 @@ impl SynthMask {
     }
 }
 
+/// The temporal transformer's rows that do not depend on the target window
+/// (Eq 7–10), for windows `[lo, lo + rows)` of series `s` under the
+/// trained-length horizon that starts at window `h0`: the window features
+/// `y`, the positional encoding, the key/query input
+/// `[y(j−1), y(j+1)] + pe(j − h0)`, each head's K and V, and each window's
+/// key-availability flag. Built by [`DeepMviModel::build_table`]; its vars
+/// stay valid until the backend recycles them.
+///
+/// With `h0` fixed, a context row's K and V depend only on its absolute
+/// window, except at a context's first and last row, where the neighbour
+/// outside the context is zero-filled. So every target whose context lies
+/// inside the table reads its rows from it, and recomputes only those edge
+/// K rows where the table reaches past the edge
+/// ([`DeepMviModel::forward_target`]).
+struct KvTable<V> {
+    s: usize,
+    h0: usize,
+    lo: usize,
+    /// Eq 9: a window with any missing value voids its key.
+    keys_ok: Vec<bool>,
+    vars: Option<TableVars<V>>,
+    /// Per head: K `[rows, 2p]` and V `[rows, p]`.
+    k: Vec<V>,
+    v: Vec<V>,
+}
+
+/// The shared inputs of a [`KvTable`]'s K and V.
+#[derive(Clone, Copy)]
+struct TableVars<V> {
+    /// Window features `y`, `[rows, p]`.
+    y: V,
+    /// Horizon-relative positional encoding, `[rows, 2p]`.
+    pe: V,
+    /// Key/query input, `[rows, 2p]`.
+    qk: V,
+}
+
+impl<V> Default for KvTable<V> {
+    fn default() -> Self {
+        Self { s: 0, h0: 0, lo: 0, keys_ok: Vec::new(), vars: None, k: Vec::new(), v: Vec::new() }
+    }
+}
+
+/// A target window's attention context: `ctx` consecutive windows from
+/// `j_start`, inside the trained-length horizon that starts at window `h0`.
+#[derive(Clone, Copy)]
+pub(crate) struct Context {
+    pub h0: usize,
+    pub j_start: usize,
+    pub ctx: usize,
+}
+
+/// Where a context's keys and values come from: the table rows `rows`,
+/// except that the key of the first or last context row is recomputed from
+/// the given key/query input where the table reaches past that edge.
+struct ContextKeys<V> {
+    rows: Range<usize>,
+    first: Option<V>,
+    last: Option<V>,
+}
+
+impl<V> ContextKeys<V> {
+    /// The table rows whose keys the context reads as they are.
+    fn middle(&self) -> Range<usize> {
+        self.rows.start + self.first.is_some() as usize
+            ..self.rows.end - self.last.is_some() as usize
+    }
+}
+
 /// Reusable buffers for one forward pass, generic over the backend's variable
 /// handle (`VarId` on the tape, `EvalVar` on the value-only evaluator). The
 /// inference hot path keeps one of these per scratch so a steady-state window
@@ -57,11 +127,16 @@ impl SynthMask {
 /// a handful of empty vectors).
 ///
 /// `preds` receives one `[1]`-shaped prediction handle per requested position
-/// — it is the output channel of [`DeepMviModel::forward_positions`].
+/// — it is the output channel of [`DeepMviModel::forward_target`].
 pub(crate) struct ForwardScratch<V> {
+    /// The K/V table the targets attend against.
+    table: KvTable<V>,
     /// The target row's `[1, ctx]` attention mask, rebuilt per window pass:
     /// one key-availability flag per context window (Eq 9).
     mask: Mask,
+    /// A head's scores against recomputed edge keys and table keys,
+    /// awaiting concatenation.
+    score_parts: Vec<V>,
     /// Per-head attention outputs awaiting concatenation (Eq 12).
     head_outs: Vec<V>,
     /// Per-position feature parts awaiting concatenation (Eq 6).
@@ -78,12 +153,11 @@ pub(crate) struct ForwardScratch<V> {
     /// Multi-index buffers for the target series and its siblings.
     k_index: Vec<usize>,
     kk: Vec<usize>,
-    /// Positional-encoding cache, indexed by horizon start (`j_start_rel`).
-    /// The encoding is a pure function of that index (ctx length and width
-    /// are fixed per model), and its transcendentals dominate a small window
-    /// pass — a warm scratch turns them into one memcpy. Values are the same
-    /// bits whether cached or recomputed, so both backends use it.
-    pe_cache: Vec<Option<mvi_tensor::Tensor>>,
+    /// Positional encoding of the whole trained horizon, `[n_windows, 2p]`.
+    /// A row is a pure function of its horizon-relative window, and the
+    /// transcendentals dominate a small table, so a warm scratch copies rows
+    /// out of this instead. Same bits either way, so both backends use it.
+    pe: Option<mvi_tensor::Tensor>,
     /// One `[1]`-shaped prediction per requested position (the output).
     pub(crate) preds: Vec<V>,
 }
@@ -91,7 +165,9 @@ pub(crate) struct ForwardScratch<V> {
 impl<V> Default for ForwardScratch<V> {
     fn default() -> Self {
         Self {
+            table: KvTable::default(),
             mask: Mask::falses(&[0]),
+            score_parts: Vec::new(),
             head_outs: Vec::new(),
             parts: Vec::new(),
             kr_parts: Vec::new(),
@@ -102,7 +178,7 @@ impl<V> Default for ForwardScratch<V> {
             sel_values: Vec::new(),
             k_index: Vec::new(),
             kk: Vec::new(),
-            pe_cache: Vec::new(),
+            pe: None,
             preds: Vec::new(),
         }
     }
@@ -375,15 +451,23 @@ impl DeepMviModel {
         &self.cfg
     }
 
-    /// Forward pass for one window task against an explicit parameter store view
-    /// (shared read-only across worker threads). Writes one `[1]`-shaped
+    /// The attention context of target window `j0`: `ctx_windows` windows
+    /// centred on the target, clipped to the trained-length horizon ending
+    /// at the target window (which is `[0, n_windows)` itself whenever the
+    /// target is inside it).
+    pub(crate) fn context(&self, j0: usize) -> Context {
+        let ctx = self.cfg.ctx_windows.min(self.n_windows).max(1);
+        let h0 = (j0 + 1).saturating_sub(self.n_windows); // horizon start window
+        let j_rel = j0 - h0; // target's window position inside the horizon
+        let j_start_rel = j_rel.saturating_sub(ctx / 2).min(self.n_windows - ctx);
+        Context { h0, j_start: h0 + j_start_rel, ctx }
+    }
+
+    /// Forward pass for one window task against an explicit parameter store
+    /// view (shared read-only across worker threads): a K/V table over the
+    /// target's own context ([`DeepMviModel::build_table`]), then the target
+    /// against it ([`DeepMviModel::forward_target`]). Writes one `[1]`-shaped
     /// prediction handle per requested position into `fs.preds`.
-    ///
-    /// The temporal transformer computes the window features, K and V over
-    /// all `ctx` context rows, and then only the target window's row `jc`:
-    /// its query, its `[1, ctx]` masked softmax, attn·V, the head concat and
-    /// the `d1`/`d2`/`dec` decoder. Those ops are row-local, so this is the
-    /// same function as decoding every context row and keeping row `jc`.
     ///
     /// Generic over the execution backend ([`Evaluator`]): training runs it on
     /// the differentiation tape ([`mvi_autograd::Graph`]) and gets a backward
@@ -410,78 +494,137 @@ impl DeepMviModel {
         fs: &mut ForwardScratch<E::Var>,
         task: &WindowTask<'_>,
     ) {
+        let c = self.context(task.window_j);
+        self.build_table(store, g, fs, task, c.h0, c.j_start..c.j_start + c.ctx);
+        self.forward_target(store, g, fs, task);
+    }
+
+    /// Builds the [`KvTable`] of `windows` (absolute window indices) of the
+    /// task's series under the horizon starting at `h0` into `fs`. Reads
+    /// only the task's dataset, series and synthetic mask. Every context
+    /// that lies inside `windows` and shares `h0` can then be evaluated
+    /// against it, bitwise equal to a table over that context alone: the
+    /// kernels compute each GEMM row as one FMA chain whatever the row count
+    /// (see `mvi_kernels`), and every other op here is row-local. A no-op
+    /// without the temporal transformer.
+    pub(crate) fn build_table<E: Evaluator>(
+        &self,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        task: &WindowTask<'_>,
+        h0: usize,
+        windows: Range<usize>,
+    ) {
+        if let Some(tt) = self.tt.as_ref() {
+            self.fill_table(tt, store, g, &mut fs.table, &mut fs.pe, task, h0, windows);
+        }
+    }
+
+    /// [`DeepMviModel::build_table`] into `table`, with `pe_cache` holding
+    /// the positional encoding of the whole trained horizon.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_table<E: Evaluator>(
+        &self,
+        tt: &TtParams,
+        store: &ParamStore,
+        g: &mut E,
+        table: &mut KvTable<E::Var>,
+        pe_cache: &mut Option<mvi_tensor::Tensor>,
+        task: &WindowTask<'_>,
+        h0: usize,
+        windows: Range<usize>,
+    ) {
+        let (p, w) = (self.cfg.p, self.w);
+        let live_t = task.obs.t_len();
+        let rows = windows.len();
+        assert!(
+            windows.start >= h0 && windows.end <= h0 + self.n_windows,
+            "table windows {windows:?} leave the horizon at {h0}"
+        );
+        let series_vals = task.obs.values.series(task.s);
+        table.s = task.s;
+        table.h0 = h0;
+        table.lo = windows.start;
+        table.keys_ok.clear();
+        table.keys_ok.resize(rows, true);
+        let keys_ok = &mut table.keys_ok;
+        let xv = g.input(&[rows, w], |xw| {
+            for (j, key_ok) in keys_ok.iter_mut().enumerate() {
+                let wj = windows.start + j;
+                for o in 0..w {
+                    let t = wj * w + o;
+                    if t < live_t && task.avail(t) {
+                        xw.set_m(j, o, series_vals[t]);
+                    } else {
+                        *key_ok = false; // Eq 9: any missing value voids the key
+                    }
+                }
+            }
+        });
+        let y = tt.wf.forward(g, store, xv); // Eq 7: [rows, p]
+
+        // Horizon-relative window positions: identical to absolute indices
+        // inside the trained range (h0 == 0), and rolled back into the
+        // trained positional range for grown windows. The shape guard keys
+        // the cached horizon to this model: a scratch handed to a
+        // differently-shaped model refills it.
+        let horizon = [self.n_windows, 2 * p];
+        let pe_all = match pe_cache {
+            Some(cached) if cached.shape() == horizon => cached,
+            slot => {
+                let mut t = mvi_tensor::Tensor::zeros(&horizon);
+                fill_positional_encoding(&mut t, 0);
+                slot.insert(t)
+            }
+        };
+        let first = (windows.start - h0) * 2 * p;
+        let pe_rows = &pe_all.data()[first..first + rows * 2 * p];
+        let pe = g.input(&[rows, 2 * p], |t| t.data_mut().copy_from_slice(pe_rows));
+        // Fig 7's "No Context Window" ablation: keys/queries see only the
+        // positional encoding, exactly dropping the contextual information.
+        let qk = if self.cfg.use_context_window {
+            let yprev = g.shift_rows(y, 1);
+            let ynext = g.shift_rows(y, -1);
+            let neighbours = g.concat_cols(&[yprev, ynext]); // [rows, 2p]
+            g.add(neighbours, pe)
+        } else {
+            pe
+        };
+        table.k.clear();
+        table.v.clear();
+        for head in &tt.heads {
+            table.k.push(head.wk.forward(g, store, qk)); // Eq 9 (masking via softmax)
+            table.v.push(head.wv.forward(g, store, y)); // Eq 10
+        }
+        table.vars = Some(TableVars { y, pe, qk });
+    }
+
+    /// The forward pass of one target window against the table in `fs`,
+    /// which must cover the target's context under its horizon (see
+    /// [`DeepMviModel::build_table`]). Writes one `[1]`-shaped prediction
+    /// handle per requested position into `fs.preds`.
+    ///
+    /// The temporal transformer decodes only the target window's row `jc`:
+    /// its query, its `[1, ctx]` masked softmax, attn·V, the head concat and
+    /// the `d1`/`d2`/`dec` decoder. Those ops are row-local, so this is the
+    /// same function as decoding every context row and keeping row `jc`.
+    pub(crate) fn forward_target<E: Evaluator>(
+        &self,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        task: &WindowTask<'_>,
+    ) {
         fs.preds.clear();
         let p = self.cfg.p;
         let w = self.w;
         let j0 = task.window_j;
         let live_t = task.obs.t_len();
 
-        // Context range: `ctx_windows` windows centred on the target, clipped
-        // to the trained-length horizon ending at the target window (which is
-        // `[0, n_windows)` itself whenever the target is inside it).
-        let ctx = self.cfg.ctx_windows.min(self.n_windows).max(1);
-        let half = ctx / 2;
-        let h0 = (j0 + 1).saturating_sub(self.n_windows); // horizon start window
-        let j_rel = j0 - h0; // target's window position inside the horizon
-        let j_start_rel = j_rel.saturating_sub(half).min(self.n_windows - ctx);
-        let j_start = h0 + j_start_rel;
-        let jc = j0 - j_start; // target window's row inside the context
-
         // Per-position hidden vectors from the temporal transformer.
         let tt_rows: Option<E::Var> = self.tt.as_ref().map(|tt| {
-            let series_vals = task.obs.values.series(task.s);
-            fs.mask.reset_full(&[1, ctx], true);
-            let keys_ok = fs.mask.data_mut();
-            let xv = g.input(&[ctx, w], |xw| {
-                for j in 0..ctx {
-                    let wj = j_start + j;
-                    for o in 0..w {
-                        let t = wj * w + o;
-                        if t < live_t && task.avail(t) {
-                            xw.set_m(j, o, series_vals[t]);
-                        } else {
-                            keys_ok[j] = false; // Eq 9: any missing value voids the key
-                        }
-                    }
-                }
-            });
-
-            let y = tt.wf.forward(g, store, xv); // Eq 7: [ctx, p]
-            let yprev = g.shift_rows(y, 1);
-            let ynext = g.shift_rows(y, -1);
-            let neighbours = g.concat_cols(&[yprev, ynext]); // [ctx, 2p]
-
-            // Horizon-relative window positions: identical to absolute
-            // indices inside the trained range (h0 == 0), and rolled back
-            // into the trained positional range for grown windows. Cached by
-            // horizon start in the scratch (same bits either way).
-            if fs.pe_cache.len() <= j_start_rel {
-                fs.pe_cache.resize_with(j_start_rel + 1, || None);
-            }
-            let pe_slot = &mut fs.pe_cache[j_start_rel];
-            let pe = g.input(&[ctx, 2 * p], |t| match pe_slot {
-                // The shape guard keys the cache to this model's [ctx, 2p]:
-                // a scratch handed to a differently-shaped model refills
-                // instead of serving a misshaped (or misread) encoding.
-                Some(cached) if cached.shape() == t.shape() => {
-                    t.data_mut().copy_from_slice(cached.data());
-                }
-                slot => {
-                    fill_positional_encoding(t, j_start_rel);
-                    *slot = Some(t.clone());
-                }
-            });
-            // Fig 7's "No Context Window" ablation: keys/queries see only the
-            // positional encoding, exactly dropping the contextual information.
-            let qk_in = if self.cfg.use_context_window { g.add(neighbours, pe) } else { pe };
-
-            #[cfg(test)]
-            if self.full_row_reference {
-                return self.full_row_reference_block(tt, store, g, fs, qk_in, y, jc);
-            }
-            let q_in = g.row(qk_in, jc);
-            let q_in = g.reshape(q_in, &[1, 2 * p]);
-            let dec = self.attend(tt, store, g, &mut fs.head_outs, &fs.mask, q_in, qk_in, y);
+            let dec = self.attend_target(tt, store, g, fs, task);
             g.reshape(dec, &[w, p]) // the target window's [w, p] rows
         });
 
@@ -523,34 +666,148 @@ impl DeepMviModel {
         }
     }
 
-    /// Attention and decoder (Eq 8–14) for the query rows `q_in` against the
-    /// full context's keys (`qk_in`) and values (`y`): `[m, 2p]` queries
-    /// yield `[m, w·p]` decoded rows. Every op after K and V is row-local, so
-    /// each output row depends on its own query row alone. `mask` is
-    /// `[m, ctx]`; `head_outs` is scratch for the per-head outputs.
+    /// The temporal transformer's `[1, w·p]` output for the target window:
+    /// its context's key mask, keys and values read from the table, the one
+    /// or two edge keys recomputed where the table reaches past the context,
+    /// and the query row, then [`DeepMviModel::attend`].
+    fn attend_target<E: Evaluator>(
+        &self,
+        tt: &TtParams,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        task: &WindowTask<'_>,
+    ) -> E::Var {
+        let c = self.context(task.window_j);
+        let ctx = c.ctx;
+        let jc = task.window_j - c.j_start; // target window's row inside the context
+        let ForwardScratch { table, mask, score_parts, head_outs, .. } = fs;
+        let n_rows = table.keys_ok.len();
+        assert!(
+            table.s == task.s
+                && table.h0 == c.h0
+                && c.j_start >= table.lo
+                && c.j_start + ctx <= table.lo + n_rows,
+            "the K/V table does not cover window {} of series {}",
+            task.window_j,
+            task.s
+        );
+        let Some(vars) = table.vars else { unreachable!("a covering table has its vars") };
+        let r0 = c.j_start - table.lo; // the context's first table row
+        mask.reset_full(&[1, ctx], true);
+        mask.data_mut().copy_from_slice(&table.keys_ok[r0..r0 + ctx]);
+
+        #[cfg(test)]
+        if self.full_row_reference {
+            return self.full_row_reference_block(tt, store, g, fs, task);
+        }
+
+        // The context's first and last rows zero-fill the neighbour outside
+        // the context; the table has that neighbour wherever it reaches past
+        // the edge, so those keys (and the query, if it is one) are
+        // recomputed from the row's own inputs.
+        let cw = self.cfg.use_context_window;
+        let patch_first = cw && (r0 > 0 || (ctx == 1 && r0 + 1 < n_rows));
+        let patch_last = cw && ctx > 1 && r0 + ctx < n_rows;
+        let keys = ContextKeys {
+            rows: r0..r0 + ctx,
+            first: patch_first.then(|| self.edge_qk(g, vars, r0, ctx, 0)),
+            last: patch_last.then(|| self.edge_qk(g, vars, r0, ctx, ctx - 1)),
+        };
+        let q_in = match (keys.first, keys.last) {
+            (Some(q), _) if jc == 0 => q,
+            (_, Some(q)) if jc == ctx - 1 => q,
+            _ => g.gather_rows(vars.qk, &[r0 + jc]),
+        };
+        self.attend(tt, store, g, (head_outs, score_parts), mask, q_in, table, &keys)
+    }
+
+    /// The transformer block over every row of the target's own context,
+    /// the reference the one-row path is tested against: K and V over the
+    /// context alone, each context row a query under a `[ctx, ctx]`
+    /// broadcast of the key mask, and row `jc` kept.
+    #[cfg(test)]
+    fn full_row_reference_block<E: Evaluator>(
+        &self,
+        tt: &TtParams,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        task: &WindowTask<'_>,
+    ) -> E::Var {
+        let c = self.context(task.window_j);
+        let mut own = KvTable::default();
+        let windows = c.j_start..c.j_start + c.ctx;
+        self.fill_table(tt, store, g, &mut own, &mut fs.pe, task, c.h0, windows);
+        let Some(vars) = own.vars else { unreachable!("a filled table has its vars") };
+        let mask = Mask::from_vec(vec![c.ctx, c.ctx], own.keys_ok.repeat(c.ctx));
+        let keys = ContextKeys { rows: 0..c.ctx, first: None, last: None };
+        let parts = (&mut fs.head_outs, &mut fs.score_parts);
+        let dec = self.attend(tt, store, g, parts, &mask, vars.qk, &own, &keys);
+        g.row(dec, task.window_j - c.j_start) // [w·p]
+    }
+
+    /// The `[1, 2p]` key/query input of context row `i` (table rows from
+    /// `r0`), with the neighbours outside the `ctx`-row context zero-filled
+    /// as the context's own `shift_rows` would.
+    fn edge_qk<E: Evaluator>(
+        &self,
+        g: &mut E,
+        vars: TableVars<E::Var>,
+        r0: usize,
+        ctx: usize,
+        i: usize,
+    ) -> E::Var {
+        let zeros = g.input(&[1, self.cfg.p], |_| {});
+        let prev = if i > 0 { g.gather_rows(vars.y, &[r0 + i - 1]) } else { zeros };
+        let next = if i + 1 < ctx { g.gather_rows(vars.y, &[r0 + i + 1]) } else { zeros };
+        let neighbours = g.concat_cols(&[prev, next]);
+        let pe = g.gather_rows(vars.pe, &[r0 + i]);
+        g.add(neighbours, pe)
+    }
+
+    /// Attention and decoder (Eq 8–14) for the query rows `q_in` against a
+    /// context's keys and values in `table`: `[m, 2p]` queries yield
+    /// `[m, w·p]` decoded rows. Scores and attn·V read the table's rows in
+    /// place. Every op is row-local in the queries, so each output row
+    /// depends on its own query row alone. `mask` is `[m, ctx]`; `scratch`
+    /// holds the per-head outputs and score parts.
     #[allow(clippy::too_many_arguments)]
     fn attend<E: Evaluator>(
         &self,
         tt: &TtParams,
         store: &ParamStore,
         g: &mut E,
-        head_outs: &mut Vec<E::Var>,
+        scratch: (&mut Vec<E::Var>, &mut Vec<E::Var>),
         mask: &Mask,
         q_in: E::Var,
-        qk_in: E::Var,
-        y: E::Var,
+        table: &KvTable<E::Var>,
+        keys: &ContextKeys<E::Var>,
     ) -> E::Var {
+        let (head_outs, score_parts) = scratch;
         let scale = 1.0 / ((2 * self.cfg.p) as f64).sqrt();
+        let middle = keys.middle();
         head_outs.clear();
-        for head in &tt.heads {
+        for ((head, &k), &v) in tt.heads.iter().zip(&table.k).zip(&table.v) {
             let q = head.wq.forward(g, store, q_in); // Eq 8
-            let k = head.wk.forward(g, store, qk_in); // Eq 9 (masking via softmax)
-            let v = head.wv.forward(g, store, y); // Eq 10
-            let kt = g.transpose(k);
-            let scores_raw = g.matmul(q, kt);
+                                                     // Eq 9 (masking via softmax), one score column per context row.
+            score_parts.clear();
+            if let Some(qk) = keys.first {
+                let k_row = head.wk.forward(g, store, qk);
+                score_parts.push(g.matmul_nt_rows(q, k_row, 0..1));
+            }
+            if !middle.is_empty() {
+                score_parts.push(g.matmul_nt_rows(q, k, middle.clone()));
+            }
+            if let Some(qk) = keys.last {
+                let k_row = head.wk.forward(g, store, qk);
+                score_parts.push(g.matmul_nt_rows(q, k_row, 0..1));
+            }
+            let scores_raw =
+                if score_parts.len() == 1 { score_parts[0] } else { g.concat_cols(score_parts) };
             let scores = g.scale(scores_raw, scale);
             let attn = g.masked_softmax_rows(scores, mask); // Eq 11
-            let head_out = g.matmul(attn, v);
+            let head_out = g.matmul_rows(attn, v, keys.rows.clone()); // Eq 10
             head_outs.push(head_out);
         }
         let h = g.concat_cols(head_outs); // Eq 12: [m, n_heads·p]
@@ -563,33 +820,10 @@ impl DeepMviModel {
         g.relu(dec) // Eq 14: [m, w·p]
     }
 
-    /// The transformer block over every context row, the reference the
-    /// one-row path is tested against: each row is a query under a
-    /// `[ctx, ctx]` broadcast of the key mask, and row `jc` is kept.
-    #[cfg(test)]
-    #[allow(clippy::too_many_arguments)]
-    fn full_row_reference_block<E: Evaluator>(
-        &self,
-        tt: &TtParams,
-        store: &ParamStore,
-        g: &mut E,
-        fs: &mut ForwardScratch<E::Var>,
-        qk_in: E::Var,
-        y: E::Var,
-        jc: usize,
-    ) -> E::Var {
-        let keys_ok = fs.mask.data();
-        let ctx = keys_ok.len();
-        let mask = Mask::from_vec(vec![ctx, ctx], keys_ok.repeat(ctx));
-        let dec = self.attend(tt, store, g, &mut fs.head_outs, &mask, qk_in, qk_in, y);
-        let target_row = g.row(dec, jc); // [w·p]
-        g.reshape(target_row, &[self.w, self.cfg.p])
-    }
-
     /// The kernel-regression features `[U, V, W]` per dimension at time `t`
     /// (Eq 17–21), concatenated into a `[3n]` vector. Uses (and may clobber)
-    /// every `fs` buffer except `parts`/`head_outs`/`preds`, which belong to
-    /// the enclosing [`DeepMviModel::forward_positions`] position loop.
+    /// every `fs` buffer except `table`, `parts`, `head_outs` and `preds`,
+    /// which belong to the enclosing [`DeepMviModel::forward_target`].
     fn kernel_regression<E: Evaluator>(
         &self,
         store: &ParamStore,
@@ -787,20 +1021,8 @@ mod tests {
         use crate::infer::{InferScratch, TapeScratch, WindowQuery};
         use mvi_data::generators::{generate_with_shape, DatasetName};
 
-        /// How far the one-row path may drift from the full-row reference,
-        /// relative to each value (absolute below magnitude 1). The two run
-        /// the same ops on the same values, but a 1-row GEMM takes the
-        /// kernels' portable tail where a ≥8-row one takes the FMA tile, so
-        /// they agree to rounding rather than bitwise.
-        const REF_TOL: f64 = 1e-12;
-
-        /// Largest `|new − ref| / max(|ref|, 1)` over paired values.
-        fn gap(new: &[f64], reference: &[f64]) -> f64 {
-            assert_eq!(new.len(), reference.len());
-            new.iter()
-                .zip(reference)
-                .map(|(&a, &b)| (a - b).abs() / b.abs().max(1.0))
-                .fold(0.0, f64::max)
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
         }
 
         /// 8 series × 300 steps, w = 10: 30 windows against the tiny
@@ -816,13 +1038,15 @@ mod tests {
             model
         }
 
-        /// The largest gap between the one-row path and the full-row
-        /// reference over every window in `windows` of every series, on the
-        /// evaluator and on the tape. Also checks that the one-row path is
-        /// bitwise identical across the two backends.
-        fn max_gap(model: &mut DeepMviModel, obs: &ObservedDataset, windows: &[usize]) -> f64 {
+        /// Asserts that the one-row path equals the full-row reference,
+        /// bitwise, over every window in `windows` of every series, on the
+        /// evaluator and on the tape, and that the two backends agree.
+        fn assert_matches_reference(
+            model: &mut DeepMviModel,
+            obs: &ObservedDataset,
+            windows: &[usize],
+        ) {
             let w = model.window();
-            let mut worst: f64 = 0.0;
             for s in 0..obs.n_series() {
                 for &window_j in windows {
                     let q = WindowQuery {
@@ -838,12 +1062,12 @@ mod tests {
                     };
                     let (reference_eval, reference_tape) = run(model, true);
                     let (eval, tape) = run(model, false);
-                    assert_eq!(eval, tape, "s={s} window {window_j}: backends diverge");
-                    worst = worst.max(gap(&eval, &reference_eval)).max(gap(&tape, &reference_tape));
+                    assert_eq!(bits(&eval), bits(&tape), "s={s} window {window_j}: backends");
+                    assert_eq!(bits(&eval), bits(&reference_eval), "s={s} window {window_j}");
+                    assert_eq!(bits(&tape), bits(&reference_tape), "s={s} window {window_j}");
                 }
             }
             model.full_row_reference = false;
-            worst
         }
 
         #[test]
@@ -856,9 +1080,7 @@ mod tests {
                 assert!(n > model.cfg.ctx_windows, "fixture must clip the context");
                 // Window 0 is context row jc = 0, window n−1 is jc = ctx−1,
                 // and the middle window is an unclipped centred context.
-                let gap = max_gap(&mut model, &obs, &[0, 1, n / 2, n - 2, n - 1]);
-                eprintln!("use_context_window={use_context_window}: max gap {gap:e}");
-                assert!(gap <= REF_TOL, "gap {gap:e} past {REF_TOL:e}");
+                assert_matches_reference(&mut model, &obs, &[0, 1, n / 2, n - 2, n - 1]);
             }
         }
 
@@ -874,16 +1096,14 @@ mod tests {
                     (0..2 * w).map(|i| (i as f64 / 7.0 + s as f64).cos()).collect();
                 grown.record_range(s, obs.t_len(), &vals);
             }
-            let gap = max_gap(&mut model, &grown, &[n, n + 1, n + 2]);
-            eprintln!("rolled: max gap {gap:e}");
-            assert!(gap <= REF_TOL, "gap {gap:e} past {REF_TOL:e}");
+            assert_matches_reference(&mut model, &grown, &[n, n + 1, n + 2]);
         }
 
-        /// The key biases `tt.h*.k.b` have an exactly-zero gradient in exact
-        /// arithmetic (a per-row softmax ignores a shift shared by all its
-        /// scores), so Adam turns rounding noise into steps there and both
-        /// fits hold ~1e-13 of noise in them; the absolute floor of
-        /// [`REF_TOL`] bounds it.
+        /// Training differentiates the two forms through different-shaped
+        /// GEMMs, but every kernel path is row-invariant and the rows the
+        /// one-row form drops carry exact zeros, so a fixed-seed fit is
+        /// bitwise the full-row fit: the validation trace, every parameter
+        /// (the inert key biases `tt.h*.k.b` included) and `impute`.
         #[test]
         fn fixed_seed_fit_matches_a_full_row_reference_fit() {
             let obs = obs();
@@ -894,27 +1114,20 @@ mod tests {
             let report = model.fit(&obs);
             let reference_report = reference.fit(&obs);
             assert_eq!(report.steps, reference_report.steps);
-            let trace_gap = gap(&report.val_trace, &reference_report.val_trace);
+            assert_eq!(bits(&report.val_trace), bits(&reference_report.val_trace));
 
             let params = model.export_params();
             let reference_params = reference.export_params();
-            let mut param_gap: f64 = 0.0;
             assert_eq!(params.params.len(), reference_params.params.len());
             for ((name, a), (reference_name, b)) in
                 params.params.iter().zip(&reference_params.params)
             {
                 assert_eq!(name, reference_name);
-                param_gap = param_gap.max(gap(a.data(), b.data()));
+                assert_eq!(bits(a.data()), bits(b.data()), "parameter {name}");
             }
             let imputed = model.impute(&obs);
             let reference_imputed = reference.impute(&obs);
-            let impute_gap = gap(imputed.data(), reference_imputed.data());
-            eprintln!("fit: val {trace_gap:e}, params {param_gap:e}, impute {impute_gap:e}");
-            for (what, g) in
-                [("val trace", trace_gap), ("params", param_gap), ("impute", impute_gap)]
-            {
-                assert!(g <= REF_TOL, "{what} gap {g:e} past {REF_TOL:e}");
-            }
+            assert_eq!(bits(imputed.data()), bits(reference_imputed.data()), "impute");
         }
     }
 }

@@ -24,6 +24,15 @@
 //!   synchronization in the inner loops. Worker counts are capped at the
 //!   machine's available (logical-CPU) parallelism — oversubscribing that
 //!   only hurts here.
+//! * **Row invariance.** Every path of `matmul`, `matmul_tn` and
+//!   `matmul_nt` (the AVX-512 tile, the portable tile, the row and column
+//!   tails and `matmul_nt`'s dot tile) computes an output element as one
+//!   `f64::mul_add` chain over `k` in ascending order, starting from the
+//!   incoming `C` value. A row's bits therefore do
+//!   not depend on `m`, `n`, where the row falls in the tiling or how rows
+//!   are split across workers: row `i` of a product equals the 1-row
+//!   product of row `i` of `A`, bit for bit. The model's K/V tables rely on
+//!   this, and so does training's agreement with a full-row reference.
 //!
 //! All matmul kernels *accumulate* (`C += ...`) into a caller-provided
 //! buffer, which lets callers fuse the zero-init or chain updates. Unlike the
@@ -136,7 +145,7 @@ fn serial_gemm_tiled(
 
 /// Shared remainder handling for the tiled drivers: row tail (`id..m`) over
 /// the tiled columns `[0, jd)`, then column tail (`jd..n`) over every row,
-/// both as fused-`axpy` row updates.
+/// both as [`fma_row`] updates in ascending `k`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_tails(
     m: usize,
@@ -153,16 +162,27 @@ fn gemm_tails(
     for i in id..m {
         for kk in 0..k {
             let x = a[i * a_row + kk * a_k];
-            axpy(&mut c[i * n..i * n + jd], x, &b[kk * n..kk * n + jd]);
+            fma_row(&mut c[i * n..i * n + jd], x, &b[kk * n..kk * n + jd]);
         }
     }
     if jd < n {
         for i in 0..m {
             for kk in 0..k {
                 let x = a[i * a_row + kk * a_k];
-                axpy(&mut c[i * n + jd..(i + 1) * n], x, &b[kk * n + jd..(kk + 1) * n]);
+                fma_row(&mut c[i * n + jd..(i + 1) * n], x, &b[kk * n + jd..(kk + 1) * n]);
             }
         }
+    }
+}
+
+/// `y[j] = alpha · x[j] + y[j]` with one rounding per element
+/// (`f64::mul_add`): the GEMM tails' row update. Unlike the public [`axpy`],
+/// it rounds exactly as the tiles' accumulators do, so a tail element is the
+/// same FMA chain as a tile element.
+#[inline]
+fn fma_row(y: &mut [f64], alpha: f64, x: &[f64]) {
+    for (yv, &xv) in y.iter_mut().zip(x) {
+        *yv = alpha.mul_add(xv, *yv);
     }
 }
 
@@ -311,7 +331,7 @@ fn micro_tile<const R: usize>(
         }
         for r in 0..R {
             for jj in 0..NR {
-                acc[r][jj] += x[r] * bv[jj];
+                acc[r][jj] = x[r].mul_add(bv[jj], acc[r][jj]);
             }
         }
     }
@@ -428,7 +448,11 @@ fn pack_transpose(n: usize, k: usize, b: &[f64], bt: &mut [f64]) {
 }
 
 /// Serial 2×2-tiled `C += A · Bᵀ` on a row span: each 2×2 output tile shares
-/// its two `A`-row and two `B`-row loads across four dot accumulators.
+/// its two `A`-row and two `B`-row loads across four accumulators. Each
+/// accumulator starts from its `C` element and takes one `mul_add` per `k`
+/// step, in order — the same chain as the packed path's tiles, so this path
+/// is row-invariant too. A last odd row runs four columns at a time, so it
+/// still has four independent chains in flight.
 fn serial_matmul_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     let mut i = 0;
     while i + 2 <= m {
@@ -438,35 +462,53 @@ fn serial_matmul_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut 
         let mut j = 0;
         while j + 2 <= n {
             let (b0, b1) = (&b[j * k..(j + 1) * k], &b[(j + 1) * k..(j + 2) * k]);
-            let (mut s00, mut s01, mut s10, mut s11) = (0.0, 0.0, 0.0, 0.0);
+            let (mut s00, mut s01, mut s10, mut s11) = (c0[j], c0[j + 1], c1[j], c1[j + 1]);
             for kk in 0..k {
                 let (x0, x1) = (a0[kk], a1[kk]);
                 let (y0, y1) = (b0[kk], b1[kk]);
-                s00 += x0 * y0;
-                s01 += x0 * y1;
-                s10 += x1 * y0;
-                s11 += x1 * y1;
+                s00 = x0.mul_add(y0, s00);
+                s01 = x0.mul_add(y1, s01);
+                s10 = x1.mul_add(y0, s10);
+                s11 = x1.mul_add(y1, s11);
             }
-            c0[j] += s00;
-            c0[j + 1] += s01;
-            c1[j] += s10;
-            c1[j + 1] += s11;
+            c0[j] = s00;
+            c0[j + 1] = s01;
+            c1[j] = s10;
+            c1[j + 1] = s11;
             j += 2;
         }
         if j < n {
             let brow = &b[j * k..(j + 1) * k];
-            c0[j] += dot(a0, brow);
-            c1[j] += dot(a1, brow);
+            c0[j] = fma_dot(a0, brow, c0[j]);
+            c1[j] = fma_dot(a1, brow, c1[j]);
         }
         i += 2;
     }
     if i < m {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            *cv += dot(arow, &b[j * k..(j + 1) * k]);
+        let mut j = 0;
+        while j + 4 <= n {
+            let bs: [&[f64]; 4] = std::array::from_fn(|q| &b[(j + q) * k..(j + q + 1) * k]);
+            let mut acc: [f64; 4] = std::array::from_fn(|q| crow[j + q]);
+            for (kk, &x) in arow.iter().enumerate() {
+                for q in 0..4 {
+                    acc[q] = x.mul_add(bs[q][kk], acc[q]);
+                }
+            }
+            crow[j..j + 4].copy_from_slice(&acc);
+            j += 4;
+        }
+        for (jj, cv) in crow.iter_mut().enumerate().skip(j) {
+            *cv = fma_dot(arow, &b[jj * k..(jj + 1) * k], *cv);
         }
     }
+}
+
+/// `acc + Σ a[kk]·b[kk]` as one `mul_add` chain in ascending `kk`.
+#[inline]
+fn fma_dot(a: &[f64], b: &[f64], acc: f64) -> f64 {
+    a.iter().zip(b).fold(acc, |s, (&x, &y)| x.mul_add(y, s))
 }
 
 // ---------------------------------------------------------------------------
@@ -723,6 +765,79 @@ mod tests {
         add_assign(&mut y, &a);
     }
 
+    /// Row `i` of `matmul`/`matmul_tn`/`matmul_nt` against the 1-row
+    /// product of row `i` of `A`, bitwise, and the three kernels against
+    /// each other. `a` is `[m,k]`, `a_t` its transpose; `b` is `[k,n]`, `b_t`
+    /// its transpose; `cs` holds the three products.
+    fn assert_rows_match_one_row_products(
+        (m, k, n): (usize, usize, usize),
+        (a, a_t): (&[f64], &[f64]),
+        (b, b_t): (&[f64], &[f64]),
+        cs: [&[f64]; 3],
+    ) -> Result<(), TestCaseError> {
+        prop_assert!(bits(cs[0]) == bits(cs[1]), "matmul_tn differs from matmul");
+        prop_assert!(bits(cs[0]) == bits(cs[2]), "matmul_nt differs from matmul");
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let col: Vec<f64> = (0..k).map(|kk| a_t[kk * m + i]).collect();
+            let mut rows = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+            matmul(1, k, n, a_row, b, &mut rows[0]);
+            matmul_tn(k, 1, n, &col, b, &mut rows[1]);
+            matmul_nt(1, k, n, a_row, b_t, &mut rows[2]);
+            for (c, row) in cs.iter().zip(&rows) {
+                let got = &c[i * n..(i + 1) * n];
+                prop_assert!(bits(got) == bits(row), "{m}x{k}x{n}: row {i} differs");
+            }
+        }
+        Ok(())
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn transposed(m: usize, k: usize, a: &[f64]) -> Vec<f64> {
+        let mut a_t = vec![0.0; m * k];
+        for i in 0..m {
+            for kk in 0..k {
+                a_t[kk * m + i] = a[i * k + kk];
+            }
+        }
+        a_t
+    }
+
+    #[test]
+    fn avx512_tile_and_portable_driver_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            for &(m, k, n) in EDGE_SHAPES {
+                let a = pseudo(m * k, 21);
+                let b = pseudo(k * n, 22);
+                let mut c_tile = pseudo(m * n, 23);
+                let mut c_portable = c_tile.clone();
+                avx512::gemm_tiled(m, k, n, &a, k, 1, &b, &mut c_tile);
+                serial_gemm_tiled(m, k, n, &a, k, 1, &b, &mut c_portable);
+                assert_eq!(bits(&c_tile), bits(&c_portable), "{m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn public_axpy_keeps_its_two_roundings() {
+        // `axpy` is a separate multiply and add (baselines depend on its
+        // bits); only the private GEMM row update is fused.
+        let x = pseudo(257, 31).iter().map(|v| v / 3.0).collect::<Vec<_>>();
+        let y0 = pseudo(257, 32).iter().map(|v| v / 7.0).collect::<Vec<_>>();
+        let alpha = 0.1;
+        let mut y = y0.clone();
+        axpy(&mut y, alpha, &x);
+        let unfused: Vec<f64> = y0.iter().zip(&x).map(|(&yv, &xv)| yv + alpha * xv).collect();
+        assert_eq!(bits(&y), bits(&unfused));
+        let mut fused = y0.clone();
+        fma_row(&mut fused, alpha, &x);
+        assert_ne!(bits(&fused), bits(&unfused), "fixture must tell the two roundings apart");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -770,6 +885,62 @@ mod tests {
                 prop_assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "tn: {} vs {}", x, y);
                 prop_assert!((x - z).abs() <= 1e-9 * (1.0 + x.abs()), "nt: {} vs {}", x, z);
             }
+        }
+
+        /// Row invariance: every row of `matmul`, `matmul_tn` and
+        /// `matmul_nt` is bitwise the 1-row product of its `A` row, whether the row lands in a
+        /// register tile or a tail, and whether the rows run on one worker,
+        /// two, or an explicit two-span split at an arbitrary row. `class`
+        /// picks shapes below the 8×16 tile, around it, or big enough
+        /// (m·k·n ≥ 2·`PAR_FLOPS_PER_THREAD`) that `matmul` splits rows
+        /// across workers.
+        #[test]
+        fn prop_rows_are_bitwise_their_one_row_products(
+            class in 0u8..3, mr in 0usize..1000, kr in 0usize..1000, nr in 0usize..1000,
+            split in 0usize..1000, seed in 0u64..1000
+        ) {
+            let (m, k, n) = match class {
+                0 => (1 + mr % 8, 1 + kr % 40, 1 + nr % 16),
+                1 => (8 + mr % 33, 1 + kr % 70, 16 + nr % 40),
+                _ => (64 + mr % 40, 256 + kr % 40, 256 + nr % 40),
+            };
+            if class == 2 {
+                prop_assert!(m * k * n >= 2 * PAR_FLOPS_PER_THREAD);
+            }
+            let a = pseudo(m * k, seed);
+            let a_t = transposed(m, k, &a);
+            let b = pseudo(k * n, seed ^ 0x5EED);
+            let b_t = transposed(k, n, &b);
+            let c0 = pseudo(m * n, seed ^ 0xC0);
+            for threads in [1, 2] {
+                mvi_parallel::configure_threads(threads);
+                let mut cs = [vec![0.0; m * n], vec![0.0; m * n], vec![0.0; m * n]];
+                matmul(m, k, n, &a, &b, &mut cs[0]);
+                matmul_tn(k, m, n, &a_t, &b, &mut cs[1]);
+                matmul_nt(m, k, n, &a, &b_t, &mut cs[2]);
+                mvi_parallel::configure_threads(0);
+                assert_rows_match_one_row_products(
+                    (m, k, n),
+                    (&a, &a_t),
+                    (&b, &b_t),
+                    [&cs[0], &cs[1], &cs[2]],
+                )?;
+            }
+            // The same rows split by hand into two spans, as a 2-worker
+            // `for_row_spans_mut` would, on any host.
+            let r = split % (m + 1);
+            let mut c_split = c0.clone();
+            let (top, bottom) = c_split.split_at_mut(r * n);
+            serial_matmul_nn(r, k, n, &a[..r * k], &b, top);
+            serial_matmul_nn(m - r, k, n, &a[r * k..], &b, bottom);
+            let mut c_whole = c0.clone();
+            serial_matmul_nn(m, k, n, &a, &b, &mut c_whole);
+            prop_assert!(bits(&c_split) == bits(&c_whole), "split at row {r} changed bits");
+            let mut c_tn_split = c0.clone();
+            let (top, bottom) = c_tn_split.split_at_mut(r * n);
+            serial_matmul_tn(k, 0, r, m, n, &a_t, &b, top);
+            serial_matmul_tn(k, r, m - r, m, n, &a_t, &b, bottom);
+            prop_assert!(bits(&c_tn_split) == bits(&c_whole), "matmul_tn split at row {r}");
         }
     }
 }
