@@ -312,8 +312,43 @@ mod tests {
             &mut |store, g| {
                 let av = g.param(store, a);
                 let bv = g.param(store, b);
-                let scores = g.matmul_nt_rows(av, bv, 1..4); // [2, 3]
-                let out = g.matmul_rows(scores, bv, 2..5); // [2, 3]
+                let keys = [(0, 1), (0, 2), (0, 3)].repeat(2);
+                let scores = g.matmul_nt_rows(av, &[bv], &keys); // [2, 3]
+                let out = g.matmul_rows(scores, bv, &[2, 2]); // [2, 3]
+                let sq = g.square(out);
+                g.sum(sq)
+            },
+            1e-6,
+            1e-6,
+        )
+        .unwrap();
+    }
+
+    /// The stacked attention ops: a row stack from two tables, scores whose
+    /// rows read different keys from two key tables (one key in both runs
+    /// of rows), and a product whose rows read different (overlapping)
+    /// bands.
+    #[test]
+    fn grad_check_stacked_row_ops() {
+        let mut store = ParamStore::new();
+        let q = store.add("q", Tensor::from_vec(vec![2, 2], vec![0.3, -0.7, 0.5, 0.2]));
+        let k = store
+            .add("k", Tensor::from_vec(vec![4, 2], vec![0.9, -0.1, 0.4, 0.6, -0.8, 0.3, 0.2, 0.5]));
+        let edge = store.add("edge", Tensor::from_vec(vec![1, 2], vec![-0.4, 1.1]));
+        let v = store.add(
+            "v",
+            Tensor::from_vec(vec![5, 2], vec![0.1, 0.7, -0.3, 0.5, 0.6, -0.2, 0.8, 0.4, -0.5, 0.9]),
+        );
+        check_gradients(
+            &mut store,
+            &mut |store, g| {
+                let (qv, kv) = (g.param(store, q), g.param(store, k));
+                let (ev, vv) = (g.param(store, edge), g.param(store, v));
+                // Three query rows: two from `q` and one from the edge table.
+                let queries = g.stack_rows(&[qv, ev], &[(0, 1), (1, 0), (0, 0)]);
+                let keys = [(1, 0), (0, 1), (0, 1), (0, 2), (0, 3), (0, 0)];
+                let scores = g.matmul_nt_rows(queries, &[kv, ev], &keys); // [3, 2]
+                let out = g.matmul_rows(scores, vv, &[0, 3, 2]); // [3, 2]
                 let sq = g.square(out);
                 g.sum(sq)
             },

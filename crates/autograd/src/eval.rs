@@ -37,7 +37,6 @@
 
 use crate::params::{ParamId, ParamStore};
 use crate::vops;
-use core::ops::Range;
 use mvi_tensor::{Mask, Tensor};
 use std::sync::Arc;
 
@@ -85,15 +84,27 @@ pub trait Evaluator {
     fn sub_rowvec(&mut self, a: Self::Var, v: Self::Var) -> Self::Var;
     /// Matrix product `a[m,k] · b[k,n]`.
     fn matmul(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
-    /// `a[m,k] · b[rows]`: the product with the contiguous row range `rows`
-    /// of `b[·,n]` (so `k == rows.len()`), read in place. Bitwise equal to
-    /// the product with a copy of those rows.
-    fn matmul_rows(&mut self, a: Self::Var, b: Self::Var, rows: Range<usize>) -> Self::Var;
-    /// `a[m,k] · b[rows]ᵀ` for `b[·,k]`: one output column per row in
-    /// `rows`, read in place without materializing a transpose. Bitwise
-    /// equal to `matmul` against the transposed copy of those rows: every
-    /// kernel path computes an element as the same ordered FMA chain.
-    fn matmul_nt_rows(&mut self, a: Self::Var, b: Self::Var, rows: Range<usize>) -> Self::Var;
+    /// `a[m,k] · b[bands]`: row `i` of the output is row `i` of `a` times
+    /// the band of `k` consecutive rows of `b[·,n]` from `starts[i]`, read in
+    /// place (`starts.len() == m`). Bitwise equal to each row's product with
+    /// a copy of its band: every kernel path computes a row as the same FMA
+    /// chains whatever the row count, so rows that share a band run as one
+    /// GEMM.
+    fn matmul_rows(&mut self, a: Self::Var, b: Self::Var, starts: &[usize]) -> Self::Var;
+    /// `a[m,k]` against per-row keys: row `i` of the `[m, c]` output (with
+    /// `c = rows.len() / m`) holds the dot products of row `i` of `a` with
+    /// the key rows `rows[i·c..(i+1)·c]`, each a `(part, row)` of `keys`
+    /// (rank-2, `[·,k]` each), read in place without a transpose. Bitwise
+    /// equal to `matmul` against the transposed copy of each row's keys:
+    /// every kernel path computes an element as the same ordered FMA chain
+    /// whatever the row and column count, so rows that read the same keys
+    /// run as one GEMM per run of consecutive key rows.
+    fn matmul_nt_rows(
+        &mut self,
+        a: Self::Var,
+        keys: &[Self::Var],
+        rows: &[(usize, usize)],
+    ) -> Self::Var;
     /// Dot product of two rank-1 values, `[1]`-shaped.
     fn dot(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
     /// Rectified linear unit.
@@ -114,6 +125,9 @@ pub trait Evaluator {
     fn row(&mut self, a: Self::Var, i: usize) -> Self::Var;
     /// Gathers rows of `table[v,d]` by index (embedding lookup).
     fn gather_rows(&mut self, table: Self::Var, idx: &[usize]) -> Self::Var;
+    /// Stacks rows of rank-2 values with equal column counts: output row `r`
+    /// is row `idx[r].1` of `parts[idx[r].0]` (a gather from several tables).
+    fn stack_rows(&mut self, parts: &[Self::Var], idx: &[(usize, usize)]) -> Self::Var;
     /// Shifts rows by `offset` (positive = down), zero-filling.
     fn shift_rows(&mut self, a: Self::Var, offset: i64) -> Self::Var;
     /// Reinterprets the value under a new shape (same volume).
@@ -204,6 +218,10 @@ pub struct Eval {
     slots: Vec<Slot>,
     pool: Vec<Tensor>,
     pool_used: usize,
+    /// The packed `Bᵀ` panel of a large `matmul_nt_rows`, reused.
+    pack: Vec<f64>,
+    /// A `matmul_nt_rows` block narrower than its output rows, reused.
+    seg: Vec<f64>,
 }
 
 /// Stack-allocated shape copy (forward values are rank ≤ 2; 4 is headroom),
@@ -449,32 +467,48 @@ impl Evaluator for Eval {
         })
     }
 
-    fn matmul_rows(&mut self, a: EvalVar, b: EvalVar, rows: Range<usize>) -> EvalVar {
+    fn matmul_rows(&mut self, a: EvalVar, b: EvalVar, starts: &[usize]) -> EvalVar {
         let (m, k) = {
             let av = self.value_of(a);
             (av.rows(), av.cols())
         };
-        let n = self.value_of(b).cols();
-        assert!(rows.end <= self.value_of(b).rows(), "matmul_rows range {rows:?}");
-        assert_eq!(k, rows.len(), "matmul_rows inner dims: {k} vs {rows:?}");
+        let (b_rows, n) = {
+            let bv = self.value_of(b);
+            (bv.rows(), bv.cols())
+        };
+        assert_eq!(starts.len(), m, "matmul_rows needs one band start per row");
         self.binary(a, b, &[m, n], true, |av, bv, out| {
-            let b_rows = &bv.data()[rows.start * n..rows.end * n];
-            mvi_kernels::matmul(m, k, n, av.data(), b_rows, out.data_mut());
+            for (rows, s) in vops::bands(starts) {
+                assert!(s + k <= b_rows, "matmul_rows band {s}..{} past {b_rows} rows", s + k);
+                let (a_rows, c_rows) = (&av.data()[rows.start * k..rows.end * k], rows.len());
+                let band = &bv.data()[s * n..(s + k) * n];
+                let c = &mut out.data_mut()[rows.start * n..rows.end * n];
+                mvi_kernels::matmul(c_rows, k, n, a_rows, band, c);
+            }
         })
     }
 
-    fn matmul_nt_rows(&mut self, a: EvalVar, b: EvalVar, rows: Range<usize>) -> EvalVar {
+    fn matmul_nt_rows(&mut self, a: EvalVar, keys: &[EvalVar], rows: &[(usize, usize)]) -> EvalVar {
         let (m, k) = {
             let av = self.value_of(a);
             (av.rows(), av.cols())
         };
-        assert_eq!(self.value_of(b).cols(), k, "matmul_nt_rows inner dims");
-        assert!(rows.end <= self.value_of(b).rows(), "matmul_nt_rows range {rows:?}");
-        let n = rows.len();
-        self.binary(a, b, &[m, n], true, |av, bv, out| {
-            let b_rows = &bv.data()[rows.start * k..rows.end * k];
-            mvi_kernels::matmul_nt(m, k, n, av.data(), b_rows, out.data_mut());
-        })
+        for &key in keys {
+            assert_eq!(self.value_of(key).cols(), k, "matmul_nt_rows inner dims");
+        }
+        assert!(
+            rows.iter().all(|&(part, r)| r < self.value_of(keys[part]).rows()),
+            "matmul_nt_rows key row out of range"
+        );
+        let (mut seg, mut pack) = (std::mem::take(&mut self.seg), std::mem::take(&mut self.pack));
+        let (var, p) = self.out_slot(&[m, rows.len() / m.max(1)], true);
+        let (head, tail) = self.pool.split_at_mut(p);
+        let slots = &self.slots;
+        let av = resolve(slots, head, a).data();
+        let part = |j: usize| resolve(slots, head, keys[j]).data();
+        vops::matmul_nt_keyed_into(m, k, av, part, rows, tail[0].data_mut(), &mut seg, &mut pack);
+        (self.seg, self.pack) = (seg, pack);
+        var
     }
 
     fn dot(&mut self, a: EvalVar, b: EvalVar) -> EvalVar {
@@ -582,6 +616,21 @@ impl Evaluator for Eval {
                 out.row_mut(r).copy_from_slice(tv.row(i));
             }
         })
+    }
+
+    fn stack_rows(&mut self, parts: &[EvalVar], idx: &[(usize, usize)]) -> EvalVar {
+        assert!(!parts.is_empty(), "stack_rows of nothing");
+        let d = self.value_of(parts[0]).cols();
+        for &part in parts {
+            assert_eq!(self.value_of(part).cols(), d, "stack_rows column mismatch");
+        }
+        let (var, p) = self.out_slot(&[idx.len(), d], false);
+        let (head, tail) = self.pool.split_at_mut(p);
+        let out = &mut tail[0];
+        for (r, &(part, i)) in idx.iter().enumerate() {
+            out.row_mut(r).copy_from_slice(resolve(&self.slots, head, parts[part]).row(i));
+        }
+        var
     }
 
     fn shift_rows(&mut self, a: EvalVar, offset: i64) -> EvalVar {
@@ -820,7 +869,7 @@ mod tests {
             |e| {
                 let av = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
                 let bv = e.input(wide.shape(), |x| x.data_mut().copy_from_slice(wide.data()));
-                e.matmul_rows(av, bv, 2..8)
+                e.matmul_rows(av, bv, &[2; 4])
             },
         );
         let b_t = t(&[9, 6], 14);
@@ -834,7 +883,8 @@ mod tests {
             |e| {
                 let av = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
                 let bv = e.input(b_t.shape(), |x| x.data_mut().copy_from_slice(b_t.data()));
-                e.matmul_nt_rows(av, bv, 1..6)
+                let keys: Vec<(usize, usize)> = (1..6).map(|r| (0, r)).collect();
+                e.matmul_nt_rows(av, &[bv], &keys.repeat(4))
             },
         );
         assert_same(
@@ -868,6 +918,91 @@ mod tests {
                 e.masked_softmax_rows(s, &mask)
             },
         );
+    }
+
+    /// The three multi-row ops the stacked attention pass uses, each on both
+    /// backends; the banded product against per-row products with copied
+    /// bands and the keyed scores against one-element products.
+    #[test]
+    fn stacked_row_ops_match_the_tape_bitwise() {
+        let a = t(&[5, 3], 15);
+        let wide = t(&[7, 4], 16);
+        let edge = t(&[2, 4], 17);
+        let starts = [0, 0, 3, 1, 1];
+        let rows = [(1, 1), (0, 6), (0, 0), (1, 0), (0, 6)];
+        // Each query row reads 3 keys, `(0, r)` from `keys` or `(1, r)` from
+        // `edge_k`: two rows with the same keys (one block of a table key
+        // between two edge keys), a row of consecutive table keys, and rows
+        // mixing runs of both parts.
+        let keys = t(&[7, 3], 18);
+        let edge_k = t(&[2, 3], 19);
+        let key_rows = [
+            [(1, 1), (0, 2), (1, 0)],
+            [(1, 1), (0, 2), (1, 0)],
+            [(0, 4), (0, 5), (0, 6)],
+            [(0, 3), (0, 4), (1, 0)],
+            [(0, 6), (1, 0), (1, 1)],
+        ]
+        .concat();
+        let input = |e: &mut Eval, x: &Tensor| {
+            e.input(x.shape(), |t| t.data_mut().copy_from_slice(x.data()))
+        };
+        assert_same(
+            |g| {
+                let (av, bv) = (g.constant(a.clone()), g.constant(wide.clone()));
+                g.matmul_rows(av, bv, &starts)
+            },
+            |e| {
+                let (av, bv) = (input(e, &a), input(e, &wide));
+                e.matmul_rows(av, bv, &starts)
+            },
+        );
+        let mut e = Eval::default();
+        let (av, bv) = (input(&mut e, &a), input(&mut e, &wide));
+        let banded = e.matmul_rows(av, bv, &starts);
+        for (i, &s) in starts.iter().enumerate() {
+            let a_row = e.gather_rows(av, &[i]);
+            let band: Vec<usize> = (s..s + 3).collect();
+            let band = e.gather_rows(bv, &band);
+            let row = e.matmul(a_row, band);
+            assert_eq!(
+                e.value(row).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                e.value(banded).row(i).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "row {i} of the banded product"
+            );
+        }
+        assert_same(
+            |g| {
+                let (wv, ev) = (g.constant(wide.clone()), g.constant(edge.clone()));
+                g.stack_rows(&[wv, ev], &rows)
+            },
+            |e| {
+                let (wv, ev) = (input(e, &wide), input(e, &edge));
+                e.stack_rows(&[wv, ev], &rows)
+            },
+        );
+        assert_same(
+            |g| {
+                let (av, kv, ev) =
+                    (g.constant(a.clone()), g.constant(keys.clone()), g.constant(edge_k.clone()));
+                g.matmul_nt_rows(av, &[kv, ev], &key_rows)
+            },
+            |e| {
+                let (av, kv, ev) = (input(e, &a), input(e, &keys), input(e, &edge_k));
+                e.matmul_nt_rows(av, &[kv, ev], &key_rows)
+            },
+        );
+        // Each score is the one-element product of its query row and key.
+        let mut e = Eval::default();
+        let (av, kv, ev) = (input(&mut e, &a), input(&mut e, &keys), input(&mut e, &edge_k));
+        let scores = e.matmul_nt_rows(av, &[kv, ev], &key_rows);
+        assert_eq!(e.shape(scores), &[5, 3]);
+        for (ij, &(part, r)) in key_rows.iter().enumerate() {
+            let key = if part == 0 { keys.row(r) } else { edge_k.row(r) };
+            let mut one = [0.0];
+            mvi_kernels::matmul_nt(1, 3, 1, a.row(ij / 3), key, &mut one);
+            assert_eq!(e.value(scores).data()[ij].to_bits(), one[0].to_bits(), "score {ij}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The differentiation tape and its operator set.
 
 use crate::params::{ParamId, ParamStore};
-use core::ops::Range;
 use mvi_linalg::ops as la;
 use mvi_tensor::{Mask, Tensor};
 use std::sync::Arc;
@@ -233,33 +232,90 @@ impl Graph {
         )
     }
 
-    /// `a[m,k] · b[rows]`: the product with a contiguous row range of
-    /// `b[·,n]` (`k == rows.len()`). Rows of `b` outside the range get zero
-    /// gradient.
-    pub fn matmul_rows(&mut self, a: VarId, b: VarId, rows: Range<usize>) -> VarId {
-        let b_rows = rows_of(self.nodes[b].value.get(), &rows);
-        let v = la::matmul(self.nodes[a].value.get(), &b_rows);
+    /// `a[m,k] · b[bands]`: row `i` is row `i` of `a` times the `k` rows of
+    /// `b[·,n]` from `starts[i]`, one GEMM per run of rows that share a band.
+    /// Rows of `b` outside every band get zero gradient.
+    pub fn matmul_rows(&mut self, a: VarId, b: VarId, starts: &[usize]) -> VarId {
+        let (m, k) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
+        let (b_rows, n) = (self.nodes[b].value.get().rows(), self.nodes[b].value.get().cols());
+        assert_eq!(starts.len(), m, "matmul_rows needs one band start per row");
+        assert!(starts.iter().all(|&s| s + k <= b_rows), "matmul_rows band past {b_rows} rows");
+        let starts = starts.to_vec();
+        let mut v = Tensor::zeros(&[m, n]);
+        let (av, bv) = (self.nodes[a].value.get().data(), self.nodes[b].value.get().data());
+        for (rows, s) in crate::vops::bands(&starts) {
+            let c = &mut v.data_mut()[rows.start * n..rows.end * n];
+            let a_rows = &av[rows.start * k..rows.end * k];
+            mvi_kernels::matmul(rows.len(), k, n, a_rows, &bv[s * n..(s + k) * n], c);
+        }
         self.push(
             v,
             vec![a, b],
             Some(Box::new(move |g, p| {
-                let b_rows = rows_of(p[1], &rows);
-                vec![la::matmul_nt(g, &b_rows), embed_rows(p[1], &rows, la::matmul_tn(p[0], g))]
+                let (mut da, mut db) = (Tensor::zeros(p[0].shape()), Tensor::zeros(p[1].shape()));
+                for (rows, s) in crate::vops::bands(&starts) {
+                    let g_rows = &g.data()[rows.start * n..rows.end * n];
+                    let band = &p[1].data()[s * n..(s + k) * n];
+                    let da_rows = &mut da.data_mut()[rows.start * k..rows.end * k];
+                    mvi_kernels::matmul_nt(rows.len(), n, k, g_rows, band, da_rows);
+                    let a_rows = &p[0].data()[rows.start * k..rows.end * k];
+                    let db_band = &mut db.data_mut()[s * n..(s + k) * n];
+                    mvi_kernels::matmul_tn(rows.len(), k, n, a_rows, g_rows, db_band);
+                }
+                vec![da, db]
             })),
         )
     }
 
-    /// `a[m,k] · b[rows]ᵀ` for `b[·,k]`, yielding `[m, rows.len()]`. Rows of
-    /// `b` outside the range get zero gradient.
-    pub fn matmul_nt_rows(&mut self, a: VarId, b: VarId, rows: Range<usize>) -> VarId {
-        let b_rows = rows_of(self.nodes[b].value.get(), &rows);
-        let v = la::matmul_nt(self.nodes[a].value.get(), &b_rows);
+    /// `a[m,k]` against per-row keys, `(part, row)` pairs into `keys`
+    /// ([`crate::eval::Evaluator::matmul_nt_rows`]), yielding `[m, c]`. Key
+    /// rows no output reads get zero gradient.
+    pub fn matmul_nt_rows(&mut self, a: VarId, keys: &[VarId], rows: &[(usize, usize)]) -> VarId {
+        let (m, k) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
+        for &key in keys {
+            assert_eq!(self.nodes[key].value.get().cols(), k, "matmul_nt_rows inner dims");
+        }
+        assert!(
+            rows.iter().all(|&(part, r)| r < self.nodes[keys[part]].value.get().rows()),
+            "matmul_nt_rows key row out of range"
+        );
+        let c = rows.len() / m.max(1);
+        let mut v = Tensor::zeros(&[m, c]);
+        let part = |j: usize| self.nodes[keys[j]].value.get().data();
+        let av = self.nodes[a].value.get().data();
+        let (mut seg, mut pack) = (Vec::new(), Vec::new());
+        crate::vops::matmul_nt_keyed_into(m, k, av, part, rows, v.data_mut(), &mut seg, &mut pack);
+        let rows = rows.to_vec();
+        let mut inputs = vec![a];
+        inputs.extend_from_slice(keys);
         self.push(
             v,
-            vec![a, b],
+            inputs,
             Some(Box::new(move |g, p| {
-                let b_rows = rows_of(p[1], &rows);
-                vec![la::matmul(g, &b_rows), embed_rows(p[1], &rows, la::matmul_tn(g, p[0]))]
+                let mut grads: Vec<Tensor> = p.iter().map(|t| Tensor::zeros(t.shape())).collect();
+                let (da, dkeys) = grads.split_first_mut().expect("a has a gradient");
+                let mut g_seg = Vec::new();
+                for b in crate::vops::key_blocks(&rows, m) {
+                    let (nr, w) = (b.rows.len(), b.cols.len());
+                    // This block's columns of the incoming gradient, [nr, w].
+                    let g_rows = &g.data()[b.rows.start * c..b.rows.end * c];
+                    let g_blk = if w == c {
+                        g_rows
+                    } else {
+                        g_seg.clear();
+                        g_rows
+                            .chunks_exact(c)
+                            .for_each(|r| g_seg.extend_from_slice(&r[b.cols.clone()]));
+                        &g_seg[..]
+                    };
+                    let key_rows = &p[1 + b.part].data()[b.first * k..(b.first + w) * k];
+                    let da_rows = &mut da.data_mut()[b.rows.start * k..b.rows.end * k];
+                    mvi_kernels::matmul(nr, w, k, g_blk, key_rows, da_rows);
+                    let a_rows = &p[0].data()[b.rows.start * k..b.rows.end * k];
+                    let dkey_rows = &mut dkeys[b.part].data_mut()[b.first * k..(b.first + w) * k];
+                    mvi_kernels::matmul_tn(nr, w, k, g_blk, a_rows, dkey_rows);
+                }
+                grads
             })),
         )
     }
@@ -511,6 +567,34 @@ impl Graph {
         )
     }
 
+    /// Stacks rows of rank-2 values with equal column counts: output row `r`
+    /// is row `idx[r].1` of `parts[idx[r].0]`. Backward scatter-adds into
+    /// each part.
+    pub fn stack_rows(&mut self, parts: &[VarId], idx: &[(usize, usize)]) -> VarId {
+        assert!(!parts.is_empty(), "stack_rows of nothing");
+        let d = self.nodes[parts[0]].value.get().cols();
+        let mut out = Tensor::zeros(&[idx.len(), d]);
+        for (r, &(part, i)) in idx.iter().enumerate() {
+            let src = self.nodes[parts[part]].value.get();
+            assert_eq!(src.cols(), d, "stack_rows column mismatch");
+            out.row_mut(r).copy_from_slice(src.row(i));
+        }
+        let idx = idx.to_vec();
+        self.push(
+            out,
+            parts.to_vec(),
+            Some(Box::new(move |g, p| {
+                let mut dp: Vec<Tensor> = p.iter().map(|t| Tensor::zeros(t.shape())).collect();
+                for (r, &(part, i)) in idx.iter().enumerate() {
+                    for (acc, &gv) in dp[part].row_mut(i).iter_mut().zip(g.row(r)) {
+                        *acc += gv;
+                    }
+                }
+                dp
+            })),
+        )
+    }
+
     /// Shifts the rows of `a[m,n]` by `offset` (positive = down), zero-filling.
     ///
     /// `shift_rows(Y, 1)` yields `Y_{j-1}` at row `j` — the "left window" of Eq 8;
@@ -629,25 +713,6 @@ impl Graph {
     }
 }
 
-/// A copy of rows `rows` of the rank-2 `t`.
-fn rows_of(t: &Tensor, rows: &Range<usize>) -> Tensor {
-    let n = t.cols();
-    assert!(rows.end <= t.rows(), "row range {rows:?} past {} rows", t.rows());
-    Tensor::from_vec(vec![rows.len(), n], t.data()[rows.start * n..rows.end * n].to_vec())
-}
-
-/// `part` (rows `rows` of a value shaped like `like`) placed into zeros of
-/// `like`'s shape: the gradient of a row-range read.
-fn embed_rows(like: &Tensor, rows: &Range<usize>, part: Tensor) -> Tensor {
-    if rows.len() == like.rows() {
-        return part;
-    }
-    let n = like.cols();
-    let mut full = Tensor::zeros(like.shape());
-    full.data_mut()[rows.start * n..rows.end * n].copy_from_slice(part.data());
-    full
-}
-
 /// The tape is one of the two forward backends (the recording one): model
 /// forward code written against [`crate::eval::Evaluator`] runs on the tape
 /// during training — gaining a backward pass — and on [`crate::eval::Eval`]
@@ -709,12 +774,12 @@ impl crate::eval::Evaluator for Graph {
         Graph::matmul(self, a, b)
     }
 
-    fn matmul_rows(&mut self, a: VarId, b: VarId, rows: Range<usize>) -> VarId {
-        Graph::matmul_rows(self, a, b, rows)
+    fn matmul_rows(&mut self, a: VarId, b: VarId, starts: &[usize]) -> VarId {
+        Graph::matmul_rows(self, a, b, starts)
     }
 
-    fn matmul_nt_rows(&mut self, a: VarId, b: VarId, rows: Range<usize>) -> VarId {
-        Graph::matmul_nt_rows(self, a, b, rows)
+    fn matmul_nt_rows(&mut self, a: VarId, keys: &[VarId], rows: &[(usize, usize)]) -> VarId {
+        Graph::matmul_nt_rows(self, a, keys, rows)
     }
 
     fn dot(&mut self, a: VarId, b: VarId) -> VarId {
@@ -755,6 +820,10 @@ impl crate::eval::Evaluator for Graph {
 
     fn gather_rows(&mut self, table: VarId, idx: &[usize]) -> VarId {
         Graph::gather_rows(self, table, idx)
+    }
+
+    fn stack_rows(&mut self, parts: &[VarId], idx: &[(usize, usize)]) -> VarId {
+        Graph::stack_rows(self, parts, idx)
     }
 
     fn shift_rows(&mut self, a: VarId, offset: i64) -> VarId {

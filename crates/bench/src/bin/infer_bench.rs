@@ -13,7 +13,8 @@
 //!   window at a time, each against a K/V table over its own context;
 //! * **batch** — `predict_batch` over the whole query set: the same
 //!   evaluator, with one K/V table per series shared by that series' windows
-//!   (the path `impute` and the serving engine take).
+//!   and one stacked multi-row transformer pass over them (the path `impute`
+//!   and the serving engine take).
 //!
 //! The three arms are **bitwise identical** in output (asserted here and
 //! property-tested in `tests/eval_equivalence.rs`); the artifact's headline
@@ -30,9 +31,6 @@ use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-const SERIES: usize = 8;
-const T: usize = 400;
 
 struct Arm {
     name: &'static str,
@@ -81,17 +79,21 @@ fn main() {
     }
     let threads = mvi_parallel::current_threads();
 
-    // The serving fixture (same shape as serve_bench): untrained weights —
-    // throughput depends on shapes and control flow, not parameter values.
-    let ds = generate_with_shape(DatasetName::Electricity, &[SERIES], T, 7);
-    let obs = Scenario::mcar(1.0).apply(&ds, 3).observed();
-
-    // Two model scales: the serving config the engine benches run at, and the
-    // paper's default sizing (p = 32, 4 heads, 64-window context — clipped to
-    // the fixture's 40 windows).
-    let scales: [(&str, DeepMviConfig); 2] = [
-        ("serving_tiny", DeepMviConfig::tiny()),
-        ("paper_default", DeepMviConfig { threads: 1, ..DeepMviConfig::default() }),
+    // Three model scales, each on its own series count and length: the
+    // serving config the engine benches run at, on the serving fixture (same
+    // shape as serve_bench); the paper's default sizing (p = 32, 4 heads,
+    // 64-window context) on perfbench's series length, so the context is
+    // smaller than the 100 windows and the batch arm builds edge keys; and
+    // the paper sizing on two 2,000-window series (Meteo is 1,000 windows
+    // long, BAFU 5,000), where each series' table is ~30× a context and its
+    // targets are scattered over hundreds of context starts. Untrained
+    // weights: throughput depends on shapes and control flow, not parameter
+    // values.
+    let paper = DeepMviConfig { threads: 1, ..DeepMviConfig::default() };
+    let scales: [(&str, DeepMviConfig, usize, usize); 3] = [
+        ("serving_tiny", DeepMviConfig::tiny(), 8, 400),
+        ("paper_default", paper.clone(), 8, 1000),
+        ("paper_long_series", paper, 2, 20_000),
     ];
 
     let mut scale_jsons = Vec::new();
@@ -100,12 +102,14 @@ fn main() {
     // scale is reported alongside: its wider layers do more arithmetic per
     // op, so the per-op overhead the evaluator removes is a smaller share.
     let mut headline_speedup = f64::NAN;
-    for (scale_name, cfg) in &scales {
+    for (scale_name, cfg, series, t_len) in &scales {
+        let ds = generate_with_shape(DatasetName::Electricity, &[*series], *t_len, 7);
+        let obs = Scenario::mcar(1.0).apply(&ds, 3).observed();
         let model = DeepMviModel::new(cfg, &obs);
         let queries = model.missing_queries(&obs);
         let positions: usize = queries.iter().map(|q| q.positions.len()).sum();
         eprintln!(
-            "infer_bench[{scale_name}]: {SERIES}x{T}, {} cold windows ({positions} positions), \
+            "infer_bench[{scale_name}]: {series}x{t_len}, {} cold windows ({positions} positions), \
              {passes} passes, {threads} worker threads",
             queries.len()
         );
@@ -192,12 +196,13 @@ fn main() {
             headline_speedup = speedup;
         }
 
-        // The context the pass actually ran at: `forward_positions` clips the
-        // configured context to the model's window count.
+        // The context the pass actually ran at: `DeepMviModel::context` clips
+        // the configured context to the model's window count.
         let n_windows = model.t_len().div_ceil(model.window());
         let ctx_windows = cfg.ctx_windows.min(n_windows).max(1);
         let mut sj = String::new();
         let _ = writeln!(sj, "    {{\"scale\": \"{scale_name}\",");
+        let _ = writeln!(sj, "     \"dataset\": {{\"series\": {series}, \"t_len\": {t_len}}},");
         let _ = writeln!(
             sj,
             "     \"model\": {{\"p\": {}, \"n_heads\": {}, \"ctx_windows\": {}, \"window\": {}}},",
@@ -231,8 +236,7 @@ fn main() {
     let mut json = String::from("{\n  \"bench\": 4,\n  \"scenario\": \"tape_free_inference\",\n");
     let _ = writeln!(
         json,
-        "  \"dataset\": {{\"series\": {SERIES}, \"t_len\": {T}}},\n  \"threads_used\": \
-         {threads},\n  \"passes\": {passes},\n  \"bitwise_identical\": true,"
+        "  \"threads_used\": {threads},\n  \"passes\": {passes},\n  \"bitwise_identical\": true,"
     );
     let _ = writeln!(json, "  \"scales\": [\n{}\n  ],", scale_jsons.join(",\n"));
     let _ = writeln!(

@@ -16,7 +16,7 @@ fn main() {
     eprintln!("[4/9] Figure 6 (sweeps)...");
     tables.extend(exp::fig6_sweeps(&args.exp, &args.pct_points(), &args.blackout_sizes()));
     eprintln!("[5/9] Table 2 (deep methods)...");
-    tables.push(exp::table2_deep(&args.exp));
+    tables.extend(exp::table2_deep(&args.exp));
     eprintln!("[6/9] Figure 7 (ablations)...");
     tables.extend(exp::fig7_ablation(&args.exp, &args.pct_points()));
     eprintln!("[7/9] Figures 8 & 9...");

@@ -23,7 +23,8 @@
 //! [`DeepMviModel::impute`] itself routes through this module, so batch
 //! imputation and online serving exercise the same forward path:
 //! [`DeepMviModel::predict_batch`] evaluates each run of same-series queries
-//! against one shared K/V table, fanned out over `mvi-parallel`. Callers hand
+//! against one shared K/V table, in stacked multi-row transformer passes,
+//! fanned out over `mvi-parallel`. Callers hand
 //! it at most one query per `(series, window)`: [`DeepMviModel::missing_queries`] emits one per window,
 //! and the serving engine deduplicates its batches before evaluating them.
 
@@ -217,10 +218,15 @@ impl DeepMviModel {
     /// start is evaluated against one K/V table over the hull of its
     /// contexts, built once, instead of one per query: for a run of all of a
     /// series' windows that is one table row per window instead of `ctx`.
-    /// The table is bitwise equal to each query's own context
+    /// The run's targets then go through the temporal transformer together,
+    /// up to `ctx` of them per stacked multi-row pass, each scored against
+    /// its own context's keys only, and only their per-position work runs
+    /// one target at a time. Table and stacked pass are bitwise equal to each
+    /// query's own one-row pass over its own context
     /// ([`DeepMviModel::predict_window_into`]), so the output does not
     /// depend on the batch's order, its runs or the thread count. One run's
-    /// table is resident at a time per worker.
+    /// table is resident at a time per worker; on the caller's warm scratch
+    /// the serial path allocates only the returned vectors.
     pub fn predict_batch(
         &self,
         scratch: &mut InferScratch,
@@ -240,9 +246,10 @@ impl DeepMviModel {
         .collect()
     }
 
-    /// [`DeepMviModel::predict_batch`] on one worker: one table per run of
-    /// queries with the same `(series, horizon start)`, then each query
-    /// against it in slots recycled past the table.
+    /// [`DeepMviModel::predict_batch`] on one worker: per run of queries
+    /// with the same `(series, horizon start)`, one table, then per block
+    /// of up to `ctx` of its queries one stacked transformer pass and each
+    /// query's positions in slots recycled past it.
     fn predict_runs(
         &self,
         scratch: &mut InferScratch,
@@ -260,28 +267,31 @@ impl DeepMviModel {
                 let c = self.context(q.window_j);
                 (lo.min(c.j_start), hi.max(c.j_start + c.ctx))
             });
-            scratch.ev.recycle();
-            let table_task = WindowTask { obs, s: key.0, window_j: 0, positions: &[], synth: None };
-            self.build_table(
-                &self.store,
-                &mut scratch.ev,
-                &mut scratch.fs,
-                &table_task,
-                key.1,
-                lo..hi,
-            );
-            let mark = scratch.ev.mark();
-            for q in run {
-                scratch.ev.rewind(mark);
-                let task = WindowTask {
-                    obs,
-                    s: q.s,
-                    window_j: q.window_j,
-                    positions: &q.positions,
-                    synth: None,
-                };
-                self.forward_target(&self.store, &mut scratch.ev, &mut scratch.fs, &task);
-                out.push(scratch.fs.preds.iter().map(|&p| scratch.ev.value(p).at(0)).collect());
+            let (ev, fs) = (&mut scratch.ev, &mut scratch.fs);
+            ev.recycle();
+            let series = WindowTask { obs, s: key.0, window_j: 0, positions: &[], synth: None };
+            self.build_table(&self.store, ev, fs, &series, key.1, lo..hi);
+            let table = ev.mark();
+            // At most `ctx` targets per stacked pass: its buffers then stay
+            // the size of a table over one context however many windows of
+            // a long series are missing, and the warm scratch keeps no more.
+            for block in run.chunks(self.context(0).ctx) {
+                ev.rewind(table);
+                let windows = block.iter().map(|q| q.window_j);
+                self.forward_targets(&self.store, ev, fs, &series, windows);
+                let mark = ev.mark();
+                for (i, q) in block.iter().enumerate() {
+                    ev.rewind(mark);
+                    let task = WindowTask {
+                        obs,
+                        s: q.s,
+                        window_j: q.window_j,
+                        positions: &q.positions,
+                        synth: None,
+                    };
+                    self.target_preds(&self.store, ev, fs, &task, i);
+                    out.push(fs.preds.iter().map(|&p| ev.value(p).at(0)).collect());
+                }
             }
         }
         out

@@ -62,9 +62,9 @@ impl SynthMask {
 /// With `h0` fixed, a context row's K and V depend only on its absolute
 /// window, except at a context's first and last row, where the neighbour
 /// outside the context is zero-filled. So every target whose context lies
-/// inside the table reads its rows from it, and recomputes only those edge
-/// K rows where the table reaches past the edge
-/// ([`DeepMviModel::forward_target`]).
+/// inside the table reads its rows from it, and only those edge keys are
+/// recomputed where the table reaches past the edge
+/// ([`DeepMviModel::forward_targets`]).
 struct KvTable<V> {
     s: usize,
     h0: usize,
@@ -103,42 +103,82 @@ pub(crate) struct Context {
     pub ctx: usize,
 }
 
-/// Where a context's keys and values come from: the table rows `rows`,
-/// except that the key of the first or last context row is recomputed from
-/// the given key/query input where the table reaches past that edge.
-struct ContextKeys<V> {
-    rows: Range<usize>,
-    first: Option<V>,
-    last: Option<V>,
+/// No edge key (a sentinel in [`Targets::edge_at`]).
+const NO_EDGE: usize = usize::MAX;
+
+/// Where the stacked targets' queries, keys and values come from. Rebuilt
+/// per [`DeepMviModel::forward_targets`] call in reused buffers.
+#[derive(Default)]
+struct Targets {
+    /// Per target: its context's first table row, where its `ctx` V rows
+    /// start.
+    starts: Vec<usize>,
+    /// Per target: its query's key/query input row, `(0, table row)` or
+    /// `(1, edge key)`.
+    q_rows: Vec<(usize, usize)>,
+    /// Row-major `[m, ctx]`: each target's keys, `(0, table row)` or
+    /// `(1, edge key)`.
+    keys: Vec<(usize, usize)>,
+    /// Per table row: the edge keys of a context that starts there, as
+    /// `[first row, last row]` edge indices ([`NO_EDGE`] if none yet).
+    edge_at: Vec<[usize; 2]>,
+    /// Per edge key: the sources of its zero-filled neighbours, as
+    /// `(0, y row)` or `(1, 0)` for the zero row, and its table row.
+    edge_prev: Vec<(usize, usize)>,
+    edge_next: Vec<(usize, usize)>,
+    edge_rows: Vec<usize>,
 }
 
-impl<V> ContextKeys<V> {
-    /// The table rows whose keys the context reads as they are.
-    fn middle(&self) -> Range<usize> {
-        self.rows.start + self.first.is_some() as usize
-            ..self.rows.end - self.last.is_some() as usize
+impl Targets {
+    /// Empties every buffer for targets against a table of `n_rows` rows.
+    fn reset(&mut self, n_rows: usize) {
+        self.starts.clear();
+        self.q_rows.clear();
+        self.keys.clear();
+        self.edge_at.clear();
+        self.edge_at.resize(n_rows, [NO_EDGE; 2]);
+        self.edge_prev.clear();
+        self.edge_next.clear();
+        self.edge_rows.clear();
+    }
+
+    /// The edge key of the context starting at table row `r0` on `side`
+    /// (0: its first row, 1: its last), added on first use. The neighbour
+    /// outside the `ctx`-row context is zero-filled, as the context's own
+    /// `shift_rows` would.
+    fn edge(&mut self, r0: usize, ctx: usize, side: usize) -> usize {
+        if self.edge_at[r0][side] == NO_EDGE {
+            self.edge_at[r0][side] = self.edge_rows.len();
+            let (row, zero) = (r0 + side * (ctx - 1), (1, 0));
+            self.edge_rows.push(row);
+            self.edge_prev.push(if side == 1 { (0, row - 1) } else { zero });
+            self.edge_next.push(if side == 0 && ctx > 1 { (0, row + 1) } else { zero });
+        }
+        self.edge_at[r0][side]
     }
 }
 
 /// Reusable buffers for one forward pass, generic over the backend's variable
 /// handle (`VarId` on the tape, `EvalVar` on the value-only evaluator). The
-/// inference hot path keeps one of these per scratch so a steady-state window
-/// pass allocates nothing; training creates them freely (a fresh one is just
-/// a handful of empty vectors).
+/// inference hot path keeps one of these per scratch so a steady-state pass
+/// allocates nothing but its results; training creates them freely (a fresh
+/// one is just a handful of empty vectors).
 ///
 /// `preds` receives one `[1]`-shaped prediction handle per requested position
-/// — it is the output channel of [`DeepMviModel::forward_target`].
+/// — it is the output channel of [`DeepMviModel::target_preds`].
 pub(crate) struct ForwardScratch<V> {
     /// The K/V table the targets attend against.
     table: KvTable<V>,
-    /// The target row's `[1, ctx]` attention mask, rebuilt per window pass:
-    /// one key-availability flag per context window (Eq 9).
+    /// The stacked targets' query, key and value sources.
+    targets: Targets,
+    /// The stacked targets' `[m, ctx]` attention mask, one key-availability
+    /// flag per context window of each target (Eq 9).
     mask: Mask,
-    /// A head's scores against recomputed edge keys and table keys,
-    /// awaiting concatenation.
-    score_parts: Vec<V>,
     /// Per-head attention outputs awaiting concatenation (Eq 12).
     head_outs: Vec<V>,
+    /// The stacked decoder output, `[m·w, p]`: rows `i·w..(i+1)·w` are
+    /// target `i`'s per-position hidden vectors.
+    tt_rows: Option<V>,
     /// Per-position feature parts awaiting concatenation (Eq 6).
     parts: Vec<V>,
     /// Kernel-regression `[U, V, W]` features per dimension (Eq 21).
@@ -166,9 +206,10 @@ impl<V> Default for ForwardScratch<V> {
     fn default() -> Self {
         Self {
             table: KvTable::default(),
+            targets: Targets::default(),
             mask: Mask::falses(&[0]),
-            score_parts: Vec::new(),
             head_outs: Vec::new(),
+            tt_rows: None,
             parts: Vec::new(),
             kr_parts: Vec::new(),
             members: Vec::new(),
@@ -465,9 +506,11 @@ impl DeepMviModel {
 
     /// Forward pass for one window task against an explicit parameter store
     /// view (shared read-only across worker threads): a K/V table over the
-    /// target's own context ([`DeepMviModel::build_table`]), then the target
-    /// against it ([`DeepMviModel::forward_target`]). Writes one `[1]`-shaped
-    /// prediction handle per requested position into `fs.preds`.
+    /// target's own context ([`DeepMviModel::build_table`]), the target
+    /// against it ([`DeepMviModel::forward_targets`] with one target), then
+    /// its positions ([`DeepMviModel::target_preds`]). Writes one
+    /// `[1]`-shaped prediction handle per requested position into
+    /// `fs.preds`.
     ///
     /// Generic over the execution backend ([`Evaluator`]): training runs it on
     /// the differentiation tape ([`mvi_autograd::Graph`]) and gets a backward
@@ -496,7 +539,8 @@ impl DeepMviModel {
     ) {
         let c = self.context(task.window_j);
         self.build_table(store, g, fs, task, c.h0, c.j_start..c.j_start + c.ctx);
-        self.forward_target(store, g, fs, task);
+        self.forward_targets(store, g, fs, task, std::iter::once(task.window_j));
+        self.target_preds(store, g, fs, task, 0);
     }
 
     /// Builds the [`KvTable`] of `windows` (absolute window indices) of the
@@ -600,40 +644,66 @@ impl DeepMviModel {
         table.vars = Some(TableVars { y, pe, qk });
     }
 
-    /// The forward pass of one target window against the table in `fs`,
-    /// which must cover the target's context under its horizon (see
-    /// [`DeepMviModel::build_table`]). Writes one `[1]`-shaped prediction
-    /// handle per requested position into `fs.preds`.
+    /// The temporal transformer of every target window in `windows` at once,
+    /// against the table in `fs`, which must cover each target's context
+    /// under its horizon (see [`DeepMviModel::build_table`]). `task` names
+    /// the series (its window and positions are not read). Leaves the
+    /// stacked `[m·w, p]` decoder rows in `fs` for
+    /// [`DeepMviModel::target_preds`]; a no-op without the temporal
+    /// transformer.
     ///
-    /// The temporal transformer decodes only the target window's row `jc`:
-    /// its query, its `[1, ctx]` masked softmax, attn·V, the head concat and
-    /// the `d1`/`d2`/`dec` decoder. Those ops are row-local, so this is the
-    /// same function as decoding every context row and keeping row `jc`.
-    pub(crate) fn forward_target<E: Evaluator>(
+    /// The `m` query rows stack into `[m, 2p]` and run as one pass: each
+    /// head's query projection, one `[edges, 2p]` key projection of the
+    /// edge keys (deduplicated per context start and side), `[m, ctx]`
+    /// scores of each row against its own context's keys only (one GEMM per
+    /// context start and run of consecutive keys), one masked softmax over
+    /// `[m, ctx]`, attn·V over each row's own V rows, and the head concat
+    /// and `d1`/`d2`/`dec` decoder as `[m, ·]` GEMMs. So the work per
+    /// target is that of a one-row pass whatever the table's length. Every
+    /// GEMM element is the same FMA chain whatever the row and column count
+    /// (see `mvi_kernels`) and every other op is row-local, so each target's
+    /// rows are bitwise those of a pass of its own. With one target against
+    /// its own context (training, [`DeepMviModel::forward_positions`]) there
+    /// is no edge key, and the ops are those of a one-row pass.
+    pub(crate) fn forward_targets<E: Evaluator>(
         &self,
         store: &ParamStore,
         g: &mut E,
         fs: &mut ForwardScratch<E::Var>,
         task: &WindowTask<'_>,
+        windows: impl ExactSizeIterator<Item = usize>,
+    ) {
+        fs.tt_rows = None;
+        let Some(tt) = self.tt.as_ref() else { return };
+        let m = windows.len();
+        let dec = self.attend_targets(tt, store, g, fs, task, windows);
+        fs.tt_rows = Some(g.reshape(dec, &[m * self.w, self.cfg.p]));
+    }
+
+    /// Target `i`'s predictions (its window and positions in `task`) from
+    /// the stacked transformer rows of [`DeepMviModel::forward_targets`],
+    /// the fine-grained local mean and the kernel regression. Writes one
+    /// `[1]`-shaped prediction handle per requested position into
+    /// `fs.preds`.
+    pub(crate) fn target_preds<E: Evaluator>(
+        &self,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        task: &WindowTask<'_>,
+        i: usize,
     ) {
         fs.preds.clear();
-        let p = self.cfg.p;
         let w = self.w;
         let j0 = task.window_j;
         let live_t = task.obs.t_len();
-
-        // Per-position hidden vectors from the temporal transformer.
-        let tt_rows: Option<E::Var> = self.tt.as_ref().map(|tt| {
-            let dec = self.attend_target(tt, store, g, fs, task);
-            g.reshape(dec, &[w, p]) // the target window's [w, p] rows
-        });
 
         // Assemble per-position predictions.
         for &t in task.positions {
             debug_assert_eq!(t / w, j0, "position {t} not inside window {j0}");
             fs.parts.clear();
-            if let Some(rows) = tt_rows {
-                let part = g.row(rows, t - j0 * w);
+            if let Some(rows) = fs.tt_rows {
+                let part = g.row(rows, i * w + t - j0 * w);
                 fs.parts.push(part);
             }
             // Fine-grained local signal (Eq 15 / §4.1.1): masked mean over the
@@ -666,66 +736,86 @@ impl DeepMviModel {
         }
     }
 
-    /// The temporal transformer's `[1, w·p]` output for the target window:
-    /// its context's key mask, keys and values read from the table, the one
-    /// or two edge keys recomputed where the table reaches past the context,
-    /// and the query row, then [`DeepMviModel::attend`].
-    fn attend_target<E: Evaluator>(
+    /// The temporal transformer's `[m, w·p]` output for the target windows:
+    /// each target's context key mask, keys, V band and query row, and the
+    /// edge keys recomputed where the table reaches past a context, then
+    /// [`DeepMviModel::attend`].
+    fn attend_targets<E: Evaluator>(
         &self,
         tt: &TtParams,
         store: &ParamStore,
         g: &mut E,
         fs: &mut ForwardScratch<E::Var>,
         task: &WindowTask<'_>,
+        windows: impl ExactSizeIterator<Item = usize>,
     ) -> E::Var {
-        let c = self.context(task.window_j);
-        let ctx = c.ctx;
-        let jc = task.window_j - c.j_start; // target window's row inside the context
-        let ForwardScratch { table, mask, score_parts, head_outs, .. } = fs;
-        let n_rows = table.keys_ok.len();
-        assert!(
-            table.s == task.s
-                && table.h0 == c.h0
-                && c.j_start >= table.lo
-                && c.j_start + ctx <= table.lo + n_rows,
-            "the K/V table does not cover window {} of series {}",
-            task.window_j,
-            task.s
-        );
-        let Some(vars) = table.vars else { unreachable!("a covering table has its vars") };
-        let r0 = c.j_start - table.lo; // the context's first table row
-        mask.reset_full(&[1, ctx], true);
-        mask.data_mut().copy_from_slice(&table.keys_ok[r0..r0 + ctx]);
-
         #[cfg(test)]
         if self.full_row_reference {
-            return self.full_row_reference_block(tt, store, g, fs, task);
+            return self.full_row_reference_block(tt, store, g, fs, task, windows);
         }
 
-        // The context's first and last rows zero-fill the neighbour outside
-        // the context; the table has that neighbour wherever it reaches past
-        // the edge, so those keys (and the query, if it is one) are
-        // recomputed from the row's own inputs.
+        let ForwardScratch { table, targets: tg, mask, head_outs, .. } = fs;
+        let Some(vars) = table.vars else { unreachable!("a covering table has its vars") };
+        let n_rows = table.keys_ok.len();
+        let ctx = self.context(0).ctx;
         let cw = self.cfg.use_context_window;
-        let patch_first = cw && (r0 > 0 || (ctx == 1 && r0 + 1 < n_rows));
-        let patch_last = cw && ctx > 1 && r0 + ctx < n_rows;
-        let keys = ContextKeys {
-            rows: r0..r0 + ctx,
-            first: patch_first.then(|| self.edge_qk(g, vars, r0, ctx, 0)),
-            last: patch_last.then(|| self.edge_qk(g, vars, r0, ctx, ctx - 1)),
+        tg.reset(n_rows);
+        mask.reset_full(&[windows.len(), ctx], true);
+        for (i, j) in windows.enumerate() {
+            let c = self.context(j);
+            assert!(
+                table.s == task.s
+                    && table.h0 == c.h0
+                    && c.j_start >= table.lo
+                    && c.j_start + ctx <= table.lo + n_rows,
+                "the K/V table does not cover window {j} of series {}",
+                task.s
+            );
+            let r0 = c.j_start - table.lo; // the context's first table row
+            let jc = j - c.j_start; // target window's row inside the context
+            mask.data_mut()[i * ctx..(i + 1) * ctx].copy_from_slice(&table.keys_ok[r0..r0 + ctx]);
+            tg.starts.push(r0);
+            // The context's first and last rows zero-fill the neighbour
+            // outside the context; the table has that neighbour wherever it
+            // reaches past the edge, so those keys (and the query, if it is
+            // one) are recomputed from the row's own inputs.
+            let first =
+                (cw && (r0 > 0 || (ctx == 1 && r0 + 1 < n_rows))).then(|| tg.edge(r0, ctx, 0));
+            let last = (cw && ctx > 1 && r0 + ctx < n_rows).then(|| tg.edge(r0, ctx, 1));
+            tg.q_rows.push(match (first, last) {
+                (Some(e), _) if jc == 0 => (1, e),
+                (_, Some(e)) if jc == ctx - 1 => (1, e),
+                _ => (0, r0 + jc),
+            });
+            let row_keys = tg.keys.len();
+            tg.keys.extend((r0..r0 + ctx).map(|r| (0, r)));
+            if let Some(e) = first {
+                tg.keys[row_keys] = (1, e);
+            }
+            if let Some(e) = last {
+                tg.keys[row_keys + ctx - 1] = (1, e);
+            }
+        }
+
+        let edge_qk = (!tg.edge_rows.is_empty()).then(|| {
+            let zeros = g.input(&[1, self.cfg.p], |_| {});
+            let prev = g.stack_rows(&[vars.y, zeros], &tg.edge_prev);
+            let next = g.stack_rows(&[vars.y, zeros], &tg.edge_next);
+            let neighbours = g.concat_cols(&[prev, next]);
+            let pe = g.gather_rows(vars.pe, &tg.edge_rows);
+            g.add(neighbours, pe)
+        });
+        let q_in = match edge_qk {
+            Some(edges) => g.stack_rows(&[vars.qk, edges], &tg.q_rows),
+            None => g.stack_rows(&[vars.qk], &tg.q_rows),
         };
-        let q_in = match (keys.first, keys.last) {
-            (Some(q), _) if jc == 0 => q,
-            (_, Some(q)) if jc == ctx - 1 => q,
-            _ => g.gather_rows(vars.qk, &[r0 + jc]),
-        };
-        self.attend(tt, store, g, (head_outs, score_parts), mask, q_in, table, &keys)
+        self.attend(tt, store, g, head_outs, mask, q_in, table, tg, edge_qk)
     }
 
-    /// The transformer block over every row of the target's own context,
-    /// the reference the one-row path is tested against: K and V over the
-    /// context alone, each context row a query under a `[ctx, ctx]`
-    /// broadcast of the key mask, and row `jc` kept.
+    /// The transformer block over every row of each target's own context,
+    /// the reference the stacked target rows are tested against: K and V
+    /// over the context alone, each context row a query under a
+    /// `[ctx, ctx]` broadcast of the key mask, and row `jc` kept.
     #[cfg(test)]
     fn full_row_reference_block<E: Evaluator>(
         &self,
@@ -734,80 +824,68 @@ impl DeepMviModel {
         g: &mut E,
         fs: &mut ForwardScratch<E::Var>,
         task: &WindowTask<'_>,
+        windows: impl ExactSizeIterator<Item = usize>,
     ) -> E::Var {
-        let c = self.context(task.window_j);
-        let mut own = KvTable::default();
-        let windows = c.j_start..c.j_start + c.ctx;
-        self.fill_table(tt, store, g, &mut own, &mut fs.pe, task, c.h0, windows);
-        let Some(vars) = own.vars else { unreachable!("a filled table has its vars") };
-        let mask = Mask::from_vec(vec![c.ctx, c.ctx], own.keys_ok.repeat(c.ctx));
-        let keys = ContextKeys { rows: 0..c.ctx, first: None, last: None };
-        let parts = (&mut fs.head_outs, &mut fs.score_parts);
-        let dec = self.attend(tt, store, g, parts, &mask, vars.qk, &own, &keys);
-        g.row(dec, task.window_j - c.j_start) // [w·p]
+        let mut decoded = Vec::new();
+        let mut picks = Vec::new();
+        for (i, j) in windows.enumerate() {
+            let c = self.context(j);
+            let mut own = KvTable::default();
+            let rows = c.j_start..c.j_start + c.ctx;
+            self.fill_table(tt, store, g, &mut own, &mut fs.pe, task, c.h0, rows);
+            let Some(vars) = own.vars else { unreachable!("a filled table has its vars") };
+            let mask = Mask::from_vec(vec![c.ctx, c.ctx], own.keys_ok.repeat(c.ctx));
+            // Every context row reads the whole table.
+            let tg = Targets {
+                starts: vec![0; c.ctx],
+                keys: (0..c.ctx * c.ctx).map(|e| (0, e % c.ctx)).collect(),
+                ..Targets::default()
+            };
+            let out = self.attend(tt, store, g, &mut fs.head_outs, &mask, vars.qk, &own, &tg, None);
+            decoded.push(out);
+            picks.push((i, j - c.j_start));
+        }
+        g.stack_rows(&decoded, &picks) // [m, w·p]
     }
 
-    /// The `[1, 2p]` key/query input of context row `i` (table rows from
-    /// `r0`), with the neighbours outside the `ctx`-row context zero-filled
-    /// as the context's own `shift_rows` would.
-    fn edge_qk<E: Evaluator>(
-        &self,
-        g: &mut E,
-        vars: TableVars<E::Var>,
-        r0: usize,
-        ctx: usize,
-        i: usize,
-    ) -> E::Var {
-        let zeros = g.input(&[1, self.cfg.p], |_| {});
-        let prev = if i > 0 { g.gather_rows(vars.y, &[r0 + i - 1]) } else { zeros };
-        let next = if i + 1 < ctx { g.gather_rows(vars.y, &[r0 + i + 1]) } else { zeros };
-        let neighbours = g.concat_cols(&[prev, next]);
-        let pe = g.gather_rows(vars.pe, &[r0 + i]);
-        g.add(neighbours, pe)
-    }
-
-    /// Attention and decoder (Eq 8–14) for the query rows `q_in` against a
-    /// context's keys and values in `table`: `[m, 2p]` queries yield
-    /// `[m, w·p]` decoded rows. Scores and attn·V read the table's rows in
-    /// place. Every op is row-local in the queries, so each output row
-    /// depends on its own query row alone. `mask` is `[m, ctx]`; `scratch`
-    /// holds the per-head outputs and score parts.
+    /// Attention and decoder (Eq 8–14) for the query rows `q_in` against
+    /// their contexts in `table`: `[m, 2p]` queries yield `[m, w·p]`
+    /// decoded rows. Each row carries its own context (`targets`): it
+    /// scores only its own `ctx` keys, table rows read in place and edge
+    /// keys projected from `edge_qk` (`[edges, 2p]`), and attn·V reads its
+    /// own band of the table's V in place. Every op is row-local in the
+    /// queries, so each output row depends on its own query row and context
+    /// alone, and the work is `ctx` keys per row whatever the table's
+    /// length. `mask` is `[m, ctx]`; `head_outs` holds the per-head
+    /// outputs.
     #[allow(clippy::too_many_arguments)]
     fn attend<E: Evaluator>(
         &self,
         tt: &TtParams,
         store: &ParamStore,
         g: &mut E,
-        scratch: (&mut Vec<E::Var>, &mut Vec<E::Var>),
+        head_outs: &mut Vec<E::Var>,
         mask: &Mask,
         q_in: E::Var,
         table: &KvTable<E::Var>,
-        keys: &ContextKeys<E::Var>,
+        targets: &Targets,
+        edge_qk: Option<E::Var>,
     ) -> E::Var {
-        let (head_outs, score_parts) = scratch;
         let scale = 1.0 / ((2 * self.cfg.p) as f64).sqrt();
-        let middle = keys.middle();
         head_outs.clear();
         for ((head, &k), &v) in tt.heads.iter().zip(&table.k).zip(&table.v) {
             let q = head.wq.forward(g, store, q_in); // Eq 8
-                                                     // Eq 9 (masking via softmax), one score column per context row.
-            score_parts.clear();
-            if let Some(qk) = keys.first {
-                let k_row = head.wk.forward(g, store, qk);
-                score_parts.push(g.matmul_nt_rows(q, k_row, 0..1));
-            }
-            if !middle.is_empty() {
-                score_parts.push(g.matmul_nt_rows(q, k, middle.clone()));
-            }
-            if let Some(qk) = keys.last {
-                let k_row = head.wk.forward(g, store, qk);
-                score_parts.push(g.matmul_nt_rows(q, k_row, 0..1));
-            }
-            let scores_raw =
-                if score_parts.len() == 1 { score_parts[0] } else { g.concat_cols(score_parts) };
+            let scores_raw = match edge_qk {
+                // Eq 9 (masking via softmax): one score per context row.
+                Some(qk) => {
+                    let k_edge = head.wk.forward(g, store, qk);
+                    g.matmul_nt_rows(q, &[k, k_edge], &targets.keys)
+                }
+                None => g.matmul_nt_rows(q, &[k], &targets.keys),
+            };
             let scores = g.scale(scores_raw, scale);
             let attn = g.masked_softmax_rows(scores, mask); // Eq 11
-            let head_out = g.matmul_rows(attn, v, keys.rows.clone()); // Eq 10
+            let head_out = g.matmul_rows(attn, v, &targets.starts); // Eq 10
             head_outs.push(head_out);
         }
         let h = g.concat_cols(head_outs); // Eq 12: [m, n_heads·p]
@@ -822,8 +900,8 @@ impl DeepMviModel {
 
     /// The kernel-regression features `[U, V, W]` per dimension at time `t`
     /// (Eq 17–21), concatenated into a `[3n]` vector. Uses (and may clobber)
-    /// every `fs` buffer except `table`, `parts`, `head_outs` and `preds`,
-    /// which belong to the enclosing [`DeepMviModel::forward_target`].
+    /// the sibling and multi-index buffers of `fs`, none of which the
+    /// enclosing [`DeepMviModel::target_preds`] holds across the call.
     fn kernel_regression<E: Evaluator>(
         &self,
         store: &ParamStore,

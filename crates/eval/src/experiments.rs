@@ -155,7 +155,8 @@ pub fn fig4_visual(cfg: &ExpConfig) -> Vec<Table> {
 
 /// Regenerates Fig 5: MAE of {CDRec, DynaMMO, TRMF, SVDImp, DeepMVI} on
 /// {Chlorine, Temp, Gas, Meteo, BAFU} under MCAR(10%), MissDisj, MissOver and
-/// Blackout(10).
+/// Blackout(10). Each scenario's MAE table is followed by an RMSE table from
+/// the same runs.
 pub fn fig5_conventional(cfg: &ExpConfig) -> Vec<Table> {
     let datasets = [
         DatasetName::Chlorine,
@@ -171,19 +172,19 @@ pub fn fig5_conventional(cfg: &ExpConfig) -> Vec<Table> {
         ("MissOver", Scenario::MissOver),
         ("Blackout", Scenario::Blackout { block_len: 10 }),
     ];
+    let headers = ["dataset", "CDRec", "DynaMMO", "TRMF", "SVDImp", "DeepMVI"];
     let mut tables = Vec::new();
     for (label, scenario) in scenarios {
-        let mut t = Table::new(
-            format!("Figure 5 ({label}) — MAE"),
-            &["dataset", "CDRec", "DynaMMO", "TRMF", "SVDImp", "DeepMVI"],
-        );
+        let mut mae = Table::new(format!("Figure 5 ({label}) — MAE"), &headers);
+        let mut rmse = Table::new(format!("Figure 5 ({label}) — RMSE"), &headers);
         for name in datasets {
             let ds = generate_scaled(name, cfg.scale, cfg.seed);
             let inst = scenario.apply(&ds, cfg.seed ^ name as u64);
             let results = run_all(&inst, &methods, cfg.budget);
-            t.push_values(name.label(), &results.iter().map(|r| r.mae).collect::<Vec<_>>());
+            mae.push_values(name.label(), &results.iter().map(|r| r.mae).collect::<Vec<_>>());
+            rmse.push_values(name.label(), &results.iter().map(|r| r.rmse).collect::<Vec<_>>());
         }
-        tables.push(t);
+        tables.extend([mae, rmse]);
     }
     tables
 }
@@ -265,22 +266,21 @@ fn restrict_to_fraction(mut inst: Instance, pct: f64) -> Instance {
 
 /// Regenerates Table 2: MAE of {BRITS, GPVAE, Transformer, DeepMVI} on the two
 /// multidimensional datasets (MCAR 100%) and on Climate/Electricity/Meteo under
-/// MCAR(100%) and Blackout(100).
-pub fn table2_deep(cfg: &ExpConfig) -> Table {
-    let mut t = Table::new(
-        "Table 2 — deep methods, MAE",
-        &[
-            "model",
-            "M5 MCAR",
-            "JantaHack MCAR",
-            "Climate MCAR",
-            "Climate Blk",
-            "Electr MCAR",
-            "Electr Blk",
-            "Meteo MCAR",
-            "Meteo Blk",
-        ],
-    );
+/// MCAR(100%) and Blackout(100), then an RMSE table from the same runs.
+pub fn table2_deep(cfg: &ExpConfig) -> Vec<Table> {
+    let headers = [
+        "model",
+        "M5 MCAR",
+        "JantaHack MCAR",
+        "Climate MCAR",
+        "Climate Blk",
+        "Electr MCAR",
+        "Electr Blk",
+        "Meteo MCAR",
+        "Meteo Blk",
+    ];
+    let mut mae = Table::new("Table 2 — deep methods, MAE", &headers);
+    let mut rmse = Table::new("Table 2 — deep methods, RMSE", &headers);
     let methods = Method::deep_table_set();
     // Pre-build the eight instances.
     let mut instances: Vec<Instance> = Vec::new();
@@ -298,11 +298,12 @@ pub fn table2_deep(cfg: &ExpConfig) -> Table {
     // El-Blk, Me-MCAR, Me-Blk (already in that order).
     for m in methods {
         let imp = m.build(cfg.budget);
-        let maes: Vec<f64> =
-            instances.iter().map(|inst| run_method(imp.as_ref(), inst).mae).collect();
-        t.push_values(&imp.name(), &maes);
+        let results: Vec<RunResult> =
+            instances.iter().map(|inst| run_method(imp.as_ref(), inst)).collect();
+        mae.push_values(&imp.name(), &results.iter().map(|r| r.mae).collect::<Vec<_>>());
+        rmse.push_values(&imp.name(), &results.iter().map(|r| r.rmse).collect::<Vec<_>>());
     }
-    t
+    vec![mae, rmse]
 }
 
 // ======================================================================

@@ -10,8 +10,13 @@ pub struct Table {
     pub title: String,
     /// Column headers.
     pub headers: Vec<String>,
-    /// Data rows (each the same length as `headers`).
+    /// Data rows (each the same length as `headers`). Numbers pushed by
+    /// [`Table::push_values`] are held in their shortest round-trip form,
+    /// which is what [`Table::to_csv`] writes.
     pub rows: Vec<Vec<String>>,
+    /// Per row: whether its cells after the label are numbers, which
+    /// [`Table::render`] rounds to 4 decimals.
+    pub numeric: Vec<bool>,
 }
 
 impl Table {
@@ -21,6 +26,7 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            numeric: Vec::new(),
         }
     }
 
@@ -29,21 +35,43 @@ impl Table {
     /// # Panics
     /// Panics if the row width differs from the header width.
     pub fn push_row(&mut self, row: Vec<String>) {
-        assert_eq!(row.len(), self.headers.len(), "row width mismatch in '{}'", self.title);
-        self.rows.push(row);
+        self.push(row, false);
     }
 
-    /// Convenience for numeric rows: a label followed by fixed-precision values.
+    /// Convenience for numeric rows: a label followed by values, kept at
+    /// full precision and rendered at 4 decimals.
     pub fn push_values(&mut self, label: &str, values: &[f64]) {
         let mut row = vec![label.to_string()];
-        row.extend(values.iter().map(|v| format!("{v:.4}")));
-        self.push_row(row);
+        row.extend(values.iter().map(|v| format!("{v}")));
+        self.push(row, true);
+    }
+
+    fn push(&mut self, row: Vec<String>, numeric: bool) {
+        assert_eq!(row.len(), self.headers.len(), "row width mismatch in '{}'", self.title);
+        self.rows.push(row);
+        self.numeric.push(numeric);
+    }
+
+    /// The rendered text of each row: numbers at 4 decimals, other cells as
+    /// they are.
+    fn display_rows(&self) -> Vec<Vec<String>> {
+        let numeric = |r: usize| self.numeric.get(r).copied().unwrap_or(false);
+        let cell_text = |r: usize, c: usize, cell: &String| match cell.parse::<f64>() {
+            Ok(v) if numeric(r) && c > 0 => format!("{v:.4}"),
+            _ => cell.clone(),
+        };
+        self.rows
+            .iter()
+            .enumerate()
+            .map(|(r, row)| row.iter().enumerate().map(|(c, cell)| cell_text(r, c, cell)).collect())
+            .collect()
     }
 
     /// Renders an aligned, boxed plain-text table.
     pub fn render(&self) -> String {
+        let rows = self.display_rows();
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
+        for row in &rows {
             for (w, cell) in widths.iter_mut().zip(row) {
                 *w = (*w).max(cell.len());
             }
@@ -64,7 +92,7 @@ impl Table {
         }
         let _ = writeln!(out);
         line(&mut out);
-        for row in &self.rows {
+        for row in &rows {
             let _ = write!(out, "|");
             for (cell, w) in row.iter().zip(&widths) {
                 let _ = write!(out, " {cell:w$} |");
@@ -120,6 +148,19 @@ mod tests {
         assert!(s.contains("== demo =="));
         assert!(s.contains("| CDRec"));
         assert!(s.contains("0.0500"));
+    }
+
+    #[test]
+    fn csv_cells_round_trip_while_the_render_rounds() {
+        let x = 0.1 + 0.2;
+        let mut t = Table::new("p", &["m", "x", "y"]);
+        t.push_values("a", &[x, f64::NAN]);
+        let csv = t.to_csv();
+        let cell = csv.lines().nth(1).unwrap().split(',').nth(1).unwrap();
+        assert_eq!(cell.parse::<f64>().unwrap().to_bits(), x.to_bits());
+        assert_eq!(t.value(0, 1), Some(x));
+        let text = t.render();
+        assert!(text.contains("| 0.3000 |") && text.contains("NaN"), "{text}");
     }
 
     #[test]

@@ -401,6 +401,21 @@ pub const NT_PACK_FLOPS: usize = 1 << 15;
 /// 2×2 dot tile. The path choice depends only on the shape, so results stay
 /// deterministic and thread-count invariant.
 pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    matmul_nt_packing_into(m, k, n, a, b, c, &mut Vec::new());
+}
+
+/// [`matmul_nt`] that packs `Bᵀ`, when it does, into the caller's `pack`
+/// buffer, so a caller that keeps the buffer allocates nothing once it has
+/// seen its largest panel. Same bits as [`matmul_nt`].
+pub fn matmul_nt_packing_into(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    pack: &mut Vec<f64>,
+) {
     assert_eq!(a.len(), m * k, "matmul_nt: A buffer/shape mismatch");
     assert_eq!(b.len(), n * k, "matmul_nt: B buffer/shape mismatch");
     assert_eq!(c.len(), m * n, "matmul_nt: C buffer/shape mismatch");
@@ -409,12 +424,14 @@ pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f6
     }
     let threads = threads_for(m * k * n);
     if m * k * n >= NT_PACK_FLOPS && m >= MR {
-        let mut bt = vec![0.0; k * n];
-        pack_transpose(n, k, b, &mut bt);
+        pack.clear();
+        pack.resize(k * n, 0.0);
+        pack_transpose(n, k, b, pack);
+        let bt = &pack[..];
         mvi_parallel::for_row_spans_mut(c, n, threads, |first_row, c_span| {
             let rows = c_span.len() / n;
             let a_span = &a[first_row * k..(first_row + rows) * k];
-            serial_matmul_nn(rows, k, n, a_span, &bt, c_span);
+            serial_matmul_nn(rows, k, n, a_span, bt, c_span);
         });
         return;
     }
@@ -941,6 +958,52 @@ mod tests {
             serial_matmul_tn(k, 0, r, m, n, &a_t, &b, top);
             serial_matmul_tn(k, r, m - r, m, n, &a_t, &b, bottom);
             prop_assert!(bits(&c_tn_split) == bits(&c_whole), "matmul_tn split at row {r}");
+        }
+
+        /// Column-band invariance: columns `lo..hi` of a `matmul` product
+        /// are bitwise the product against only those columns of `B`, and
+        /// columns `lo..hi` of a `matmul_nt` product the product against
+        /// only those rows of `B`, at 1 and 2 workers. The narrower product
+        /// may take another path; `class` picks shapes below
+        /// `NT_PACK_FLOPS`, past it with `m < MR` (the dot tile) and past
+        /// it with `m ≥ MR` (the packed path and, at `m ≥ 8`, `n ≥ 16`, the
+        /// 8×16 tile).
+        #[test]
+        fn prop_column_bands_are_bitwise_their_narrow_products(
+            class in 0u8..3, mr in 0usize..1000, kr in 0usize..1000, nr in 0usize..1000,
+            lo_r in 0usize..1000, hi_r in 0usize..1000, seed in 0u64..1000
+        ) {
+            let (m, k, n) = match class {
+                0 => (1 + mr % 8, 1 + kr % 40, 1 + nr % 40),
+                1 => (1 + mr % (MR - 1), 128 + kr % 64, 256 + nr % 64),
+                _ => (8 + mr % 30, 64 + kr % 64, 64 + nr % 64),
+            };
+            if class > 0 {
+                prop_assert!(m * k * n >= NT_PACK_FLOPS);
+            }
+            let lo = lo_r % n;
+            let hi = lo + 1 + hi_r % (n - lo);
+            let w = hi - lo;
+            let a = pseudo(m * k, seed);
+            let b = pseudo(k * n, seed ^ 0xB);
+            let b_t = transposed(k, n, &b);
+            let b_cols: Vec<f64> = (0..k).flat_map(|kk| b[kk * n + lo..kk * n + hi].to_vec()).collect();
+            for threads in [1, 2] {
+                mvi_parallel::configure_threads(threads);
+                let (mut c, mut c_nt) = (vec![0.0; m * n], vec![0.0; m * n]);
+                matmul(m, k, n, &a, &b, &mut c);
+                matmul_nt(m, k, n, &a, &b_t, &mut c_nt);
+                let (mut band, mut band_nt) = (vec![0.0; m * w], vec![0.0; m * w]);
+                matmul(m, k, w, &a, &b_cols, &mut band);
+                matmul_nt(m, k, w, &a, &b_t[lo * k..hi * k], &mut band_nt);
+                mvi_parallel::configure_threads(0);
+                for i in 0..m {
+                    let row = &band[i * w..(i + 1) * w];
+                    let row_nt = &band_nt[i * w..(i + 1) * w];
+                    prop_assert!(bits(&c[i * n + lo..i * n + hi]) == bits(row), "{m}x{k}x{n}: matmul row {i}, columns {lo}..{hi}");
+                    prop_assert!(bits(&c_nt[i * n + lo..i * n + hi]) == bits(row_nt), "{m}x{k}x{n}: matmul_nt row {i}, columns {lo}..{hi}");
+                }
+            }
         }
     }
 }

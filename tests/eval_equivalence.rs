@@ -201,3 +201,104 @@ fn assert_batch_matches_per_window(
     }
     Ok(())
 }
+
+/// The batch path at the paper's shape: `DeepMviConfig::default()` (p = 32,
+/// 4 heads, a 64-window context) over 100 windows, so each series' table
+/// reaches past most contexts. Series 0 misses every other window, 50
+/// targets in one run: the stacked GEMMs run at `m ≥ 16` (the 8×16 tile
+/// and `matmul_nt`'s packed path), the targets up to window 32 share one
+/// context start and its last-row edge key, and those from window 68 share
+/// another and its first-row edge key. Series 1 misses three windows and
+/// part of a fourth. Batch against per-window passes, bitwise, at 1 and 4
+/// workers.
+#[test]
+fn batch_is_bitwise_the_per_window_pass_at_the_paper_shape() {
+    use mvi_tensor::Mask;
+    let ds = generate_with_shape(DatasetName::Electricity, &[3], 1000, 5);
+    let mut missing = Mask::falses(&[3, 1000]);
+    for j in (0..100).step_by(2) {
+        missing.set_range(0, j * 10, j * 10 + 10, true);
+    }
+    for j in [10, 50, 91] {
+        missing.set_range(1, j * 10, j * 10 + 10, true);
+    }
+    missing.set_range(1, 333, 338, true);
+    let obs = ds.with_missing(missing).observed();
+    let model = DeepMviModel::new(&DeepMviConfig::default(), &obs);
+    assert_eq!(model.window(), 10, "fixture needs 100 windows");
+
+    let queries = model.missing_queries(&obs);
+    assert_eq!(queries.iter().filter(|q| q.s == 0).count(), 50);
+    let mut scratch = InferScratch::new();
+    let mut out = Vec::new();
+    let expect: Vec<Vec<u64>> = queries
+        .iter()
+        .map(|q| {
+            out.clear();
+            model.predict_window_into(&mut scratch, &obs, q, &mut out);
+            bits(&out)
+        })
+        .collect();
+    for threads in [1, 4] {
+        let batch = model.predict_batch(&mut InferScratch::new(), &obs, &queries, threads);
+        assert_eq!(batch.len(), queries.len());
+        for ((q, got), want) in queries.iter().zip(&batch).zip(&expect) {
+            assert!(
+                bits(got) == *want,
+                "batch diverged from the per-window pass on s={} window={} at {threads} threads",
+                q.s,
+                q.window_j
+            );
+        }
+    }
+}
+
+/// The batch path on a series far longer than the context: 2,000 windows
+/// at `DeepMviConfig::default()`, where each run's table spans the whole
+/// series and each target reads 64 of its rows. Series 0 misses two of
+/// every three windows (about 1,333 targets over hundreds of context
+/// starts, each with its edge keys); series 1 misses every 97th window.
+/// Batch against per-window passes, bitwise, at 1 and 4 workers.
+#[test]
+fn batch_is_bitwise_the_per_window_pass_on_a_long_series() {
+    use mvi_tensor::Mask;
+    let t_len = 20_000;
+    let ds = generate_with_shape(DatasetName::Electricity, &[2], t_len, 9);
+    let mut missing = Mask::falses(&[2, t_len]);
+    for j in 0..t_len / 10 {
+        if j % 3 != 0 {
+            missing.set_range(0, j * 10, j * 10 + 10, true);
+        }
+        if j % 97 == 5 {
+            missing.set_range(1, j * 10, j * 10 + 10, true);
+        }
+    }
+    let obs = ds.with_missing(missing).observed();
+    let model = DeepMviModel::new(&DeepMviConfig::default(), &obs);
+    assert_eq!(model.window(), 10, "fixture needs 2,000 windows");
+
+    let queries = model.missing_queries(&obs);
+    assert!(queries.iter().filter(|q| q.s == 0).count() > 1300);
+    let mut scratch = InferScratch::new();
+    let mut out = Vec::new();
+    let expect: Vec<Vec<u64>> = queries
+        .iter()
+        .map(|q| {
+            out.clear();
+            model.predict_window_into(&mut scratch, &obs, q, &mut out);
+            bits(&out)
+        })
+        .collect();
+    for threads in [1, 4] {
+        let batch = model.predict_batch(&mut InferScratch::new(), &obs, &queries, threads);
+        assert_eq!(batch.len(), queries.len());
+        for ((q, got), want) in queries.iter().zip(&batch).zip(&expect) {
+            assert!(
+                bits(got) == *want,
+                "batch diverged from the per-window pass on s={} window={} at {threads} threads",
+                q.s,
+                q.window_j
+            );
+        }
+    }
+}
