@@ -28,6 +28,20 @@
 //! it at most one query per `(series, window)`: [`DeepMviModel::missing_queries`] emits one per window,
 //! and the serving engine deduplicates its batches before evaluating them.
 
+// Every cold-window request runs this module, so it holds the serving path's
+// panic surface: no `unwrap`/`expect`/`panic!`-family call outside tests.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::config::DeepMviConfig;
 use crate::model::{DeepMviModel, ForwardScratch, WindowTask};
 use mvi_autograd::params::StoreSnapshot;

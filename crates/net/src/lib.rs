@@ -61,6 +61,19 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Typed failure, never panic: no `unwrap`/`expect`/`panic!`-family call in
+// the wire codec, server or client outside tests.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod client;
 pub mod frame;

@@ -227,9 +227,12 @@ impl MicroBatcher {
     }
 
     /// A new client handle for this batcher.
+    #[expect(
+        clippy::expect_used,
+        reason = "tx is only taken in Drop, so it is Some for any live &self"
+    )]
     pub fn client(&self) -> BatchClient {
         BatchClient {
-            // mvi-allow: panic — tx is only taken in Drop, so it is Some for any live &self
             tx: self.tx.as_ref().expect("batcher alive").clone(),
             queue_cap: self.config.queue_cap,
             deadline: self.config.deadline,

@@ -23,10 +23,12 @@
 //! it never waits on a forward pass — not even one for its own series.
 //! Stale windows and invalid ranges fall through to the locked path, which
 //! recomputes, answers and republishes. The health counters sit behind a
-//! second mutex of their own, taken after the core lock and never before it
-//! (`core → health`), so [`ImputationEngine::health`] and the non-finite
-//! input gate never wait on a recompute, and every report is one point in
-//! time.
+//! second mutex of their own, reached only through `Health::with`. Its
+//! closure is `'static`, so it cannot borrow the engine or a core guard:
+//! taking the core lock while holding health, or health twice, does not
+//! compile (`core → health`). [`ImputationEngine::health`] and the
+//! non-finite input gate never wait on a recompute, and every report is one
+//! point in time.
 //!
 //! **Linearizability**: a warm read linearizes at its snapshot clone; since
 //! publication happens before a mutation returns, any read issued after a
@@ -121,13 +123,14 @@
 
 use crate::warm::{SeriesSnap, WarmSnaps};
 use deepmvi::{FrozenModel, ScratchPool, WindowQuery};
+use health::Health;
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::windows::WindowGrid;
 use mvi_tensor::Tensor;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// Errors produced by the serving layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -388,6 +391,31 @@ pub struct HealthReport {
     pub poison_recoveries: u64,
 }
 
+/// The health cell: the `core → health` lock order held by a type.
+mod health {
+    use super::HealthReport;
+    use std::sync::{Mutex, PoisonError};
+
+    /// The engine's health counters behind their own mutex.
+    pub(super) struct Health(Mutex<HealthReport>);
+
+    impl Health {
+        pub(super) fn new(report: HealthReport) -> Self {
+            Self(Mutex::new(report))
+        }
+
+        /// Runs `f` on the counters under one acquisition. `f` is `'static`,
+        /// so it cannot borrow the engine or a core guard: it can neither
+        /// take the core lock nor reach this cell again, so health is never
+        /// held across another lock and never taken twice. The critical
+        /// sections are pure counter arithmetic, so a poisoned lock still
+        /// guards valid counts and recovery simply continues.
+        pub(super) fn with<R>(&self, f: impl FnOnce(&mut HealthReport) -> R + 'static) -> R {
+            f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
+        }
+    }
+}
+
 /// One imputation request: the fully-imputed values of `[start, end)` in
 /// series `s` (observed entries pass through, missing entries are imputed).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -602,9 +630,8 @@ pub struct ImputationEngine {
     ring_cap: Option<usize>,
     state: Mutex<EngineState>,
     counters: Counters,
-    /// The health counters, reached only through
-    /// [`ImputationEngine::lock_health`].
-    health: Mutex<HealthReport>,
+    /// The health counters, reached only through [`Health::with`].
+    health: Health,
     /// Per-series warm snapshots, read without the core lock.
     snaps: WarmSnaps,
     /// Whether the warm read path is enabled (default: yes).
@@ -788,7 +815,7 @@ impl ImputationEngine {
             ring_cap,
             state: Mutex::new(state),
             counters: Counters::default(),
-            health: Mutex::new(HealthReport {
+            health: Health::new(HealthReport {
                 quarantined_by_series: vec![0; n_series],
                 ..HealthReport::default()
             }),
@@ -916,7 +943,7 @@ impl ImputationEngine {
                 for fresh in &mut guard.fresh {
                     fresh.iter_mut().for_each(|f| *f = false);
                 }
-                self.lock_health().poison_recoveries += 1;
+                self.health.with(|h| h.poison_recoveries += 1);
                 // The published warm snapshots predate the scrub; republish
                 // so the warm path cannot serve windows the recovery
                 // just distrusted.
@@ -924,15 +951,6 @@ impl ImputationEngine {
                 guard
             }
         }
-    }
-
-    /// Acquires the health counters. Lock order is `core → health`: this is
-    /// taken alone or while holding the core lock, never before it, and at
-    /// most once per critical section (the mutex is not reentrant). The
-    /// critical sections are pure counter arithmetic, so a poisoned lock
-    /// still guards valid counts and recovery simply continues.
-    fn lock_health(&self) -> MutexGuard<'_, HealthReport> {
-        self.health.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Installs (or clears) the [`ValueGuard`] that screens every value
@@ -962,7 +980,7 @@ impl ImputationEngine {
     /// half-applied batch. Never takes the core state lock, so health stays
     /// responsive while a recompute runs.
     pub fn health(&self) -> HealthReport {
-        self.lock_health().clone()
+        self.health.with(|h| h.clone())
     }
 
     /// Whether the warm read path is enabled (it is by default).
@@ -1068,8 +1086,7 @@ impl ImputationEngine {
     /// # Errors
     /// [`ServeError::Series`] / [`ServeError::Range`] on an invalid request.
     pub fn query(&self, s: usize, start: usize, end: usize) -> Result<Vec<f64>, ServeError> {
-        // mvi-allow: panic — query_batch returns exactly one answer per request
-        self.query_batch(&[ImputeRequest { s, start, end }]).pop().expect("one result")
+        self.query_flagged(s, start, end).map(|r| r.values)
     }
 
     /// Like [`ImputationEngine::query`], but the answer carries its
@@ -1079,13 +1096,16 @@ impl ImputationEngine {
     ///
     /// # Errors
     /// [`ServeError::Series`] / [`ServeError::Range`] on an invalid request.
+    #[expect(
+        clippy::expect_used,
+        reason = "query_batch_flagged returns exactly one answer per request"
+    )]
     pub fn query_flagged(
         &self,
         s: usize,
         start: usize,
         end: usize,
     ) -> Result<ImputeResponse, ServeError> {
-        // mvi-allow: panic — query_batch_flagged returns exactly one answer per request
         self.query_batch_flagged(&[ImputeRequest { s, start, end }]).pop().expect("one result")
     }
 
@@ -1183,8 +1203,12 @@ impl ImputationEngine {
         }
 
         self.counters.window_hits.fetch_add(hits as u64, Ordering::Relaxed);
-        // mvi-allow: panic — every slot is filled on the validation, warm, or recompute path above
-        answers.into_iter().map(|a| a.expect("every request answered")).collect()
+        #[expect(
+            clippy::expect_used,
+            reason = "every slot is filled on the validation, warm, or recompute path above"
+        )]
+        let answers = answers.into_iter().map(|a| a.expect("every request answered")).collect();
+        answers
     }
 
     /// Records newly arrived values for series `s` at its write watermark and
@@ -1422,7 +1446,7 @@ impl ImputationEngine {
         match values.iter().position(|v| !v.is_finite()) {
             None => Ok(()),
             Some(offset) => {
-                self.lock_health().nonfinite_input_rejections += 1;
+                self.health.with(|h| h.nonfinite_input_rejections += 1);
                 Err(ServeError::NonFiniteInput { s, offset })
             }
         }
@@ -1608,8 +1632,7 @@ impl ImputationEngine {
             gone += degraded.drain(..evicted).filter(|&d| d).count() as u64;
         }
         if gone > 0 {
-            let mut health = self.lock_health();
-            health.degraded_windows = health.degraded_windows.saturating_sub(gone);
+            self.health.with(move |h| h.degraded_windows = h.degraded_windows.saturating_sub(gone));
         }
         self.counters.evictions.fetch_add(1, Ordering::Relaxed);
         self.counters.steps_evicted.fetch_add(drop as u64, Ordering::Relaxed);
@@ -1662,9 +1685,10 @@ impl ImputationEngine {
         if quarantined > 0 {
             // Per-series count and total move together under one lock
             // acquisition, so no health report can see them torn apart.
-            let mut health = self.lock_health();
-            health.quarantined_by_series[s] += quarantined as u64;
-            health.quarantined += quarantined as u64;
+            self.health.with(move |h| {
+                h.quarantined_by_series[s] += quarantined as u64;
+                h.quarantined += quarantined as u64;
+            });
         }
         quarantined
     }
@@ -1789,9 +1813,10 @@ impl ImputationEngine {
             state.fresh[q.s][q.window_j] = true;
         }
         if events + healed > 0 {
-            let mut health = self.lock_health();
-            health.degraded_events += events;
-            health.degraded_windows = (health.degraded_windows + degraded).saturating_sub(healed);
+            self.health.with(move |h| {
+                h.degraded_events += events;
+                h.degraded_windows = (h.degraded_windows + degraded).saturating_sub(healed);
+            });
         }
         self.counters.windows_computed.fetch_add(queries.len() as u64, Ordering::Relaxed);
     }

@@ -58,8 +58,9 @@
 //! * **Warm reads off the core lock** — engine state is split along the
 //!   read/write axis: mutations stay sequenced on the core lock (DeepMVI's
 //!   forward pass couples every series), health counters sit behind one
-//!   health lock taken after it (`core → health`), and warm queries answer
-//!   from per-series snapshots held in one `RwLock<Arc<_>>` per series.
+//!   health lock reached only through `Health::with`, whose `'static`
+//!   closure cannot take the core lock (`core → health`), and warm queries
+//!   answer from per-series snapshots held in one `RwLock<Arc<_>>` per series.
 //!   A warm read never takes the core lock and holds the read guard only
 //!   for an `Arc` clone, so it never waits on a forward pass, and readers
 //!   never block each other. Warm reads linearize at their snapshot clone;
@@ -121,6 +122,20 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Typed failure, never panic: no `unwrap`/`expect`/`panic!`-family call on
+// the serving path outside tests; the few structurally infallible ones carry
+// an `#[expect]` with their reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod batch;
 pub mod durable;

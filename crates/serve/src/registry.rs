@@ -59,7 +59,8 @@
 //! keeps "resident + loading ≤ capacity" a hard invariant. Batchers are
 //! spawned under the lock but dropped (joined) only after its release.
 //! The registry takes no engine locks itself; per-engine calls (`health`,
-//! `snapshot`) follow the engine's own `core → health` protocol.
+//! `snapshot`) follow the engine's own `core → health` order, where health
+//! is reached only through `Health::with`.
 
 use crate::batch::{BatchClient, BatcherConfig, MicroBatcher};
 use crate::engine::{EngineStats, HealthReport, ServeError};

@@ -344,8 +344,12 @@ impl ServeSnapshot {
             params,
             cache,
         };
-        // mvi-allow: panic — the vendored serializer is infallible (it returns Ok unconditionally)
-        serde_json::to_string(&wire).expect("snapshot serialization cannot fail")
+        #[expect(
+            clippy::expect_used,
+            reason = "the vendored serializer is infallible (it returns Ok unconditionally)"
+        )]
+        let json = serde_json::to_string(&wire).expect("snapshot serialization cannot fail");
+        json
     }
 
     /// Parses a snapshot serialized with [`ServeSnapshot::to_json`].
