@@ -98,7 +98,7 @@ fn main() {
 
     let mut scale_jsons = Vec::new();
     // Headline = the serving-scale speedup: that is the shape the engine's
-    // cold-window path actually runs (BENCH_2/BENCH_3 fixtures). The paper
+    // cold-window path actually runs (the serve_bench fixture). The paper
     // scale is reported alongside: its wider layers do more arithmetic per
     // op, so the per-op overhead the evaluator removes is a smaller share.
     let mut headline_speedup = f64::NAN;

@@ -7,13 +7,15 @@
 //!
 //! | scenario    | artifact  | measures |
 //! |-------------|-----------|----------|
-//! | `serving`   | `BENCH_2` | naive per-request full impute vs the engine behind a micro-batcher |
 //! | `growth`    | `BENCH_3` | appends streaming past the trained `t_len`, then a tail-query sweep |
 //! | `retention` | `BENCH_5` | a stream 20× the retention window through the ring, then a warm restart from a snapshot file vs a cold one |
 //! | `faults`    | `BENCH_6` | unguarded vs guarded vs guarded + per-request deadline throughput |
-//! | `sharded`   | `BENCH_7` | warm-read scaling at 1/2/4/8 readers, locked vs sharded, and the blocked-time probe |
-//! | `net`       | `BENCH_8` | in-process batch clients vs `NetClient`s over framed TCP on loopback |
-//! | `tenancy`   | `BENCH_9` | 1/4/16 tenants behind one door, cold loads, and a hostile tenant's effect on a victim's p99 |
+//! | `sharded`   | `BENCH_7` | warm-read scaling at 1/2/4/8 readers, and the blocked-time probe |
+//! | `tenancy`   | `BENCH_9` | 1/4/16 tenants behind one door, and a hostile tenant's effect on a victim's p99 |
+//!
+//! Operations that `perfbench` already measures with repeated runs have no
+//! arm here: a full `impute` (`offline_fit`), wire queries against a warm
+//! engine (`warm_reads`) and tenant reloads (`cold_tenants`).
 //!
 //! Every throughput arm — closed-loop client threads replaying the shared
 //! request trace, or one client replaying a prefix of it — goes through one
@@ -23,11 +25,10 @@
 //!
 //! The harness asserts only what makes its numbers mean something: resident
 //! storage never exceeds the ring cap; the warm restart computes zero
-//! windows and the cold one more than zero; the cold-load arm really
-//! churns; throughput arms catch no panic; sharded warm reads accumulate
-//! zero core-lock wait under mixed traffic; in full mode the guarded arm
-//! holds ≥ 95% of unguarded throughput; and a victim tenant's p99 stays
-//! bounded while a hostile neighbour panics. The typed-failure behaviour
+//! windows and the cold one more than zero; throughput arms catch no panic;
+//! warm reads accumulate zero core-lock wait under mixed traffic; in full
+//! mode the guarded arm holds ≥ 95% of unguarded throughput; and a victim
+//! tenant's p99 stays bounded while a hostile neighbour panics. The typed-failure behaviour
 //! itself (quarantine, NaN refusal, panic isolation, corrupt-snapshot
 //! fallback, overload shedding, graceful drain, unknown tenants, bitwise
 //! isolation) is proven by `tests/serve_faults.rs`, `tests/net_faults.rs`
@@ -78,13 +79,11 @@ const CHUNK: usize = 9;
 type Run = fn(&Ctx) -> Artifact;
 
 /// Every scenario: its `--only` name, its artifact number and its runner.
-const SCENARIOS: [(&str, usize, Run); 7] = [
-    ("serving", 2, serving),
+const SCENARIOS: [(&str, usize, Run); 5] = [
     ("growth", 3, growth),
     ("retention", 5, retention),
     ("faults", 6, faults),
     ("sharded", 7, sharded),
-    ("net", 8, net),
     ("tenancy", 9, tenancy),
 ];
 
@@ -93,7 +92,6 @@ type Req = (usize, usize, usize);
 
 /// Everything a scenario needs: the one trained model and its data.
 struct Ctx {
-    model: DeepMviModel,
     obs: ObservedDataset,
     /// Ground truth running `GROWTH_MAX` steps past the trained length.
     full: Tensor,
@@ -101,8 +99,6 @@ struct Ctx {
     trace: Vec<Req>,
     threads: usize,
     quick: bool,
-    train_secs: f64,
-    missing_fraction: f64,
 }
 
 impl Ctx {
@@ -306,13 +302,14 @@ fn rows(items: impl IntoIterator<Item = String>) -> String {
 }
 
 /// The one artifact writer: the common header (`bench`, `scenario`,
-/// `dataset`, `threads_used`, `client_threads`), the `arms` rows if any,
-/// then the scenario's own fields.
+/// `dataset`, `host_cores`, `threads_used`, `client_threads`), the `arms`
+/// rows if any, then the scenario's own fields.
 fn write_artifact(path: &Path, bench: usize, ctx: &Ctx, art: Artifact) {
     let mut fields = vec![
         ("bench", bench.to_string()),
         ("scenario", format!("\"{}\"", art.scenario)),
         ("dataset", art.dataset),
+        ("host_cores", mvi_parallel::available_threads().to_string()),
         ("threads_used", ctx.threads.to_string()),
         ("client_threads", CLIENTS.to_string()),
     ];
@@ -391,14 +388,11 @@ fn main() {
         .collect();
     let ctx = Ctx {
         snapshot: ServeSnapshot::capture(&model, &obs),
-        model,
         obs,
         full: full.values,
         trace,
         threads,
         quick,
-        train_secs,
-        missing_fraction: inst.missing_fraction(),
     };
 
     std::fs::create_dir_all(&out_dir).expect("create --out-dir");
@@ -409,59 +403,6 @@ fn main() {
         eprintln!("== {name} (BENCH_{bench}) ==");
         let art = run(&ctx);
         write_artifact(&out_dir.join(format!("BENCH_{bench}.json")), bench, &ctx, art);
-    }
-}
-
-/// `BENCH_2`: naive per-request full impute (the `Imputer::impute`-shaped
-/// server) vs the engine behind a micro-batcher, which imputes only stale
-/// windows. Neither arm retrains; the headline is their throughput ratio.
-fn serving(ctx: &Ctx) -> Artifact {
-    // Charitably few naive requests: full imputes are slow, and rps is
-    // measured directly, never extrapolated.
-    let naive_n = if ctx.quick { 5 } else { 25 };
-    let naive = run_arm(
-        "naive",
-        &ctx.trace[..naive_n],
-        1,
-        |_| (),
-        |_, _, (s, lo, hi)| {
-            std::hint::black_box(ctx.model.impute(&ctx.obs).series(s)[lo..hi].to_vec());
-        },
-    );
-    let engine = ctx.engine(false);
-    let arm = batch_arm("engine", &ctx.trace, &engine, None);
-    let stats = engine.stats();
-    eprintln!(
-        "engine internals: {} batches for {} requests ({:.1} req/batch), {} window passes, {} \
-         cache hits",
-        stats.batches,
-        stats.requests,
-        stats.requests as f64 / stats.batches.max(1) as f64,
-        stats.windows_computed,
-        stats.window_hits
-    );
-    let speedup = arm.rps() / naive.rps();
-    eprintln!("throughput speedup over naive per-request full impute: {speedup:.1}x");
-    Artifact {
-        scenario: "serving_throughput",
-        dataset: obj(&[
-            ("series", SERIES.to_string()),
-            ("t_len", T.to_string()),
-            ("missing_fraction", fx(ctx.missing_fraction, 4)),
-        ]),
-        arms: vec![naive, arm],
-        extra: vec![
-            ("train_secs", fx(ctx.train_secs, 3)),
-            (
-                "engine",
-                obj(&[
-                    ("batches", stats.batches.to_string()),
-                    ("windows_computed", stats.windows_computed.to_string()),
-                    ("window_hits", stats.window_hits.to_string()),
-                ]),
-            ),
-            ("throughput_speedup_vs_naive", fx(speedup, 3)),
-        ],
     }
 }
 
@@ -726,33 +667,21 @@ fn faults(ctx: &Ctx) -> Artifact {
 
 /// `BENCH_7`: warm-read scaling of the warm read path.
 ///
-/// **Scaling sweep** — the same seeded warm-query trace runs at 1/2/4/8
-/// concurrent reader threads against the engine in both read postures:
-/// `locked` (warm reads off — every query takes the core mutex) and
-/// `sharded` (per-series snapshot reads that never take the core lock; the
+/// **Scaling sweep** — the same seeded warm-query trace runs through
+/// [`run_arm`] at 1/2/4/8 concurrent reader threads against a warm engine,
+/// whose per-series snapshot reads never take the core lock (the scenario
 /// name predates the retired health-counter shard map). Reader threads are
-/// spawned literally ([`mvi_parallel::run_workers`]), deliberately ignoring
-/// the core count — oversubscription *is* the serving shape being measured.
-/// The ≥3× gate on sharded-vs-locked aggregate throughput at 8 readers is
-/// asserted only when the host has ≥ 8 cores; below that the ratio is
-/// recorded with `asserted: false`.
+/// spawned literally, deliberately ignoring the core count —
+/// oversubscription *is* the serving shape being measured.
 ///
 /// **Mixed-traffic probe** — a writer streams appends into series 0 while
 /// readers sweep the other series. The engine's `lock_wait_nanos` counter
-/// prices every *contended* core-lock acquisition; the harness asserts the
-/// sharded run's delta is exactly zero — warm reads never touch the core
-/// lock, so they can neither block the writer nor be blocked by it. This
-/// holds on any host, single-core included, so it is asserted
-/// unconditionally (the locked posture's wait is reported for contrast).
+/// prices every *contended* core-lock acquisition; the harness asserts its
+/// delta is exactly zero — warm reads never touch the core lock, so they can
+/// neither block the writer nor be blocked by it. This holds on any host,
+/// single-core included, so it is asserted unconditionally.
 fn sharded(ctx: &Ctx) -> Artifact {
-    let host_cores = mvi_parallel::available_threads();
     let ops_per_worker = if ctx.quick { 1_000 } else { 10_000 };
-    let build = |warm: bool| {
-        let engine = ctx.engine(false);
-        engine.set_warm_reads(warm);
-        engine.warm_up();
-        engine
-    };
     // The seeded warm trace: pure function of (worker, op) so every point of
     // the sweep answers an identical workload.
     let query_of = |worker: usize, k: usize| {
@@ -761,182 +690,77 @@ fn sharded(ctx: &Ctx) -> Artifact {
         let lo = (x / 7) % (T - 80);
         (s, lo, (lo + 40 + (x / 11) % 40).min(T))
     };
-
-    // ---- Scaling sweep: aggregate warm rps at 1/2/4/8 readers per mode. ----
-    let mut points: Vec<(&str, usize, usize, f64)> = Vec::new();
-    for (mode, warm) in [("locked", false), ("sharded", true)] {
-        let engine = build(warm);
-        for readers in [1usize, 2, 4, 8] {
-            let t0 = Instant::now();
-            let served = mvi_parallel::run_workers(readers, |w| {
-                for k in 0..ops_per_worker {
-                    let (s, lo, hi) = query_of(w, k);
-                    let got = engine.query(s, lo, hi).expect("warm query");
-                    assert_eq!(got.len(), hi - lo);
-                }
-                ops_per_worker
-            });
-            let wall_secs = t0.elapsed().as_secs_f64();
-            let ops: usize = served.iter().sum();
-            eprintln!(
-                "{mode:>8} x{readers}: {ops} warm queries in {wall_secs:.3}s = {:>9.0} q/s",
-                ops as f64 / wall_secs
-            );
-            points.push((mode, readers, ops, wall_secs));
-        }
-    }
-    let rps_at = |mode: &str, readers: usize| {
-        let &(_, _, ops, wall) =
-            points.iter().find(|p| p.0 == mode && p.1 == readers).expect("sweep point");
-        ops as f64 / wall
+    let warm_query = |engine: &ImputationEngine, (s, lo, hi): Req| {
+        let got = engine.query(s, lo, hi).expect("warm query");
+        assert_eq!(got.len(), hi - lo);
     };
-    let speedup_at_8 = rps_at("sharded", 8) / rps_at("locked", 8);
-    let gate_asserted = host_cores >= 8;
-    eprintln!(
-        "sharded/locked aggregate throughput at 8 readers: {speedup_at_8:.2}x \
-         (gate {} on {host_cores}-core host)",
-        if gate_asserted { "asserted" } else { "recorded only" }
+
+    // ---- Scaling sweep: aggregate warm rps at 1/2/4/8 readers. ----
+    let engine = ctx.engine(true);
+    let arms = [(1usize, "readers_1"), (2, "readers_2"), (4, "readers_4"), (8, "readers_8")].map(
+        |(readers, name)| {
+            let trace: Vec<Req> = (0..readers)
+                .flat_map(|w| (0..ops_per_worker).map(move |k| query_of(w, k)))
+                .collect();
+            run_arm(name, &trace, readers, |_| (), |_, _, req| warm_query(&engine, req))
+        },
     );
-    if gate_asserted {
-        assert!(
-            speedup_at_8 >= 3.0,
-            "sharded read path must scale: {speedup_at_8:.2}x at 8 readers is below the 3x floor"
-        );
-    }
 
     // ---- Mixed traffic: the blocked-time probe. ----
     let n_appends = if ctx.quick { 20 } else { 60 };
-    let mut mixed = Vec::new();
-    for (mode, warm) in [("locked", false), ("sharded", true)] {
-        let engine = build(warm);
-        let wait_before = engine.lock_wait_nanos();
-        let stop = AtomicBool::new(false);
-        let t0 = Instant::now();
-        let reads = std::thread::scope(|scope| {
-            let (engine, stop) = (&engine, &stop);
-            let readers: Vec<_> = (0..4)
-                .map(|r| {
-                    scope.spawn(move || {
-                        let mut n = 0usize;
-                        while !stop.load(Ordering::SeqCst) {
-                            let (s, lo, hi) = query_of(r, n);
-                            // Steer clear of the written series: these reads
-                            // are the "unrelated" traffic the probe is about.
-                            let s = 1 + s % (SERIES - 1);
-                            let got = engine.query(s, lo, hi).expect("mixed warm query");
-                            assert_eq!(got.len(), hi - lo);
-                            n += 1;
-                        }
-                        n
-                    })
+    let engine = ctx.engine(true);
+    let wait_before = engine.lock_wait_nanos();
+    let stop = AtomicBool::new(false);
+    let t0 = Instant::now();
+    let reads = std::thread::scope(|scope| {
+        let (engine, stop) = (&engine, &stop);
+        let readers: Vec<_> = (0..4)
+            .map(|r| {
+                scope.spawn(move || {
+                    let mut n = 0usize;
+                    while !stop.load(Ordering::SeqCst) {
+                        let (s, lo, hi) = query_of(r, n);
+                        // Steer clear of the written series: these reads
+                        // are the "unrelated" traffic the probe is about.
+                        warm_query(engine, (1 + s % (SERIES - 1), lo, hi));
+                        n += 1;
+                    }
+                    n
                 })
-                .collect();
-            for _ in 0..n_appends {
-                let wm = engine.watermark(0).expect("watermark");
-                let payload: Vec<f64> = (0..9).map(|k| (((wm + k) as f64) * 0.01).sin()).collect();
-                engine.append(0, &payload).expect("mixed append");
-            }
-            stop.store(true, Ordering::SeqCst);
-            readers.into_iter().map(|h| h.join().expect("reader")).sum::<usize>()
-        });
-        let wall_secs = t0.elapsed().as_secs_f64();
-        let lock_wait_ms = (engine.lock_wait_nanos() - wait_before) as f64 / 1e6;
-        eprintln!(
-            "{mode:>8} mixed: {n_appends} appends + {reads} reads in {wall_secs:.3}s, contended \
-             core-lock wait {lock_wait_ms:.3} ms"
-        );
-        if warm {
-            assert_eq!(
-                lock_wait_ms, 0.0,
-                "sharded warm reads touched the core lock under mixed traffic"
-            );
+            })
+            .collect();
+        for _ in 0..n_appends {
+            let wm = engine.watermark(0).expect("watermark");
+            let payload: Vec<f64> = (0..9).map(|k| (((wm + k) as f64) * 0.01).sin()).collect();
+            engine.append(0, &payload).expect("mixed append");
         }
-        let row = obj(&[
-            ("appends", n_appends.to_string()),
-            ("reads", reads.to_string()),
-            ("wall_secs", fx(wall_secs, 6)),
-            ("lock_wait_ms", fx(lock_wait_ms, 4)),
-        ]);
-        mixed.push((mode, row));
-    }
-
-    let scaling = points.iter().map(|&(mode, readers, ops, wall)| {
-        obj(&[
-            ("mode", format!("\"{mode}\"")),
-            ("readers", readers.to_string()),
-            ("ops", ops.to_string()),
-            ("wall_secs", fx(wall, 6)),
-            ("rps", fx(ops as f64 / wall, 2)),
-        ])
+        stop.store(true, Ordering::SeqCst);
+        readers.into_iter().map(|h| h.join().expect("reader")).sum::<usize>()
     });
+    let wall_secs = t0.elapsed().as_secs_f64();
+    let lock_wait_ms = (engine.lock_wait_nanos() - wait_before) as f64 / 1e6;
+    eprintln!(
+        "mixed: {n_appends} appends + {reads} reads in {wall_secs:.3}s, contended core-lock \
+         wait {lock_wait_ms:.3} ms"
+    );
+    assert_eq!(lock_wait_ms, 0.0, "warm reads touched the core lock under mixed traffic");
+
     Artifact {
         scenario: "sharded_warm_reads",
         dataset: obj(&[("series", SERIES.to_string()), ("t_len", T.to_string())]),
-        arms: Vec::new(),
+        arms: arms.into(),
         extra: vec![
-            ("host_cores", host_cores.to_string()),
             ("ops_per_worker", ops_per_worker.to_string()),
-            ("scaling", rows(scaling)),
             (
-                "scaling_gate",
+                "mixed_traffic",
                 obj(&[
-                    ("required", "3.0".into()),
-                    ("measured_speedup_at_8", fx(speedup_at_8, 3)),
-                    ("asserted", gate_asserted.to_string()),
+                    ("appends", n_appends.to_string()),
+                    ("reads", reads.to_string()),
+                    ("wall_secs", fx(wall_secs, 6)),
+                    ("lock_wait_ms", fx(lock_wait_ms, 4)),
                 ]),
             ),
-            ("mixed_traffic", obj(&mixed)),
             ("warm_reads_blocked", "false".into()),
-        ],
-    }
-}
-
-/// `BENCH_8`: the price of the network front door. The shared trace runs
-/// through in-process `BatchClient`s (the zero-wire baseline) and again
-/// through `NetClient`s over framed TCP on loopback, each against a warm
-/// engine. The wire overhead is their throughput ratio, reported but not
-/// gated: loopback syscall cost varies too much across hosts for an honest
-/// universal floor.
-fn net(ctx: &Ctx) -> Artifact {
-    let inproc = batch_arm("inproc", &ctx.trace, &ctx.engine(true), None);
-    let server = NetServer::bind("127.0.0.1:0", ctx.engine(true), ServerConfig::default())
-        .expect("bind loopback server");
-    let addr = server.local_addr();
-    let net = run_arm(
-        "net",
-        &ctx.trace,
-        CLIENTS,
-        |_| NetClient::new(addr, no_retry()),
-        |client, _, req| wire_query(client, req),
-    );
-    let stats = server.stats();
-    assert_eq!(server.panics_caught(), 0, "the trace must not panic the server");
-    assert_eq!(stats.requests, ctx.trace.len() as u64);
-    server.shutdown();
-    let wire_overhead_pct = (1.0 - net.rps() / inproc.rps()) * 100.0;
-    eprintln!(
-        "wire overhead on loopback: {:.1} vs {:.1} req/s = {wire_overhead_pct:.2}% ({} \
-         connections for {} requests)",
-        net.rps(),
-        inproc.rps(),
-        stats.accepted,
-        stats.requests
-    );
-    Artifact {
-        scenario: "net_front_door",
-        dataset: obj(&[("series", SERIES.to_string()), ("t_len", T.to_string())]),
-        arms: vec![inproc, net],
-        extra: vec![
-            ("wire_overhead_pct", fx(wire_overhead_pct, 3)),
-            (
-                "server",
-                obj(&[
-                    ("accepted", stats.accepted.to_string()),
-                    ("requests", stats.requests.to_string()),
-                    ("rejected", stats.rejected.to_string()),
-                    ("bad_frames", stats.bad_frames.to_string()),
-                ]),
-            ),
         ],
     }
 }
@@ -947,8 +771,6 @@ fn net(ctx: &Ctx) -> Artifact {
 ///   of 1, 4 and 16 tenants, each client round-robining its requests over
 ///   the tenant ids. Every tenant serves the same trained model, so the arms
 ///   differ only in routing and per-tenant batcher count.
-/// * **Cold load** — one client alternates two tenants on a capacity-1
-///   registry, so every request pays a full evict → snapshot → reload cycle.
 /// * **Isolation** — a victim tenant's p99 is measured alone, then again
 ///   while a hostile tenant armed to panic every forward pass is flooded by
 ///   two clients. The storm arm starts only once panics have landed, and its
@@ -985,31 +807,6 @@ fn tenancy(ctx: &Ctx) -> Artifact {
         server.shutdown();
         arms.push(ArmResult { tenants: Some(n), ..arm });
     }
-
-    // ---- Cold load: every request is an evict→snapshot→reload. ----
-    let reg = Arc::new(ModelRegistry::new(RegistryConfig::new(1, spill_root.join("cold"))));
-    reg.register("cold-a", ctx.engine(true)).expect("register cold-a");
-    reg.register("cold-b", ctx.engine(true)).expect("register cold-b");
-    let server = bind(&reg);
-    let addr = server.local_addr();
-    let cold_n = if ctx.quick { 6 } else { 24 };
-    let cold = run_arm(
-        "cold_load",
-        &ctx.trace[..cold_n],
-        1,
-        |_| NetClient::new(addr, no_retry()),
-        |client, i, req| {
-            client.set_tenant(if i % 2 == 0 { "cold-a" } else { "cold-b" });
-            wire_query(client, req);
-        },
-    );
-    let reg_stats = reg.stats();
-    assert!(
-        reg_stats.loads >= cold_n as u64 - 1,
-        "the cold arm must actually churn: {reg_stats:?}"
-    );
-    server.shutdown();
-    arms.push(ArmResult { tenants: Some(2), ..cold });
 
     // ---- Isolation: the victim's p99 alone, then beside a panic storm. ----
     let reg = Arc::new(ModelRegistry::new(RegistryConfig::new(4, spill_root.join("hostile"))));
@@ -1077,26 +874,16 @@ fn tenancy(ctx: &Ctx) -> Artifact {
         scenario: "multi_model_tenancy",
         dataset: obj(&[("series", SERIES.to_string()), ("t_len", T.to_string())]),
         arms,
-        extra: vec![
-            (
-                "cold_load",
-                obj(&[
-                    ("cycles", cold_n.to_string()),
-                    ("registry_loads", reg_stats.loads.to_string()),
-                    ("registry_evictions", reg_stats.evictions.to_string()),
-                ]),
-            ),
-            (
-                "isolation_drill",
-                obj(&[
-                    ("baseline_p99_ms", fx(baseline.p99_ms, 4)),
-                    ("storm_p99_ms", fx(storm.p99_ms, 4)),
-                    ("bound_factor", "25.0".into()),
-                    ("floor_ms", "50.0".into()),
-                    ("hostile_panics_caught", panics.to_string()),
-                    ("asserted", "true".into()),
-                ]),
-            ),
-        ],
+        extra: vec![(
+            "isolation_drill",
+            obj(&[
+                ("baseline_p99_ms", fx(baseline.p99_ms, 4)),
+                ("storm_p99_ms", fx(storm.p99_ms, 4)),
+                ("bound_factor", "25.0".into()),
+                ("floor_ms", "50.0".into()),
+                ("hostile_panics_caught", panics.to_string()),
+                ("asserted", "true".into()),
+            ]),
+        )],
     }
 }

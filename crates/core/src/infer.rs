@@ -91,49 +91,6 @@ impl InferScratch {
     }
 }
 
-/// How many warm scratches a [`ScratchPool`] keeps resident.
-const POOL_CAP: usize = 4;
-
-/// A small checkout pool of [`InferScratch`] buffers for callers whose
-/// forward passes are *not* serialized by one long-lived owner — e.g. a
-/// serving engine whose scratch must survive a panic unwinding through an
-/// evaluation (the scratch is simply not returned and the next checkout
-/// warms a fresh one) and must not be welded to the engine's state lock.
-///
-/// `take` pops a warm scratch (or creates an empty one when the pool is
-/// dry); `put` returns it for reuse, keeping at most 4 resident so a burst
-/// of concurrent checkouts cannot pin memory forever.
-#[derive(Default)]
-pub struct ScratchPool {
-    pool: std::sync::Mutex<Vec<InferScratch>>,
-}
-
-impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks out a scratch: warm if one is pooled, freshly created
-    /// otherwise. Never blocks beyond the pool's own short lock.
-    pub fn take(&self) -> InferScratch {
-        self.pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a scratch for reuse. Dropped instead when the pool already
-    /// holds its capacity.
-    pub fn put(&self, scratch: InferScratch) {
-        let mut pool = self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if pool.len() < POOL_CAP {
-            pool.push(scratch);
-        }
-    }
-}
-
 /// The tape-backed forward scratch — the pre-evaluator serving path, retained
 /// as the reference implementation. [`DeepMviModel::predict_window_tape`]
 /// runs the identical op sequence through [`mvi_autograd::Graph`]; the

@@ -32,7 +32,7 @@ pub mod sampling;
 pub mod train;
 
 pub use config::{DeepMviConfig, KernelMode};
-pub use infer::{FrozenModel, InferScratch, ScratchPool, TapeScratch, WindowQuery};
+pub use infer::{FrozenModel, InferScratch, TapeScratch, WindowQuery};
 pub use model::DeepMviModel;
 pub use train::TrainReport;
 

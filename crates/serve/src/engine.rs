@@ -32,10 +32,11 @@
 //!
 //! **Linearizability**: a warm read linearizes at its snapshot clone; since
 //! publication happens before a mutation returns, any read issued after a
-//! mutation completed observes it (reads-see-writes), and single-threaded
-//! runs are bitwise identical with the warm path on or off
-//! ([`ImputationEngine::set_warm_reads`]) — `tests/serve_concurrency.rs`
-//! holds both as properties under stress.
+//! mutation completed observes it (reads-see-writes) —
+//! `tests/serve_concurrency.rs` holds this as a property under stress. A
+//! single-threaded replay answers bitwise as if every query took the locked
+//! path: this module's unit tests replay a seeded log against a reference
+//! engine whose warm snapshots are never fresh.
 //!
 //! [`ImputationEngine::append`] records newly arrived values at a series'
 //! write watermark and re-imputes only the **affected tail windows** instead of
@@ -122,14 +123,14 @@
 //! append consistency contract.
 
 use crate::warm::{SeriesSnap, WarmSnaps};
-use deepmvi::{FrozenModel, ScratchPool, WindowQuery};
+use deepmvi::{FrozenModel, InferScratch, WindowQuery};
 use health::Health;
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::windows::WindowGrid;
 use mvi_tensor::Tensor;
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// Errors produced by the serving layer.
@@ -472,7 +473,7 @@ struct Counters {
     steps_evicted: AtomicU64,
     /// Nanoseconds serving calls spent *blocked* on the core state lock
     /// (contended acquisitions only; an uncontended `try_lock` costs no
-    /// clock read). The blocked-time probe of `serve_bench --only=sharded`
+    /// clock read). The mixed-traffic probe of `serve_bench --only=sharded`
     /// asserts warm reads keep this flat while appends run.
     lock_wait_nanos: AtomicU64,
 }
@@ -561,6 +562,11 @@ struct EngineState {
     /// Per-series write watermark (logical): where the next append lands
     /// (one past the last observed entry, never before the ring origin).
     watermark: Vec<usize>,
+    /// The forward-pass scratch. Every pass runs under the core lock, so one
+    /// is enough; a pass takes it out of the state while it runs, so a panic
+    /// unwinding through the pass abandons it and the next pass starts from
+    /// a fresh one.
+    scratch: InferScratch,
 }
 
 impl EngineState {
@@ -634,16 +640,6 @@ pub struct ImputationEngine {
     health: Health,
     /// Per-series warm snapshots, read without the core lock.
     snaps: WarmSnaps,
-    /// Whether the warm read path is enabled (default: yes).
-    /// Disabled, every query goes through the core lock — the single-mutex
-    /// baseline the sharded bench arm and the bitwise replay test compare
-    /// against.
-    warm: AtomicBool,
-    /// Forward-pass scratch checkout pool: owned by the engine rather than
-    /// the locked state, so a panic unwinding through an evaluation simply
-    /// abandons its scratch (the pool re-warms) instead of poisoning warm
-    /// buffers, and scratch lifetime is independent of the core lock.
-    scratch: ScratchPool,
 }
 
 impl ImputationEngine {
@@ -772,6 +768,7 @@ impl ImputationEngine {
             guard: None,
             eval_hook: None,
             watermark,
+            scratch: InferScratch::default(),
         };
 
         // A dataset already past the ring cap starts with its oldest span
@@ -820,8 +817,6 @@ impl ImputationEngine {
                 ..HealthReport::default()
             }),
             snaps: WarmSnaps::new(n_series),
-            warm: AtomicBool::new(true),
-            scratch: ScratchPool::new(),
         };
         let state = engine.lock_state();
         engine.publish_all(&state);
@@ -862,13 +857,8 @@ impl ImputationEngine {
         self.snaps.publish(s, snap);
     }
 
-    /// Publishes every series' warm snapshot (skipped entirely while the
-    /// warm path is disabled — the single-mutex baseline pays zero
-    /// publication cost).
+    /// Publishes every series' warm snapshot.
     fn publish_all(&self, state: &EngineState) {
-        if !self.warm.load(Ordering::Relaxed) {
-            return;
-        }
         for s in 0..self.n_series {
             self.publish_series(state, s);
         }
@@ -877,9 +867,6 @@ impl ImputationEngine {
     /// Publishes the warm snapshots of a specific series set (the query
     /// path republishes only what it recomputed).
     fn publish_series_set(&self, state: &EngineState, set: impl IntoIterator<Item = usize>) {
-        if !self.warm.load(Ordering::Relaxed) {
-            return;
-        }
         for s in set {
             self.publish_series(state, s);
         }
@@ -909,6 +896,7 @@ impl ImputationEngine {
             guard: None,
             eval_hook: None,
             watermark,
+            scratch: InferScratch::default(),
         };
         Self::assemble(model, retention, ring_cap, state)
     }
@@ -983,34 +971,10 @@ impl ImputationEngine {
         self.health.with(|h| h.clone())
     }
 
-    /// Whether the warm read path is enabled (it is by default).
-    pub fn warm_reads(&self) -> bool {
-        self.warm.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the warm read path. Disabled, every
-    /// query takes the core state lock — the single-mutex baseline used by
-    /// the sharded bench arm and the bitwise replay property test. Safe to
-    /// flip live: re-enabling republishes every series under the core lock
-    /// *before* the flag turns on, so the warm path can never serve state
-    /// from before the gap.
-    pub fn set_warm_reads(&self, on: bool) {
-        let state = self.lock_state();
-        if on {
-            // Mutations made while the path was off never published;
-            // snapshots must be current before the first warm read.
-            for s in 0..self.n_series {
-                self.publish_series(&state, s);
-            }
-        }
-        self.warm.store(on, Ordering::Relaxed);
-        drop(state);
-    }
-
     /// Total nanoseconds serving calls have spent blocked on a *contended*
-    /// core state lock since construction. The sharded bench arm's
-    /// blocked-time probe: with warm reads on, readers never touch the core
-    /// lock, so this stays flat while query load runs against appends.
+    /// core state lock since construction. Warm reads never touch the core
+    /// lock, so this stays flat while warm query load runs against appends
+    /// (the mixed-traffic probe of `serve_bench --only=sharded`).
     pub fn lock_wait_nanos(&self) -> u64 {
         self.counters.lock_wait_nanos.load(Ordering::Relaxed)
     }
@@ -1144,22 +1108,19 @@ impl ImputationEngine {
         // Each answer linearizes at its snapshot clone: publication happens
         // before a mutation returns, so completed mutations are always
         // visible.
-        if self.warm_reads() {
-            for (slot, r) in answers.iter_mut().zip(requests) {
-                if r.s >= self.n_series {
-                    continue; // typed error produced by the locked path below
-                }
-                let snap = self.snaps.snapshot(r.s);
-                if let Some((resp, snap_hits)) = snap.answer(r.start, r.end) {
-                    hits += snap_hits;
-                    *slot = Some(Ok(resp));
-                }
+        for (slot, r) in answers.iter_mut().zip(requests) {
+            if r.s >= self.n_series {
+                continue; // typed error produced by the locked path below
+            }
+            let snap = self.snaps.snapshot(r.s);
+            if let Some((resp, snap_hits)) = snap.answer(r.start, r.end) {
+                hits += snap_hits;
+                *slot = Some(Ok(resp));
             }
         }
 
         // Slow path for whatever the snapshots could not serve: invalid
-        // requests (typed errors), stale windows (recompute + republish),
-        // or everything when the warm path is disabled.
+        // requests (typed errors) and stale windows (recompute + republish).
         if answers.iter().any(|a| a.is_none()) {
             let mut state = self.lock_state();
             let (base, live_t) = (state.base(), state.live_t());
@@ -1770,13 +1731,10 @@ impl ImputationEngine {
             return;
         }
         let threads = mvi_parallel::current_threads();
-        let mut scratch = self.scratch.take();
+        let mut scratch = std::mem::take(&mut state.scratch);
         let mut results =
             self.model.model().predict_batch(&mut scratch, &state.obs, queries, threads);
-        // Return the scratch before the fault-injection seam runs: a hook
-        // panic abandons nothing warm (the pool re-issues these buffers),
-        // and a hook stall never pins scratch memory.
-        self.scratch.put(scratch);
+        state.scratch = scratch;
         // Fault-injection seam: the hook may panic (exercising the batcher's
         // supervisor and the poison-recovering lock), stall (deadlines), or
         // poison outputs (the guard below). `None` outside chaos tests.
@@ -2117,5 +2075,113 @@ mod tests {
         // Out-of-range backfills are rejected; backfill never grows.
         assert!(matches!(engine.fill_range(1, 95, &[0.0; 10]), Err(ServeError::Range { .. })));
         assert!(matches!(engine.fill_range(7, 0, &[0.0]), Err(ServeError::Series { .. })));
+    }
+
+    /// Tiny deterministic LCG for the seeded replay log.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n.max(1)
+        }
+    }
+
+    /// One operation of the replay log.
+    enum Op {
+        Append(usize, Vec<f64>),
+        Fill(usize, usize, Vec<f64>),
+        Query(usize, usize, usize),
+    }
+
+    /// Replays a seeded append/fill/query log against two engines over one
+    /// model. Before each reference query, the reference engine's snapshot of
+    /// the queried series is replaced by one with nothing fresh, so every
+    /// reference query takes the locked path. Answers, `degraded` flags, the
+    /// cache, `stats()` and `health()` must agree bitwise: the warm path's
+    /// window and hit arithmetic ([`SeriesSnap::answer`]) changes where an
+    /// answer comes from, never what it is.
+    #[test]
+    fn warm_replay_is_bitwise_identical_to_the_locked_path() {
+        const SERIES: usize = 6;
+        const T_LEN: usize = 120;
+        const GAP: (usize, usize) = (60, 70);
+        let ds = generate_with_shape(DatasetName::Chlorine, &[SERIES], T_LEN, 13);
+        let mut obs = Scenario::mcar(1.0).apply(&ds, 7).observed();
+        // A hidden interior gap with an observed tail in every series, so the
+        // gap is reachable only through `fill_range`.
+        for s in 0..SERIES {
+            obs.hide_range(s, GAP.0, GAP.1);
+            obs.record_range(s, T_LEN - 2, &[0.5, 0.25]);
+        }
+        let cfg = DeepMviConfig { max_steps: 8, ..DeepMviConfig::tiny() };
+        let mut model = DeepMviModel::new(&cfg, &obs);
+        model.fit(&obs);
+        let snapshot = crate::snapshot::ServeSnapshot::capture(&model, &obs);
+        let engine =
+            || ImputationEngine::new(snapshot.restore(&obs).unwrap(), obs.clone()).unwrap();
+
+        for seed in [3u64, 17, 91] {
+            let mut rng = Lcg(seed);
+            let mut live = T_LEN;
+            let ops: Vec<Op> = (0..80)
+                .map(|_| {
+                    let kind = rng.below(10);
+                    let s = rng.below(SERIES as u64) as usize;
+                    match kind {
+                        0..=2 => {
+                            let chunk = 1 + rng.below(4) as usize;
+                            if s == 0 {
+                                live += chunk; // series 0's appends run past the live end
+                            }
+                            let vals =
+                                (0..chunk).map(|k| ((s * 1000 + 5000 + k) as f64 / 17.0).sin());
+                            Op::Append(s, vals.collect())
+                        }
+                        3 => Op::Fill(s, GAP.0, vec![7.77; GAP.1 - GAP.0]),
+                        _ => {
+                            let b = 1 + rng.below(live as u64) as usize;
+                            Op::Query(s, b.saturating_sub(1 + rng.below(35) as usize), b)
+                        }
+                    }
+                })
+                .collect();
+
+            let (warm, locked) = (engine(), engine());
+            let mut served_warm = 0;
+            for op in ops {
+                match op {
+                    Op::Append(s, vals) => {
+                        assert_eq!(
+                            warm.append(s, &vals).unwrap(),
+                            locked.append(s, &vals).unwrap()
+                        );
+                    }
+                    Op::Fill(s, start, vals) => assert_eq!(
+                        warm.fill_range(s, start, &vals).unwrap(),
+                        locked.fill_range(s, start, &vals).unwrap()
+                    ),
+                    Op::Query(s, a, b) => {
+                        served_warm += usize::from(warm.snaps.snapshot(s).answer(a, b).is_some());
+                        locked.snaps.publish(s, SeriesSnap::empty());
+                        let x = warm.query_flagged(s, a, b).unwrap();
+                        let y = locked.query_flagged(s, a, b).unwrap();
+                        assert_eq!(x.degraded, y.degraded, "seed {seed} series {s} [{a},{b})");
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&x.values),
+                            bits(&y.values),
+                            "seed {seed} series {s} [{a},{b})"
+                        );
+                    }
+                }
+            }
+            assert!(served_warm > 0, "seed {seed}: no query took the warm path");
+            let (cw, cl) = (warm.cached_values(), locked.cached_values());
+            assert_eq!(cw.shape(), cl.shape());
+            assert!(cw.data().iter().zip(cl.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(warm.stats(), locked.stats(), "counter streams diverged (seed {seed})");
+            assert_eq!(warm.health(), locked.health(), "health diverged (seed {seed})");
+        }
     }
 }

@@ -65,9 +65,9 @@
 //!   for an `Arc` clone, so it never waits on a forward pass, and readers
 //!   never block each other. Warm reads linearize at their snapshot clone;
 //!   snapshots are published before each mutation returns, so reads always
-//!   see completed writes.
-//!   Single-threaded replay with the warm path on and off is bitwise
-//!   identical ([`ImputationEngine::set_warm_reads`]).
+//!   see completed writes. Stale windows and invalid ranges fall through
+//!   to the locked path, and a single-threaded replay answers bitwise as if
+//!   every query had taken it.
 //!
 //! # Quickstart
 //!
@@ -117,8 +117,8 @@
 //! `tests/serve_faults.rs` for the fault-injection suite,
 //! `tests/serve_concurrency.rs` for the concurrency stress +
 //! linearizability suite, and `serve_bench` for the methodology behind
-//! `BENCH_2.json`, `BENCH_3.json`, `BENCH_5.json`, `BENCH_6.json` and
-//! `BENCH_7.json` (documented in `PERFORMANCE.md`).
+//! `BENCH_3.json`, `BENCH_5.json`, `BENCH_6.json`, `BENCH_7.json` and
+//! `BENCH_9.json` (documented in `PERFORMANCE.md`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -52,7 +52,7 @@ impl SeriesSnap {
     /// The placeholder every cell starts with: nothing retained, nothing
     /// fresh, so every real request falls through to the locked path until
     /// the first publication.
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             base: 0,
             live: 0,

@@ -4,13 +4,13 @@
 #   BENCH_1.json  compute-kernel throughput (two-build honest baseline),
 #   BENCH_4.json  tape-free inference (value-only evaluator vs the tape path),
 # and, from one serve_bench process over one trained model,
-#   BENCH_2.json  serving throughput (engine vs naive per-request impute),
 #   BENCH_3.json  growth scenario (appends streaming past the trained t_len),
 #   BENCH_5.json  retention ring (bounded-memory long stream + warm restart),
 #   BENCH_6.json  guard overhead (guarded vs unguarded serving),
-#   BENCH_7.json  sharded read path (warm-query scaling + blocked-time probe),
-#   BENCH_8.json  network front door (loopback framed TCP vs in-process),
-#   BENCH_9.json  multi-model tenancy (registry routing, cold loads, isolation).
+#   BENCH_7.json  warm read path (warm-query scaling + blocked-time probe),
+#   BENCH_9.json  multi-model tenancy (registry routing, isolation).
+# Full impute, warm wire reads and tenant reloads are measured by perfbench
+# (perfbench/run.py), with repeated runs.
 #
 #   THREADS=4 OUT_DIR=. scripts/bench.sh
 #
@@ -46,14 +46,14 @@ echo "== phase 3: tape-free inference harness =="
 cargo build --release --offline -p mvi-bench --bin infer_bench
 ./target/release/infer_bench --threads="$THREADS" --out="$OUT_DIR/BENCH_4.json"
 
-echo "== phase 4: serving harness (BENCH_2/3/5/6/7/8/9, one trained model) =="
+echo "== phase 4: serving harness (BENCH_3/5/6/7/9, one trained model) =="
 # Asserts in-harness what makes each number mean something: flat ring
-# storage, zero-recompute warm restart, real cold-load churn, no panics on
-# throughput arms, zero core-lock wait for sharded warm reads, the guarded
+# storage, zero-recompute warm restart, no panics on throughput arms, zero
+# core-lock wait for warm reads under mixed traffic, the guarded
 # arm within 5% of unguarded, and a bounded victim p99 beside a hostile
 # tenant. The typed-failure drills live in tests/serve_faults.rs,
 # tests/net_faults.rs and tests/net_tenancy.rs.
 cargo build --release --offline -p mvi-bench --bin serve_bench
 ./target/release/serve_bench --threads="$THREADS" --out-dir="$OUT_DIR"
 
-echo "bench artifacts in $OUT_DIR: BENCH_{1..9}.json"
+echo "bench artifacts in $OUT_DIR: BENCH_{1,3,4,5,6,7,9}.json"

@@ -17,14 +17,13 @@
 //! `/proc/self/status` sees no other suite's threads, and its tests run one
 //! at a time for the same reason.
 
-use deepmvi::{DeepMviConfig, DeepMviModel};
-use mvi_data::dataset::ObservedDataset;
+mod common;
+
+use common::{bitwise_eq, no_retry, Fixture, SpillDir};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
-use mvi_net::{ClientConfig, ErrorCode, NetClient, NetServer, RetryPolicy, ServerConfig};
-use mvi_serve::{ImputationEngine, ModelRegistry, RegistryConfig, ServeSnapshot};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use mvi_net::{ErrorCode, NetClient, NetServer, ServerConfig};
+use mvi_serve::{ImputationEngine, ModelRegistry, RegistryConfig};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -32,48 +31,17 @@ const SERIES: usize = 2;
 const T_LEN: usize = 80;
 const SEEDS: usize = 2;
 
-struct Fixture {
-    obs: ObservedDataset,
-    snapshot_json: String,
-}
-
 fn fixture(seed: usize) -> &'static Fixture {
-    static FIX: OnceLock<Vec<OnceLock<Fixture>>> = OnceLock::new();
-    let all = FIX.get_or_init(|| (0..SEEDS).map(|_| OnceLock::new()).collect());
-    all[seed % SEEDS].get_or_init(|| {
+    static FIX: [OnceLock<Fixture>; SEEDS] = [const { OnceLock::new() }; SEEDS];
+    FIX[seed % SEEDS].get_or_init(|| {
         let ds = generate_with_shape(DatasetName::Electricity, &[SERIES], T_LEN, 41 + seed as u64);
         let obs = Scenario::mcar(0.85).apply(&ds, 13 + seed as u64).observed();
-        let cfg = DeepMviConfig { max_steps: 6, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { obs, snapshot_json }
+        Fixture::train(ds.values, obs, 6)
     })
 }
 
 fn engine(seed: usize) -> Arc<ImputationEngine> {
-    let fix = fixture(seed);
-    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
-    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    Arc::new(ImputationEngine::new(frozen, fix.obs.clone()).expect("fixture engine builds"))
-}
-
-struct SpillDir(PathBuf);
-
-impl SpillDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("mvi-churn-{}-{tag}-{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("spill dir");
-        SpillDir(dir)
-    }
-}
-
-impl Drop for SpillDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+    Arc::new(fixture(seed).engine())
 }
 
 /// Runs this file's tests one at a time, so one test's server threads never
@@ -91,14 +59,6 @@ fn threads() -> usize {
         .find_map(|line| line.strip_prefix("Threads:"))
         .and_then(|n| n.trim().parse().ok())
         .expect("a Threads: line")
-}
-
-fn no_retry() -> ClientConfig {
-    ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() }
-}
-
-fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 // ---------------------------------------------------------------------------

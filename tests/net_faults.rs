@@ -21,48 +21,33 @@
 //! The trained model is built once per process; every test restores its own
 //! engine from the shared snapshot and binds its own ephemeral-port server.
 
-use deepmvi::{DeepMviConfig, DeepMviModel};
-use mvi_data::dataset::ObservedDataset;
+mod common;
+
+use common::{no_retry, wait_until, Fixture};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
 use mvi_net::{ClientConfig, ErrorCode, NetClient, NetError, NetServer, RetryPolicy, ServerConfig};
-use mvi_serve::{BatcherConfig, ImputationEngine, ServeSnapshot};
+use mvi_serve::{BatcherConfig, ImputationEngine};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SERIES: usize = 3;
 const T_LEN: usize = 120;
-
-struct Fixture {
-    obs: ObservedDataset,
-    snapshot_json: String,
-}
 
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = generate_with_shape(DatasetName::Chlorine, &[SERIES], T_LEN, 29);
         let obs = Scenario::mcar(0.85).apply(&ds, 13).observed();
-        let cfg = DeepMviConfig { max_steps: 10, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { obs, snapshot_json }
+        Fixture::train(ds.values, obs, 10)
     })
 }
 
 fn engine() -> Arc<ImputationEngine> {
-    let fix = fixture();
-    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
-    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    Arc::new(ImputationEngine::new(frozen, fix.obs.clone()).expect("fixture engine builds"))
-}
-
-fn no_retry() -> ClientConfig {
-    ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() }
+    Arc::new(fixture().engine())
 }
 
 /// Installs an eval hook that blocks every forward pass until `release` goes
@@ -102,7 +87,7 @@ fn flooded_server_sheds_typed_and_a_retrying_client_eventually_succeeds() {
     let stalled =
         std::thread::spawn(move || NetClient::new(addr, no_retry()).query(0, 0, T_LEN as u32));
     assert!(
-        wait_for(Duration::from_secs(10), || eng.stats().batches >= 1),
+        wait_until(Duration::from_secs(10), || eng.stats().batches >= 1),
         "the stalling request must reach the worker"
     );
 
@@ -151,17 +136,6 @@ fn flooded_server_sheds_typed_and_a_retrying_client_eventually_succeeds() {
     );
     assert_eq!(server.panics_caught(), 0);
     server.shutdown();
-}
-
-fn wait_for(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -231,7 +205,7 @@ fn graceful_drain_answers_every_accepted_request_with_zero_lost_replies() {
         })
         .collect();
     assert!(
-        wait_for(Duration::from_secs(10), || eng.stats().batches >= 1),
+        wait_until(Duration::from_secs(10), || eng.stats().batches >= 1),
         "the first request must reach the stalled worker"
     );
     // Give the remaining clients time to be accepted and queued, then start
@@ -341,13 +315,13 @@ fn fuzzed_garbage_never_panics_the_server_and_leaves_it_serving() {
     // The storm must be fully absorbed: the acceptor works through the
     // backlog (garbage counted as typed bad-frame closures)...
     assert!(
-        wait_for(Duration::from_secs(10), || server.stats().bad_frames >= 10),
+        wait_until(Duration::from_secs(10), || server.stats().bad_frames >= 10),
         "undecodable frames must be counted: {:?}",
         server.stats()
     );
     // ...the attack connections are reaped down to the one healthy client...
     assert!(
-        wait_for(Duration::from_secs(10), || server.stats().active_connections == 1),
+        wait_until(Duration::from_secs(10), || server.stats().active_connections == 1),
         "attack connections must be reaped (got {:?})",
         server.stats()
     );

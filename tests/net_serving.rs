@@ -8,58 +8,30 @@
 //! The trained model is built once per process; every test restores its own
 //! engine from the shared snapshot and binds its own ephemeral-port server.
 
-use deepmvi::{DeepMviConfig, DeepMviModel};
-use mvi_data::dataset::ObservedDataset;
+mod common;
+
+use common::{no_retry, wait_until, Fixture};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
-use mvi_net::{ClientConfig, ErrorCode, NetClient, NetServer, RetryPolicy, ServerConfig};
-use mvi_serve::{ImputationEngine, ServeSnapshot};
+use mvi_net::{ErrorCode, NetClient, NetServer, ServerConfig};
+use mvi_serve::ImputationEngine;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SERIES: usize = 3;
 const T_LEN: usize = 120;
-
-struct Fixture {
-    obs: ObservedDataset,
-    snapshot_json: String,
-}
 
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = generate_with_shape(DatasetName::Electricity, &[SERIES], T_LEN, 17);
         let obs = Scenario::mcar(0.85).apply(&ds, 7).observed();
-        let cfg = DeepMviConfig { max_steps: 10, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { obs, snapshot_json }
+        Fixture::train(ds.values, obs, 10)
     })
 }
 
 fn engine() -> Arc<ImputationEngine> {
-    let fix = fixture();
-    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
-    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    Arc::new(ImputationEngine::new(frozen, fix.obs.clone()).expect("fixture engine builds"))
-}
-
-/// A client that never retries: integration tests assert on first-reply
-/// semantics; the fault suite owns the retry drills.
-fn no_retry() -> ClientConfig {
-    ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() }
-}
-
-fn wait_until(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    ok()
+    Arc::new(fixture().engine())
 }
 
 #[test]

@@ -18,68 +18,38 @@
 //!   the client keeps its cached connection through all three (the drop-set
 //!   is exactly overload/shutdown).
 
-use deepmvi::{DeepMviConfig, DeepMviModel};
-use mvi_data::dataset::ObservedDataset;
+mod common;
+
+use common::{bitwise_eq, no_retry, wait_until, Fixture, SpillDir};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
 use mvi_net::frame::{read_frame, RecvError};
 use mvi_net::{
-    ClientConfig, ErrorCode, Frame, NetClient, NetServer, RetryPolicy, ServerConfig,
-    DEFAULT_MAX_FRAME, DEFAULT_TENANT,
+    ErrorCode, Frame, NetClient, NetServer, ServerConfig, DEFAULT_MAX_FRAME, DEFAULT_TENANT,
 };
 use mvi_serve::durable::crc32;
-use mvi_serve::{ImputationEngine, ModelRegistry, RegistryConfig, ServeSnapshot, ValueGuard};
+use mvi_serve::{ImputationEngine, ModelRegistry, RegistryConfig, ValueGuard};
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SERIES: usize = 2;
 const T_LEN: usize = 80;
 const SEEDS: usize = 2;
 
-struct Fixture {
-    obs: ObservedDataset,
-    snapshot_json: String,
-}
-
 fn fixture(seed: usize) -> &'static Fixture {
-    static FIX: OnceLock<Vec<OnceLock<Fixture>>> = OnceLock::new();
-    let all = FIX.get_or_init(|| (0..SEEDS).map(|_| OnceLock::new()).collect());
-    all[seed % SEEDS].get_or_init(|| {
+    static FIX: [OnceLock<Fixture>; SEEDS] = [const { OnceLock::new() }; SEEDS];
+    FIX[seed % SEEDS].get_or_init(|| {
         let ds = generate_with_shape(DatasetName::Electricity, &[SERIES], T_LEN, 41 + seed as u64);
         let obs = Scenario::mcar(0.85).apply(&ds, 13 + seed as u64).observed();
-        let cfg = DeepMviConfig { max_steps: 6, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { obs, snapshot_json }
+        Fixture::train(ds.values, obs, 6)
     })
 }
 
 fn engine(seed: usize) -> Arc<ImputationEngine> {
-    let fix = fixture(seed);
-    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
-    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    Arc::new(ImputationEngine::new(frozen, fix.obs.clone()).expect("fixture engine builds"))
-}
-
-struct SpillDir(PathBuf);
-
-impl SpillDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        SpillDir(std::env::temp_dir().join(format!("mvi-tenancy-{}-{tag}-{n}", std::process::id())))
-    }
-}
-
-impl Drop for SpillDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+    Arc::new(fixture(seed).engine())
 }
 
 fn registry_with(capacity: usize, dir: &SpillDir, tenants: &[(&str, usize)]) -> Arc<ModelRegistry> {
@@ -88,25 +58,6 @@ fn registry_with(capacity: usize, dir: &SpillDir, tenants: &[(&str, usize)]) -> 
         reg.register(name, engine(seed)).expect("fixture tenant registers");
     }
     reg
-}
-
-fn no_retry() -> ClientConfig {
-    ClientConfig { retry: RetryPolicy::none(), ..ClientConfig::default() }
-}
-
-fn wait_until(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    ok()
-}
-
-fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 // ---------------------------------------------------------------------------

@@ -6,89 +6,40 @@
 //!
 //! Each seed gets its own trained model (built once per process); tenants
 //! restore fresh engines from that snapshot, so an oracle engine restored
-//! from the same JSON answers bitwise-identically to the registry's copy.
+//! from the same snapshot answers bitwise-identically to the registry's copy.
 
-use deepmvi::{DeepMviConfig, DeepMviModel};
-use mvi_data::dataset::ObservedDataset;
+mod common;
+
+use common::{wait_until, Fixture, SpillDir};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
-use mvi_serve::{
-    ImputationEngine, ModelRegistry, RegistryConfig, ServeError, ServeSnapshot, ValueGuard,
-};
+use mvi_serve::{ImputationEngine, ModelRegistry, RegistryConfig, ServeError, ValueGuard};
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SERIES: usize = 2;
 const T_LEN: usize = 80;
 const SEEDS: usize = 3;
 
-struct Fixture {
-    obs: ObservedDataset,
-    snapshot_json: String,
-}
-
 /// One trained model per seed, built lazily and shared process-wide.
 fn fixture(seed: usize) -> &'static Fixture {
-    static FIX: OnceLock<Vec<OnceLock<Fixture>>> = OnceLock::new();
-    let all = FIX.get_or_init(|| (0..SEEDS).map(|_| OnceLock::new()).collect());
-    all[seed % SEEDS].get_or_init(|| {
+    static FIX: [OnceLock<Fixture>; SEEDS] = [const { OnceLock::new() }; SEEDS];
+    FIX[seed % SEEDS].get_or_init(|| {
         let ds = generate_with_shape(DatasetName::Electricity, &[SERIES], T_LEN, 23 + seed as u64);
         let obs = Scenario::mcar(0.85).apply(&ds, 11 + seed as u64).observed();
-        let cfg = DeepMviConfig { max_steps: 6, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { obs, snapshot_json }
+        Fixture::train(ds.values, obs, 6)
     })
 }
 
 fn engine(seed: usize) -> Arc<ImputationEngine> {
-    let fix = fixture(seed);
-    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
-    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    Arc::new(ImputationEngine::new(frozen, fix.obs.clone()).expect("fixture engine builds"))
-}
-
-/// A unique scratch spill directory per call, removed when the guard drops.
-struct SpillDir(PathBuf);
-
-impl SpillDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("mvi-registry-{}-{tag}-{n}", std::process::id()));
-        SpillDir(dir)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-}
-
-impl Drop for SpillDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+    Arc::new(fixture(seed).engine())
 }
 
 fn registry(capacity: usize, dir: &SpillDir) -> ModelRegistry {
-    ModelRegistry::new(RegistryConfig::new(capacity, dir.path()))
-}
-
-fn wait_until(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    ok()
+    ModelRegistry::new(RegistryConfig::new(capacity, &dir.0))
 }
 
 // ---------------------------------------------------------------------------
@@ -146,16 +97,16 @@ fn register_spilled_requires_a_real_file_and_loads_on_first_get() {
     let dir = SpillDir::new("spilled");
     let reg = registry(1, &dir);
 
-    match reg.register_spilled("ghost", dir.path().join("missing.mvisnap")) {
+    match reg.register_spilled("ghost", dir.0.join("missing.mvisnap")) {
         Err(ServeError::Snapshot(msg)) => assert!(msg.contains("ghost"), "names tenant: {msg}"),
         other => panic!("missing snapshot must be typed: {other:?}"),
     }
 
     // A real snapshot registers cold and loads lazily.
-    std::fs::create_dir_all(dir.path()).unwrap();
+    std::fs::create_dir_all(&dir.0).unwrap();
     let source = engine(0);
     let oracle = source.query(1, 10, 60).unwrap();
-    let path = dir.path().join("cold.mvisnap");
+    let path = dir.0.join("cold.mvisnap");
     source.snapshot_to_path(&path).unwrap();
     reg.register_spilled("cold", &path).unwrap();
     let stats = reg.stats();
@@ -167,7 +118,7 @@ fn register_spilled_requires_a_real_file_and_loads_on_first_get() {
 
     // A corrupt snapshot is a typed load failure and the tenant stays
     // spilled, ready for a retry once the file is fixed.
-    let bad = dir.path().join("bad.mvisnap");
+    let bad = dir.0.join("bad.mvisnap");
     std::fs::write(&bad, b"not a snapshot").unwrap();
     reg.register_spilled("corrupt", &bad).unwrap();
     assert!(reg.get("corrupt").is_err());

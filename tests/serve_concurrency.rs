@@ -14,9 +14,6 @@
 //! * **Sequential-oracle equivalence at quiescence** — after all writers
 //!   join, the engine's healed cache equals `FrozenModel::impute` over the
 //!   final observed state (the same oracle the single-threaded suites use).
-//! * **Bitwise replay determinism** — the engine with warm reads on replays
-//!   any recorded operation log bitwise-identically to the single-lock
-//!   posture (warm reads off) at one thread.
 //! * **Fault isolation across series** — a panicking evaluator triggered
 //!   through series 0 neither stalls nor corrupts reads of the other
 //!   series, and poison recovery is counted exactly once.
@@ -36,11 +33,13 @@
 //! reader of the very series being written answers from the last published
 //! snapshot while the writer's forward pass holds the core lock.
 
-use deepmvi::{DeepMviConfig, DeepMviModel};
+mod common;
+
+use common::Fixture;
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
-use mvi_serve::{ImputationEngine, ImputeRequest, ServeError, ServeSnapshot, ValueGuard};
+use mvi_serve::{ImputationEngine, ImputeRequest, ServeError, ValueGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -54,11 +53,6 @@ const GAP: (usize, usize) = (60, 70);
 /// on it exactly, so a reader can tell "filled" from "imputed".
 const FILL_VALUE: f64 = 7.77;
 
-struct Fixture {
-    obs: ObservedDataset,
-    snapshot_json: String,
-}
-
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -71,19 +65,12 @@ fn fixture() -> &'static Fixture {
             obs.hide_range(s, GAP.0, GAP.1);
             obs.record_range(s, T_LEN - 2, &[0.5, 0.25]);
         }
-        let cfg = DeepMviConfig { max_steps: 8, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { obs, snapshot_json }
+        Fixture::train(ds.values, obs, 8)
     })
 }
 
 fn engine() -> ImputationEngine {
-    let fix = fixture();
-    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
-    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    ImputationEngine::new(frozen, fix.obs.clone()).expect("engine builds")
+    fixture().engine()
 }
 
 /// Reads per reader thread (`MVI_STRESS_READS`, default 50).
@@ -208,7 +195,6 @@ fn stress_mixed_traffic_respects_linearizability() {
     let reads = reads_per_thread();
     for seed in [11u64, 29, 47] {
         let eng = Arc::new(engine());
-        assert!(eng.warm_reads(), "warm path must be on by default");
         let init_wm: Vec<usize> =
             (0..SERIES).map(|s| eng.watermark(s).expect("fixture series")).collect();
         let journal = Journal::new(init_wm.clone());
@@ -309,95 +295,6 @@ fn stress_hot_spot_single_series() {
         }
     });
     assert_quiescent_oracle(&eng);
-}
-
-// ---------------------------------------------------------------------------
-// Property: warm path on == warm path off, bitwise, under sequential replay
-// ---------------------------------------------------------------------------
-
-/// One recorded operation of the replay log.
-enum Op {
-    Append(usize, Vec<f64>),
-    Fill(usize, usize, Vec<f64>),
-    Query(usize, usize, usize),
-}
-
-/// A seeded operation log over the fixture geometry.
-fn op_log(seed: u64, n_ops: usize) -> Vec<Op> {
-    let mut rng = Lcg(seed);
-    let mut live = T_LEN;
-    let mut ops = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        match rng.below(10) {
-            0..=2 => {
-                let s = rng.below(SERIES as u64) as usize;
-                let chunk = 1 + rng.below(4) as usize;
-                let vals: Vec<f64> = (0..chunk).map(|k| stream_val(s, 5000 + k)).collect();
-                if s == 0 {
-                    live += chunk; // series 0's appends run past the live end
-                }
-                ops.push(Op::Append(s, vals));
-            }
-            3 => {
-                let s = rng.below(SERIES as u64) as usize;
-                ops.push(Op::Fill(s, GAP.0, vec![FILL_VALUE; GAP.1 - GAP.0]));
-            }
-            _ => {
-                let s = rng.below(SERIES as u64) as usize;
-                let b = 1 + rng.below(live as u64) as usize;
-                let a = b.saturating_sub(1 + rng.below(35) as usize);
-                ops.push(Op::Query(s, a, b));
-            }
-        }
-    }
-    ops
-}
-
-#[test]
-fn sharded_replay_is_bitwise_identical_to_single_lock_engine() {
-    for seed in [3u64, 17, 91] {
-        let warm = engine();
-        let locked = engine();
-        locked.set_warm_reads(false);
-        assert!(!locked.warm_reads());
-
-        for op in op_log(seed, 80) {
-            match op {
-                Op::Append(s, vals) => {
-                    let a = warm.append(s, &vals).expect("warm append");
-                    let b = locked.append(s, &vals).expect("locked append");
-                    assert_eq!(a, b, "append reports diverged (seed {seed})");
-                }
-                Op::Fill(s, start, vals) => {
-                    let a = warm.fill_range(s, start, &vals).expect("warm fill");
-                    let b = locked.fill_range(s, start, &vals).expect("locked fill");
-                    assert_eq!(a, b, "fill reports diverged (seed {seed})");
-                }
-                Op::Query(s, a, b) => {
-                    let x = warm.query_flagged(s, a, b).expect("warm query");
-                    let y = locked.query_flagged(s, a, b).expect("locked query");
-                    assert_eq!(x.degraded, y.degraded);
-                    assert_eq!(x.values.len(), y.values.len());
-                    for (i, (va, vb)) in x.values.iter().zip(&y.values).enumerate() {
-                        assert_eq!(
-                            va.to_bits(),
-                            vb.to_bits(),
-                            "seed {seed} series {s} [{a},{b}) offset {i}: warm path diverged"
-                        );
-                    }
-                }
-            }
-        }
-        // Full-state equality: cache bitwise, stats and health identical —
-        // the warm path changed *where* answers come from, never *what*.
-        let (cs, cl) = (warm.cached_values(), locked.cached_values());
-        assert_eq!(cs.shape(), cl.shape());
-        for (a, b) in cs.data().iter().zip(cl.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "cache diverged (seed {seed})");
-        }
-        assert_eq!(warm.stats(), locked.stats(), "counter streams diverged (seed {seed})");
-        assert_eq!(warm.health(), locked.health(), "health diverged (seed {seed})");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -631,28 +528,6 @@ fn degrade_batch_is_atomic_to_health_readers() {
 // ---------------------------------------------------------------------------
 // Warm-path plumbing
 // ---------------------------------------------------------------------------
-
-#[test]
-fn warm_reads_toggle_republishes_live_state() {
-    let eng = engine();
-    eng.warm_up();
-    let live = eng.live_len();
-    let before = eng.query(2, 0, live).unwrap();
-
-    // Mutate with the warm path off: nothing publishes meanwhile.
-    eng.set_warm_reads(false);
-    eng.append(2, &[3.25, 4.5]).unwrap();
-    let mid = eng.query(2, 0, eng.live_len()).unwrap();
-    assert_ne!(before, mid);
-
-    // Re-enabling republishes *before* the flag flips: the first warm read
-    // must already see the mutation made while the path was off.
-    eng.set_warm_reads(true);
-    let after = eng.query(2, 0, eng.live_len()).unwrap();
-    assert_eq!(mid, after, "warm path served pre-gap state");
-    let tail = eng.query(2, eng.live_len() - 2, eng.live_len()).unwrap();
-    assert_eq!(tail, vec![3.25, 4.5]);
-}
 
 #[test]
 fn warm_path_actually_serves_without_the_core_lock() {

@@ -23,27 +23,20 @@
 //! The trained model is built **once** per process (training is the expensive
 //! step); every test restores its own engine from the shared snapshot.
 
-use deepmvi::{DeepMviConfig, DeepMviModel};
-use mvi_data::dataset::ObservedDataset;
+mod common;
+
+use common::{scratch_path, Fixture};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
-use mvi_serve::{
-    BatcherConfig, ImputationEngine, MicroBatcher, ServeError, ServeSnapshot, ValueGuard,
-};
+use mvi_serve::{BatcherConfig, ImputationEngine, MicroBatcher, ServeError, ValueGuard};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 const SERIES: usize = 3;
 const T_LEN: usize = 120;
-
-struct Fixture {
-    obs: ObservedDataset,
-    snapshot_json: String,
-}
 
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
@@ -53,28 +46,13 @@ fn fixture() -> &'static Fixture {
         // A streaming future for series 0, so appends land inside the live
         // range without growing it.
         obs.hide_range(0, 90, T_LEN);
-        let cfg = DeepMviConfig { max_steps: 12, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { obs, snapshot_json }
+        Fixture::train(ds.values, obs, 12)
     })
 }
 
 /// A fresh engine over the fixture's trained state.
 fn engine() -> ImputationEngine {
-    let fix = fixture();
-    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
-    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    ImputationEngine::new(frozen, fix.obs.clone()).expect("fixture engine builds")
-}
-
-/// Unique scratch path for durable-snapshot tests (the suite runs tests in
-/// parallel inside one process).
-fn scratch_path(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("mvi_faults_{}_{tag}_{n}.snap", std::process::id()))
+    fixture().engine()
 }
 
 // ---------------------------------------------------------------------------
@@ -385,9 +363,7 @@ fn nonfinite_forward_output_degrades_to_the_mean_baseline_and_heals() {
 #[test]
 fn retention_eviction_drops_evicted_degraded_windows_from_the_gauge() {
     let fix = fixture();
-    let snap = ServeSnapshot::from_json(&fix.snapshot_json).expect("fixture snapshot parses");
-    let frozen = snap.restore(&fix.obs).expect("fixture model restores");
-    let eng = ImputationEngine::with_retention(frozen, fix.obs.clone(), T_LEN).unwrap();
+    let eng = ImputationEngine::with_retention(fix.frozen(), fix.obs.clone(), T_LEN).unwrap();
     assert_eq!(eng.retained_start(), 0, "the fixture fits the ring");
     let w = eng.grid().window_len();
     const DEGRADED_WINDOWS: usize = 6;

@@ -8,12 +8,13 @@
 //! The trained model is built **once** per process (training is the expensive
 //! step); every test restores its own engine from the shared snapshot.
 
-use deepmvi::{DeepMviConfig, DeepMviModel, FrozenModel};
+mod common;
+
+use common::Fixture;
 use mvi_data::dataset::{Dataset, ObservedDataset};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
 use mvi_serve::{ImputationEngine, ServeError, ServeSnapshot};
-use mvi_tensor::Tensor;
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
 
@@ -27,14 +28,6 @@ const T_FULL: usize = 200;
 /// for why thread-flipping tests must serialize).
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
-struct Fixture {
-    /// Ground truth over the full horizon `[0, T_FULL)`.
-    truth: Tensor,
-    /// The trained-length observed view the model was fit on.
-    obs: ObservedDataset,
-    snapshot_json: String,
-}
-
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -43,21 +36,9 @@ fn fixture() -> &'static Fixture {
             Dataset::new("growth", full.dims.clone(), full.values.truncated_time(T_TRAIN));
         let inst = Scenario::mcar(1.0).apply(&trained_ds, 5);
         let obs = inst.observed();
-        let cfg = DeepMviConfig { max_steps: 20, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { truth: full.values, obs, snapshot_json }
+        // `truth` runs over the full horizon `[0, T_FULL)`: the stream source.
+        Fixture::train(full.values, obs, 20)
     })
-}
-
-/// A fresh frozen model from the shared snapshot (engines and oracles each
-/// need their own instance; both carry bitwise-identical weights).
-fn frozen(fix: &Fixture) -> FrozenModel {
-    ServeSnapshot::from_json(&fix.snapshot_json)
-        .expect("fixture snapshot parses")
-        .restore(&fix.obs)
-        .expect("fixture snapshot restores")
 }
 
 /// The CI growth smoke: append N·w values past the trained length and assert
@@ -67,7 +48,7 @@ fn frozen(fix: &Fixture) -> FrozenModel {
 #[test]
 fn growth_smoke_appends_n_windows_past_trained_capacity() {
     let fix = fixture();
-    let engine = ImputationEngine::new(frozen(fix), fix.obs.clone()).unwrap();
+    let engine = ImputationEngine::new(fix.frozen(), fix.obs.clone()).unwrap();
     assert_eq!(engine.trained_len(), T_TRAIN);
     let w = engine.grid().window_len();
     let target = T_TRAIN + 3 * w;
@@ -132,8 +113,8 @@ proptest! {
         series_offset in 0usize..SERIES,
     ) {
         let fix = fixture();
-        let engine = ImputationEngine::new(frozen(fix), fix.obs.clone()).unwrap();
-        let oracle_model = frozen(fix);
+        let engine = ImputationEngine::new(fix.frozen(), fix.obs.clone()).unwrap();
+        let oracle_model = fix.frozen();
 
         let mut last = None;
         for (i, &len) in chunks.iter().enumerate() {
@@ -194,8 +175,8 @@ fn interior_gap_backfills_via_fill_range_and_matches_the_oracle() {
     obs.hide_range(1, 60, 80);
     // Observed tail after the gap: the watermark sits at the series end.
     obs.record_range(1, T_TRAIN - 10, &fix.truth.series(1)[T_TRAIN - 10..T_TRAIN]);
-    let engine = ImputationEngine::new(frozen(fix), obs.clone()).unwrap();
-    let oracle_model = frozen(fix);
+    let engine = ImputationEngine::new(fix.frozen(), obs.clone()).unwrap();
+    let oracle_model = fix.frozen();
     assert_eq!(engine.watermark(1).unwrap(), T_TRAIN, "tail observation pins the watermark");
 
     // The gap is beyond append's reach (the watermark already passed it) ...
@@ -249,7 +230,7 @@ fn interior_gap_backfills_via_fill_range_and_matches_the_oracle() {
 #[test]
 fn grown_state_snapshots_and_restores_at_the_live_length() {
     let fix = fixture();
-    let engine = ImputationEngine::new(frozen(fix), fix.obs.clone()).unwrap();
+    let engine = ImputationEngine::new(fix.frozen(), fix.obs.clone()).unwrap();
     let target = T_TRAIN + 20;
     for s in 0..SERIES {
         let wm = engine.watermark(s).unwrap();
@@ -258,7 +239,7 @@ fn grown_state_snapshots_and_restores_at_the_live_length() {
     let grown_obs = engine.observed();
     assert_eq!(grown_obs.t_len(), target);
 
-    let source = frozen(fix);
+    let source = fix.frozen();
     let snap = ServeSnapshot::capture(source.model(), &grown_obs);
     assert_eq!(snap.t_len, T_TRAIN, "trained length persists");
     assert_eq!(snap.live_t_len, target, "live length persists");
@@ -287,7 +268,7 @@ fn grown_serving_is_bitwise_thread_invariant() {
     let fix = fixture();
     let run = |threads: usize| -> Vec<u64> {
         mvi_parallel::configure_threads(threads);
-        let engine = ImputationEngine::new(frozen(fix), fix.obs.clone()).unwrap();
+        let engine = ImputationEngine::new(fix.frozen(), fix.obs.clone()).unwrap();
         for s in 0..SERIES {
             let wm = engine.watermark(s).unwrap();
             engine.append(s, &fix.truth.series(s)[wm..T_FULL]).unwrap();

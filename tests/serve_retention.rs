@@ -10,7 +10,9 @@
 //! The trained model is built **once** per process (training is the expensive
 //! step); every test restores its own engine from the shared snapshot.
 
-use deepmvi::{DeepMviConfig, DeepMviModel, FrozenModel};
+mod common;
+
+use common::Fixture;
 use mvi_data::dataset::Dataset;
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
@@ -29,12 +31,6 @@ const T_FULL: usize = 700;
 /// for why thread-flipping tests must serialize).
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
-struct Fixture {
-    /// Ground truth over the full horizon `[0, T_FULL)`.
-    truth: Tensor,
-    snapshot_json: String,
-}
-
 fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -43,29 +39,9 @@ fn fixture() -> &'static Fixture {
             Dataset::new("retention", full.dims.clone(), full.values.truncated_time(T_TRAIN));
         let inst = Scenario::mcar(1.0).apply(&trained_ds, 7);
         let obs = inst.observed();
-        let cfg = DeepMviConfig { max_steps: 20, ..DeepMviConfig::tiny() };
-        let mut model = DeepMviModel::new(&cfg, &obs);
-        model.fit(&obs);
-        let snapshot_json = ServeSnapshot::capture(&model, &obs).to_json();
-        Fixture { truth: full.values, snapshot_json }
+        // `truth` runs over the full horizon `[0, T_FULL)`: the stream source.
+        Fixture::train(full.values, obs, 20)
     })
-}
-
-/// The trained-length observed view the model was fit on (rebuilt per call —
-/// the fixture snapshot only keeps the JSON).
-fn trained_obs(fix: &Fixture) -> mvi_data::dataset::ObservedDataset {
-    let full_truth = fix.truth.truncated_time(T_TRAIN);
-    let dims = vec![mvi_data::dataset::DimSpec::indexed("series", "s", SERIES)];
-    let ds = Dataset::new("retention", dims, full_truth);
-    Scenario::mcar(1.0).apply(&ds, 7).observed()
-}
-
-/// A fresh frozen model from the shared snapshot.
-fn frozen(fix: &Fixture) -> FrozenModel {
-    ServeSnapshot::from_json(&fix.snapshot_json)
-        .expect("fixture snapshot parses")
-        .restore(&trained_obs(fix))
-        .expect("fixture snapshot restores")
 }
 
 /// Streams the ground truth round-robin (`chunk`-sized appends) until every
@@ -97,7 +73,7 @@ fn retention_smoke_long_stream_keeps_storage_flat() {
     let fix = fixture();
     let retention = 80usize;
     let engine =
-        ImputationEngine::with_retention(frozen(fix), trained_obs(fix), retention).unwrap();
+        ImputationEngine::with_retention(fix.frozen(), fix.obs.clone(), retention).unwrap();
     let cap = engine.ring_capacity().expect("bounded engine");
     let w = engine.grid().window_len();
     assert_eq!(cap, w * (retention.div_ceil(w) + 1));
@@ -135,8 +111,8 @@ proptest! {
     ) {
         let fix = fixture();
         let engine =
-            ImputationEngine::with_retention(frozen(fix), trained_obs(fix), retention).unwrap();
-        let oracle_model = frozen(fix);
+            ImputationEngine::with_retention(fix.frozen(), fix.obs.clone(), retention).unwrap();
+        let oracle_model = fix.frozen();
 
         for (i, &len) in chunks.iter().enumerate() {
             let s = i % SERIES;
@@ -181,14 +157,14 @@ proptest! {
         chunk in 5usize..17,
     ) {
         let fix = fixture();
-        let w = frozen(fix).grid().window_len();
+        let w = fix.frozen().grid().window_len();
         let horizon_w = T_TRAIN.div_ceil(w);
         // Retention holds a full trained horizon plus a few windows, so the
         // newest windows' context never touches evicted time.
         let retention = (horizon_w + extra_windows) * w;
         let ring =
-            ImputationEngine::with_retention(frozen(fix), trained_obs(fix), retention).unwrap();
-        let unbounded = ImputationEngine::new(frozen(fix), trained_obs(fix)).unwrap();
+            ImputationEngine::with_retention(fix.frozen(), fix.obs.clone(), retention).unwrap();
+        let unbounded = ImputationEngine::new(fix.frozen(), fix.obs.clone()).unwrap();
 
         let target = T_TRAIN + 3 * retention.min(T_FULL - T_TRAIN);
         let target = target.min(T_FULL);
@@ -220,12 +196,12 @@ proptest! {
 #[test]
 fn append_evicting_a_window_defeats_a_pending_fill_range() {
     let fix = fixture();
-    let mut obs = trained_obs(fix);
+    let mut obs = fix.obs.clone();
     // An interior gap with an observed tail: the watermark starts at T_TRAIN.
     obs.hide_range(1, 40, 60);
     obs.record_range(1, T_TRAIN - 5, &fix.truth.series(1)[T_TRAIN - 5..T_TRAIN]);
     let retention = 100usize;
-    let engine = ImputationEngine::with_retention(frozen(fix), obs, retention).unwrap();
+    let engine = ImputationEngine::with_retention(fix.frozen(), obs, retention).unwrap();
     let w = engine.grid().window_len();
     let cap = engine.ring_capacity().unwrap();
     // Construction already trimmed T_TRAIN down to the cap; the gap at 40..60
@@ -268,7 +244,7 @@ fn ring_snapshot_roundtrip_preserves_offsets_and_serves_without_recompute() {
     let fix = fixture();
     let retention = 90usize;
     let engine =
-        ImputationEngine::with_retention(frozen(fix), trained_obs(fix), retention).unwrap();
+        ImputationEngine::with_retention(fix.frozen(), fix.obs.clone(), retention).unwrap();
     stream_to(&engine, &fix.truth, 400, 13);
     let (base, live) = (engine.retained_start(), engine.live_len());
     assert!(base > 0);
@@ -314,7 +290,7 @@ fn ring_snapshot_roundtrip_preserves_offsets_and_serves_without_recompute() {
 #[test]
 fn ring_snapshot_file_and_json_roundtrip_every_field_bitwise() {
     let fix = fixture();
-    let engine = ImputationEngine::with_retention(frozen(fix), trained_obs(fix), 90).unwrap();
+    let engine = ImputationEngine::with_retention(fix.frozen(), fix.obs.clone(), 90).unwrap();
     stream_to(&engine, &fix.truth, 400, 13);
     let snap = engine.snapshot();
     assert!(snap.retained_start > 0 && snap.shared_std.is_some());
@@ -356,7 +332,7 @@ fn ring_serving_is_bitwise_thread_invariant() {
     let fix = fixture();
     let run = |threads: usize| -> Vec<u64> {
         mvi_parallel::configure_threads(threads);
-        let engine = ImputationEngine::with_retention(frozen(fix), trained_obs(fix), 75).unwrap();
+        let engine = ImputationEngine::with_retention(fix.frozen(), fix.obs.clone(), 75).unwrap();
         stream_to(&engine, &fix.truth, 450, 9);
         let (base, live) = (engine.retained_start(), engine.live_len());
         for s in 0..SERIES {
