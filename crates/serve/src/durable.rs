@@ -428,7 +428,7 @@ fn decode(bytes: &[u8]) -> Result<(ServeSnapshot, String), ServeError> {
 
 /// Writes `snap` to `path` with `tenant` in its header, atomically: the
 /// bytes land in a temporary sibling file, are synced to disk, and only then
-/// renamed over `path`.
+/// renamed over `path`. A failed attempt removes the temporary file.
 pub(crate) fn write_file(
     snap: &ServeSnapshot,
     path: &Path,
@@ -441,13 +441,18 @@ pub(crate) fn write_file(
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file =
-            fs::File::create(&tmp).map_err(|e| io_err("cannot create temp file for", e))?;
-        file.write_all(&bytes).map_err(|e| io_err("cannot write", e))?;
-        file.sync_all().map_err(|e| io_err("cannot sync", e))?;
+    let staged = fs::File::create(&tmp)
+        .map_err(|e| io_err("cannot create temp file for", e))
+        .and_then(|mut file| {
+            file.write_all(&bytes).map_err(|e| io_err("cannot write", e))?;
+            file.sync_all().map_err(|e| io_err("cannot sync", e))
+        })
+        .and_then(|()| fs::rename(&tmp, path).map_err(|e| io_err("cannot rename into", e)));
+    if let Err(e) = staged {
+        // Best effort: the error that matters is the one being returned.
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
     }
-    fs::rename(&tmp, path).map_err(|e| io_err("cannot rename into", e))?;
     // The rename survives a crash only once the directory entry is on disk.
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
     fs::File::open(dir)

@@ -567,6 +567,10 @@ struct EngineState {
     /// unwinding through the pass abandons it and the next pass starts from
     /// a fresh one.
     scratch: InferScratch,
+    /// Bumped by every change to what [`ImputationEngine::cache_snapshot`]
+    /// captures; `0` while the state is exactly what the engine was built
+    /// from ([`ImputationEngine::unchanged_since_built`]).
+    generation: u64,
 }
 
 impl EngineState {
@@ -769,6 +773,7 @@ impl ImputationEngine {
             eval_hook: None,
             watermark,
             scratch: InferScratch::default(),
+            generation: 0,
         };
 
         // A dataset already past the ring cap starts with its oldest span
@@ -897,6 +902,7 @@ impl ImputationEngine {
             eval_hook: None,
             watermark,
             scratch: InferScratch::default(),
+            generation: 0,
         };
         Self::assemble(model, retention, ring_cap, state)
     }
@@ -931,6 +937,7 @@ impl ImputationEngine {
                 for fresh in &mut guard.fresh {
                     fresh.iter_mut().for_each(|f| *f = false);
                 }
+                guard.generation += 1;
                 self.health.with(|h| h.poison_recoveries += 1);
                 // The published warm snapshots predate the scrub; republish
                 // so the warm path cannot serve windows the recovery
@@ -1474,6 +1481,15 @@ impl ImputationEngine {
         (cache, state.obs.dims.clone(), state.grid.t_len(), state.base())
     }
 
+    /// Whether nothing [`ImputationEngine::snapshot`] captures has changed
+    /// since the engine was built: no value recorded, no growth or ring
+    /// eviction, no window computed, no poison recovery. A registry uses it
+    /// to evict an engine it loaded from a snapshot file without rewriting
+    /// that file.
+    pub(crate) fn unchanged_since_built(&self) -> bool {
+        self.lock_state().generation == 0
+    }
+
     /// Point-in-time serving counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
@@ -1501,6 +1517,7 @@ impl ImputationEngine {
     /// so resident storage never exceeds it. Returns the number of
     /// previously-fresh windows the eviction invalidated (0 without one).
     fn grow(&self, state: &mut EngineState, live_needed: usize) -> usize {
+        state.generation += 1;
         state.grid.grow_to(live_needed);
         let mut evicted_stale = 0usize;
         if let Some(cap) = self.ring_cap {
@@ -1550,6 +1567,7 @@ impl ImputationEngine {
     /// reproduce it bitwise. Returns how many previously-fresh windows were
     /// invalidated.
     fn evict_to(&self, state: &mut EngineState, new_base: usize) -> usize {
+        state.generation += 1;
         let w = state.grid.window_len();
         let drop = new_base - state.base();
         debug_assert!(drop > 0 && drop.is_multiple_of(w), "eviction must drop whole windows");
@@ -1612,6 +1630,8 @@ impl ImputationEngine {
     /// retained span and then tracks the last *accepted* value, so one glitch
     /// does not re-anchor the level and take the rest of the chunk with it.
     fn record(&self, state: &mut EngineState, s: usize, start: usize, values: &[f64]) -> usize {
+        // Also covers the watermark the caller moves after recording.
+        state.generation += 1;
         let p = start - state.base();
         let Some(guard) = state.guard else {
             state.obs.record_range(s, p, values);
@@ -1730,6 +1750,8 @@ impl ImputationEngine {
         if queries.is_empty() {
             return;
         }
+        // Before the pass: a panic part-way through still leaves it changed.
+        state.generation += 1;
         let threads = mvi_parallel::current_threads();
         let mut scratch = std::mem::take(&mut state.scratch);
         let mut results =
@@ -1815,6 +1837,38 @@ mod tests {
         }
         assert_eq!(engine.stats().windows_computed, computed_cold, "repeat queries recomputed");
         assert!(engine.stats().window_hits > 0);
+    }
+
+    /// Reads leave an engine unchanged since it was built; a computed
+    /// window, a recorded value and a growing append each change it. The
+    /// backfill below computes nothing, so only its write is seen.
+    #[test]
+    fn every_change_to_the_snapshotted_state_marks_the_engine_changed() {
+        let (obs, engine) = engine_fixture();
+        let t = obs.t_len();
+        engine.snapshot();
+        let _ = (engine.cached_values(), engine.observed(), engine.watermark(0), engine.stats());
+        assert!(engine.unchanged_since_built(), "reads must not count as changes");
+        engine.query(0, 0, t).unwrap();
+        assert!(engine.stats().windows_computed > 0);
+        assert!(!engine.unchanged_since_built(), "a computed window is a change");
+
+        // Over fully observed data nothing is ever computed.
+        let complete = ObservedDataset {
+            available: mvi_tensor::Mask::trues(obs.available.shape()),
+            ..obs.clone()
+        };
+        let model = engine.snapshot().restore(&complete).unwrap();
+        let backfilled = ImputationEngine::new(model, complete.clone()).unwrap();
+        backfilled.fill_range(1, 20, &[0.5, 0.25]).unwrap();
+        assert_eq!(backfilled.stats().windows_computed, 0);
+        assert!(!backfilled.unchanged_since_built(), "a recorded value is a change");
+
+        let model = engine.snapshot().restore(&complete).unwrap();
+        let appended = ImputationEngine::new(model, complete).unwrap();
+        appended.append(2, &[0.5]).unwrap();
+        assert_eq!(appended.live_len(), t + 1);
+        assert!(!appended.unchanged_since_built(), "an append is a change");
     }
 
     #[test]

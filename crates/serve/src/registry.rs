@@ -19,14 +19,13 @@
 //!   typed [`ServeError::TenantLoading`] — the request was not executed, so
 //!   it is safe to retry after a short backoff.
 //! * **evict** — when a register or load needs a slot and the registry is at
-//!   capacity, the least-recently-used resident engine is **snapshotted to
-//!   disk and then dropped** ([`ModelRegistry::evict`] does the same on
-//!   demand). Eviction is lossless by construction: the spilled snapshot
-//!   carries the full warm serving state, so a later request reloads an
-//!   engine that answers bitwise-identically. Each tenant spills to its own
-//!   file (named by the hex of its id) whose header records the id, and a
-//!   reload of a file recording another tenant is a typed
-//!   [`ServeError::Corrupt`].
+//!   capacity, the least-recently-used resident engine is **spilled to disk
+//!   and then dropped** ([`ModelRegistry::evict`] does the same on demand).
+//!   Eviction is lossless by construction: the spilled snapshot carries the
+//!   full warm serving state, so a later request reloads an engine that
+//!   answers bitwise-identically. Each tenant spills to its own file (named
+//!   by the hex of its id) whose header records the id, and a reload of a
+//!   file recording another tenant is a typed [`ServeError::Corrupt`].
 //! * **batch** — [`ModelRegistry::client`] resolves a tenant as `get` does
 //!   and returns a client of its [`MicroBatcher`], spawned on first use. The
 //!   batcher lives in the resident slot and leaves with the engine, its
@@ -36,6 +35,18 @@
 //!   [`ServeError::UnknownTenant`]; when every slot is pinned by an
 //!   in-flight load and nothing can be evicted, the registry answers
 //!   [`ServeError::RegistryFull`] instead of blocking or panicking.
+//!
+//! ## Spill files
+//!
+//! The spill directory belongs to the registry. An engine loaded from its
+//! tenant's own spill file and unchanged since (no append, backfill or
+//! computed window) is evicted **without a write**: the file already
+//! restores it. The registry checks that the file still has the length and
+//! modification time it had at load, so a file deleted, replaced or
+//! rewritten since is written again. An edit behind the registry's back
+//! that keeps both survives the eviction and is caught by the file's CRCs
+//! on the next reload, as a typed [`ServeError::Corrupt`]. Every other
+//! eviction writes the snapshot.
 //!
 //! ## Health and stats survive eviction
 //!
@@ -54,13 +65,15 @@
 //!
 //! The registry owns a single tenants mutex, held only for map bookkeeping —
 //! never across a snapshot *load* (loads run outside the lock behind a
-//! per-tenant loading marker). Eviction's snapshot write does run under the
-//! lock: eviction is rare and the write is bounded, and holding the lock
-//! keeps "resident + loading ≤ capacity" a hard invariant. Batchers are
+//! per-tenant loading marker). Eviction's snapshot write, when it has one,
+//! does run under the lock: the write is bounded, and holding the lock keeps
+//! "resident + loading ≤ capacity" a hard invariant. Batchers are
 //! spawned under the lock but dropped (joined) only after its release.
 //! The registry takes no engine locks itself; per-engine calls (`health`,
-//! `snapshot`) follow the engine's own `core → health` order, where health
-//! is reached only through `Health::with`.
+//! `snapshot`, the unchanged-since-load check) take them under the registry
+//! lock, never the other way round, and follow the engine's own
+//! `core → health` order, where health is reached only through
+//! `Health::with`.
 
 use crate::batch::{BatchClient, BatcherConfig, MicroBatcher};
 use crate::engine::{EngineStats, HealthReport, ServeError};
@@ -69,6 +82,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::SystemTime;
 
 /// Longest tenant id the registry accepts, in UTF-8 bytes: the cap the
 /// network protocol carries (`mvi_net::MAX_TENANT_LEN` is this constant).
@@ -112,7 +126,8 @@ pub struct RegistryStats {
     pub loads: u64,
     /// On-demand loads that failed (corrupt/missing snapshot; monotonic).
     pub load_failures: u64,
-    /// Evictions performed — snapshot written, engine dropped (monotonic).
+    /// Evictions performed — engine dropped, its snapshot on disk (written
+    /// now, or already there from its load; monotonic).
     pub evictions: u64,
     /// Gets answered by an already-resident engine (monotonic).
     pub hits: u64,
@@ -129,13 +144,35 @@ pub struct RegistryStats {
 /// Where one tenant's engine currently lives.
 enum SlotState {
     /// Warm: the engine is in memory with its batcher, once spawned;
-    /// `last_used` orders LRU eviction.
-    Resident { engine: Arc<ImputationEngine>, batcher: Option<MicroBatcher>, last_used: u64 },
+    /// `last_used` orders LRU eviction. `loaded_from` is the identity of the
+    /// tenant's own spill file when the engine was loaded from it.
+    Resident {
+        engine: Arc<ImputationEngine>,
+        batcher: Option<MicroBatcher>,
+        last_used: u64,
+        loaded_from: Option<FileId>,
+    },
     /// A thread is loading the snapshot right now (outside the lock); the
     /// slot is pinned — it cannot be evicted, re-registered or double-loaded.
     Loading,
     /// Cold: only the durable snapshot at `path` exists.
     Spilled { path: PathBuf },
+}
+
+/// A spill file's identity, from one `metadata` call: a file replaced or
+/// rewritten since changes its length or its modification time.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct FileId {
+    len: u64,
+    modified: SystemTime,
+}
+
+impl FileId {
+    /// The identity of the file at `path`, or `None` if it cannot be read.
+    fn of(path: &Path) -> Option<Self> {
+        let meta = std::fs::metadata(path).ok()?;
+        Some(Self { len: meta.len(), modified: meta.modified().ok()? })
+    }
 }
 
 /// One tenant: its engine (in whatever state) plus the counters carried
@@ -299,7 +336,8 @@ impl ModelRegistry {
             Some(SlotState::Resident { .. }) => {}
             Some(SlotState::Spilled { .. }) | None => self.make_room(&mut t, &mut retired)?,
         }
-        let state = SlotState::Resident { engine, batcher: None, last_used: now };
+        let state =
+            SlotState::Resident { engine, batcher: None, last_used: now, loaded_from: None };
         match t.slots.get_mut(tenant) {
             Some(slot) => retired.extend(slot.replace(state)),
             None => {
@@ -426,7 +464,7 @@ impl ModelRegistry {
             let now = t.clock;
             let slot = t.slots.get_mut(tenant).ok_or_else(|| unknown(tenant))?;
             let path = match &mut slot.state {
-                SlotState::Resident { engine, batcher, last_used } => {
+                SlotState::Resident { engine, batcher, last_used, .. } => {
                     *last_used = now;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(serve(engine, batcher, &slot.panics));
@@ -446,6 +484,11 @@ impl ModelRegistry {
         };
         drop(retired);
         self.run_load_hook(tenant);
+        // Taken before the read: a file replaced after this call no longer
+        // matches, so eviction can only ever skip rewriting the bytes loaded.
+        let loaded_from = (path == spill_path(&self.config.spill_dir, tenant))
+            .then(|| FileId::of(&path))
+            .flatten();
         let loaded = load(&path, tenant);
         let mut t = guard(&self.tenants);
         t.clock += 1;
@@ -457,7 +500,7 @@ impl ModelRegistry {
                 let engine = Arc::new(engine);
                 let mut batcher = None;
                 let served = serve(&engine, &mut batcher, &slot.panics);
-                slot.state = SlotState::Resident { engine, batcher, last_used: now };
+                slot.state = SlotState::Resident { engine, batcher, last_used: now, loaded_from };
                 self.loads.fetch_add(1, Ordering::Relaxed);
                 Ok(served)
             }
@@ -471,9 +514,10 @@ impl ModelRegistry {
         }
     }
 
-    /// Evicts `tenant` now: snapshot to disk, drop the engine and batcher,
-    /// return the spill path. Idempotent on already-spilled tenants
-    /// (returns their existing path).
+    /// Evicts `tenant` now: snapshot to disk (unless its spill file already
+    /// holds it; see the module docs), drop the engine and batcher, return
+    /// the spill path. Idempotent on already-spilled tenants (returns their
+    /// existing path).
     ///
     /// # Errors
     /// [`ServeError::UnknownTenant`] / [`ServeError::TenantLoading`] as for
@@ -630,6 +674,10 @@ impl ModelRegistry {
     /// Snapshots the resident engine under `key` to its spill path, folds
     /// its counters into the carried totals, drops it and moves its batcher
     /// to `retired`. On a failed snapshot write the tenant stays resident.
+    ///
+    /// The write is skipped when the engine is unchanged since it was loaded
+    /// from this spill file and the file still has the identity it had then:
+    /// the file already restores this engine.
     fn evict_slot(
         &self,
         t: &mut Tenants,
@@ -637,15 +685,21 @@ impl ModelRegistry {
         retired: &mut Vec<MicroBatcher>,
     ) -> Result<PathBuf, ServeError> {
         let slot = t.slots.get_mut(key).ok_or_else(|| unknown(key))?;
-        let SlotState::Resident { engine, .. } = &slot.state else { return Err(unknown(key)) };
-        std::fs::create_dir_all(&self.config.spill_dir).map_err(|e| {
-            ServeError::Snapshot(format!(
-                "cannot create spill directory `{}`: {e}",
-                self.config.spill_dir.display()
-            ))
-        })?;
+        let SlotState::Resident { engine, loaded_from, .. } = &slot.state else {
+            return Err(unknown(key));
+        };
         let path = spill_path(&self.config.spill_dir, key);
-        crate::durable::write_file(&engine.snapshot(), &path, key)?;
+        let on_disk = loaded_from.is_some_and(|id| FileId::of(&path) == Some(id))
+            && engine.unchanged_since_built();
+        if !on_disk {
+            std::fs::create_dir_all(&self.config.spill_dir).map_err(|e| {
+                ServeError::Snapshot(format!(
+                    "cannot create spill directory `{}`: {e}",
+                    self.config.spill_dir.display()
+                ))
+            })?;
+            crate::durable::write_file(&engine.snapshot(), &path, key)?;
+        }
         retired.extend(slot.replace(SlotState::Spilled { path: path.clone() }));
         self.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(path)

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{wait_until, Fixture, SpillDir};
+use common::{bitwise_eq, wait_until, Fixture, SpillDir};
 use mvi_data::generators::{generate_with_shape, DatasetName};
 use mvi_data::scenarios::Scenario;
 use mvi_serve::{ImputationEngine, ModelRegistry, RegistryConfig, ServeError, ValueGuard};
@@ -189,6 +189,114 @@ fn ids_over_the_wire_cap_are_refused_typed() {
         other => panic!("a 65-byte id must be refused typed: {other:?}"),
     }
     assert!(!reg.contains(&too_long));
+}
+
+// ---------------------------------------------------------------------------
+// Spill writes: skipped when the file already holds the engine, never leaky
+// ---------------------------------------------------------------------------
+
+#[cfg(unix)]
+#[test]
+fn a_clean_eviction_leaves_the_spill_file_alone_and_a_changed_tenant_rewrites_it() {
+    use std::os::unix::fs::MetadataExt;
+    let id = |path: &std::path::Path| {
+        let meta = std::fs::metadata(path).unwrap();
+        (meta.ino(), meta.modified().unwrap())
+    };
+    let dir = SpillDir::new("skip");
+    let reg = registry(1, &dir);
+    reg.register("t", engine(0)).unwrap();
+    // Registered resident, so this eviction writes.
+    let path = reg.evict("t").unwrap();
+    let written = id(&path);
+
+    // Evict → reload → evict with nothing in between: same inode, same mtime.
+    for _ in 0..2 {
+        reg.get("t").unwrap();
+        assert_eq!(reg.evict("t").unwrap(), path);
+        assert_eq!(id(&path), written, "a clean eviction must not touch the spill file");
+    }
+    let stats = reg.stats();
+    assert_eq!((stats.evictions, stats.loads), (3, 2), "a skipped write still evicts");
+
+    // An append between reload and evict replaces the file, and the next
+    // reload serves the appended values.
+    let twin = engine(0);
+    let (s, values) = (1, [0.75, 1.25, -0.5]);
+    reg.get("t").unwrap().append(s, &values).unwrap();
+    twin.append(s, &values).unwrap();
+    reg.evict("t").unwrap();
+    assert_ne!(id(&path).0, written.0, "a changed tenant must be written to a new file");
+    let reloaded = reg.get("t").unwrap();
+    let end = twin.live_len();
+    assert!(bitwise_eq(&reloaded.query(s, end - values.len(), end).unwrap(), &values));
+    same_state(&reloaded, &twin).unwrap();
+    drop(reloaded);
+
+    // The probe above computed windows, so this eviction writes; the reload
+    // after it is clean. Deleting the file under that clean engine makes the
+    // next eviction write it again.
+    reg.evict("t").unwrap();
+    reg.get("t").unwrap();
+    std::fs::remove_file(&path).unwrap();
+    reg.evict("t").unwrap();
+    assert!(path.is_file(), "an eviction whose spill file is gone must write it");
+    same_state(&reg.get("t").unwrap(), &twin).unwrap();
+
+    // An edit that keeps the file's length and mtime survives a clean
+    // eviction, and the reload's CRC check refuses it, typed.
+    reg.evict("t").unwrap();
+    reg.get("t").unwrap();
+    let (len, mtime) = (std::fs::metadata(&path).unwrap().len(), id(&path).1);
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    std::os::unix::fs::FileExt::write_all_at(&file, &[0xff; 8], len / 2).unwrap();
+    file.set_modified(mtime).unwrap();
+    drop(file);
+    reg.evict("t").unwrap();
+    assert!(matches!(reg.get("t").map(|_| ()), Err(ServeError::Corrupt { .. })));
+    assert_eq!(reg.stats().load_failures, 1);
+}
+
+#[test]
+fn a_failed_snapshot_write_keeps_the_tenant_resident_and_leaves_no_temp_file() {
+    let dir = SpillDir::new("eisdir");
+    let reg = registry(1, &dir);
+    reg.register("t", engine(0)).unwrap();
+    let path = reg.evict("t").unwrap();
+    // A directory at the spill path: the write's final rename fails (EISDIR).
+    std::fs::remove_file(&path).unwrap();
+    std::fs::create_dir(&path).unwrap();
+    // Registered resident, never loaded: its eviction must write.
+    reg.register("t", engine(0)).unwrap();
+    let live = reg.get("t").unwrap();
+    let want: Vec<Vec<f64>> = (0..SERIES).map(|s| live.query(s, 0, T_LEN).unwrap()).collect();
+    let evictions = reg.stats().evictions;
+
+    match reg.evict("t") {
+        Err(ServeError::Snapshot(msg)) => assert!(msg.contains("rename"), "names the step: {msg}"),
+        other => panic!("a failed spill write must be a typed Snapshot error: {other:?}"),
+    }
+    // The same failure through make_room: the newcomer is refused.
+    match reg.register("u", engine(1)) {
+        Err(ServeError::Snapshot(_)) => {}
+        other => panic!("make_room's failed write must be a typed Snapshot error: {other:?}"),
+    }
+
+    let stats = reg.stats();
+    assert_eq!(stats.evictions, evictions, "a failed write is not an eviction");
+    assert_eq!((stats.resident, stats.spilled), (1, 0), "the tenant stays resident");
+    assert!(!reg.contains("u"));
+    let again = reg.get("t").unwrap();
+    assert!(Arc::ptr_eq(&live, &again), "the tenant keeps its engine");
+    for (s, want) in want.iter().enumerate() {
+        assert!(bitwise_eq(&again.query(s, 0, T_LEN).unwrap(), want));
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "a failed write left temp files behind: {leftovers:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -404,36 +512,37 @@ proptest! {
     /// Evict→reload round-trips are bitwise lossless for served values and
     /// preserve every monotonic health/stats counter exactly (the
     /// `degraded_windows` gauge is live-state and deliberately excluded).
+    /// A cycle may first change the tenant ([`mutate`]); a twin engine that
+    /// never leaves memory takes the same ops, so a change an eviction
+    /// failed to write shows up as a difference after the reload.
     #[test]
     fn evict_reload_preserves_values_and_counters_bitwise(
         seed in 0usize..SEEDS,
         spikes in 1usize..5,
-        cycles in 1usize..3,
+        mutations in proptest::collection::vec(0usize..4, 1..4),
     ) {
         let dir = SpillDir::new("prop-roundtrip");
         let reg = registry(1, &dir);
-        let eng = engine(seed);
-        eng.set_value_guard(Some(ValueGuard { abs_max: Some(100.0), max_jump: None }));
-        for _ in 0..spikes {
-            for s in 0..SERIES {
-                eng.append(s, &[1.0, 5000.0, 2.0]).map_err(|e| e.to_string())?;
+        let (eng, twin) = (engine(seed), engine(seed));
+        for e in [&*eng, &*twin] {
+            e.set_value_guard(Some(ValueGuard { abs_max: Some(100.0), max_jump: None }));
+            for _ in 0..spikes {
+                for s in 0..SERIES {
+                    e.append(s, &[1.0, 5000.0, 2.0]).map_err(|e| e.to_string())?;
+                }
             }
         }
-        let live_len = eng.live_len();
         reg.register("t", eng).map_err(|e| e.to_string())?;
-
         let handle = reg.get("t").map_err(|e| e.to_string())?;
-        let oracle: Vec<Vec<f64>> = (0..SERIES)
-            .map(|s| handle.query(s, 0, live_len))
-            .collect::<Result<_, _>>()
-            .map_err(|e| e.to_string())?;
+        same_state(&handle, &twin)?;
         drop(handle);
         prop_assert_eq!(
             reg.tenant_health("t").map_err(|e| e.to_string())?.quarantined,
             (spikes * SERIES) as u64
         );
 
-        for cycle in 0..cycles {
+        for (cycle, &mutation) in mutations.iter().enumerate() {
+            mutate(&reg, &twin, mutation, cycle)?;
             // The bitwise probe itself advances live counters, so the
             // preserved-exactly baseline is re-read at the top of each hop.
             let health_before = reg.tenant_health("t").map_err(|e| e.to_string())?;
@@ -452,15 +561,87 @@ proptest! {
             let stats_after = reg.tenant_stats("t").map_err(|e| e.to_string())?;
             prop_assert!(stats_after == stats_before, "stats diverged after reload {cycle}");
 
-            for (s, want) in oracle.iter().enumerate() {
-                let got = reloaded.query(s, 0, live_len).map_err(|e| e.to_string())?;
-                prop_assert!(
-                    want.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "series {} diverged after evict→reload cycle {}", s, cycle
-                );
-            }
+            same_state(&reloaded, &twin)
+                .map_err(|e| format!("cycle {cycle} (mutation {mutation}): {e}"))?;
+            // The probe computed exactly the windows the twin's did: the
+            // reload brought back the twin's freshness, not only its values.
+            prop_assert_eq!(reg.tenant_stats("t").map_err(|e| e.to_string())?, twin.stats());
         }
     }
+}
+
+/// Applies one change to the resident tenant `t` and the same ops to `twin`:
+/// `0` none; `1` an append; `2` a backfill into the earliest gap; `3` an
+/// append, an evict→reload hop, then a query over the live span that
+/// recomputes the windows the append left stale — on a freshly loaded
+/// engine, so that query is its only change.
+fn mutate(
+    reg: &ModelRegistry,
+    twin: &ImputationEngine,
+    mutation: usize,
+    cycle: usize,
+) -> Result<(), String> {
+    let err = |e: ServeError| e.to_string();
+    let value = 0.5 + cycle as f64;
+    let live = reg.get("t").map_err(err)?;
+    match mutation {
+        1 | 3 => {
+            for e in [&*live, twin] {
+                e.append(0, &[value, value + 0.25]).map_err(err)?;
+            }
+        }
+        2 => {
+            let obs = twin.observed();
+            let (s, t) = (0..SERIES)
+                .find_map(|s| obs.available.series(s).iter().position(|&a| !a).map(|t| (s, t)))
+                .ok_or("no gap left to backfill")?;
+            for e in [&*live, twin] {
+                e.fill_range(s, t, &[value]).map_err(err)?;
+            }
+        }
+        _ => {}
+    }
+    drop(live);
+    if mutation == 3 {
+        reg.evict("t").map_err(err)?;
+        let loaded = reg.get("t").map_err(err)?;
+        let computed = loaded.stats().windows_computed;
+        for e in [&*loaded, twin] {
+            for s in 0..SERIES {
+                e.query(s, 0, e.live_len()).map_err(err)?;
+            }
+        }
+        if loaded.stats().windows_computed == computed {
+            return Err(format!("cycle {cycle}: the query recomputed no window"));
+        }
+    }
+    Ok(())
+}
+
+/// Whether `got` holds bitwise the state `twin` does: observed data, cached
+/// imputations and watermarks (reading these computes nothing), then a query
+/// over each series' live span.
+fn same_state(got: &ImputationEngine, twin: &ImputationEngine) -> Result<(), String> {
+    let (obs, want) = (got.observed(), twin.observed());
+    if obs.available != want.available || !bitwise_eq(obs.values.data(), want.values.data()) {
+        return Err("observed state diverged".into());
+    }
+    let (cache, want) = (got.cached_values(), twin.cached_values());
+    if cache.shape() != want.shape() || !bitwise_eq(cache.data(), want.data()) {
+        return Err("cached values diverged".into());
+    }
+    let live = twin.live_len();
+    for s in 0..SERIES {
+        let err = |e: ServeError| e.to_string();
+        if got.watermark(s).map_err(err)? != twin.watermark(s).map_err(err)? {
+            return Err(format!("series {s}: watermark diverged"));
+        }
+        if !bitwise_eq(&got.query(s, 0, live).map_err(err)?, &twin.query(s, 0, live).map_err(err)?)
+        {
+            return Err(format!("series {s}: served values diverged"));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
