@@ -21,9 +21,30 @@ pub struct ParamId(usize);
 struct Entry {
     name: String,
     value: Arc<Tensor>,
+    /// `None` until the first [`ParamStore::accumulate`] or
+    /// [`ParamStore::adam_step`] touches the parameter, so a model that only
+    /// serves (restored, or done training and re-imported) carries no
+    /// optimizer buffers.
+    optim: Option<Optim>,
+}
+
+/// A parameter's gradient accumulator and Adam moments, all zeros when
+/// allocated: exactly the state a fresh parameter used to start with.
+struct Optim {
     grad: Tensor,
     m: Tensor,
     v: Tensor,
+}
+
+impl Optim {
+    /// The state in `slot`, allocated (zeroed, `shape`) on first use.
+    fn get<'a>(slot: &'a mut Option<Optim>, shape: &[usize]) -> &'a mut Optim {
+        slot.get_or_insert_with(|| Optim {
+            grad: Tensor::zeros(shape),
+            m: Tensor::zeros(shape),
+            v: Tensor::zeros(shape),
+        })
+    }
 }
 
 /// Adam hyper-parameters. The paper trains with Adam at `lr = 1e-3` (§4.3).
@@ -63,10 +84,7 @@ impl ParamStore {
     /// Registers a parameter, returning its handle.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.entries.len());
-        let grad = Tensor::zeros(value.shape());
-        let m = Tensor::zeros(value.shape());
-        let v = Tensor::zeros(value.shape());
-        self.entries.push(Entry { name: name.into(), value: Arc::new(value), grad, m, v });
+        self.entries.push(Entry { name: name.into(), value: Arc::new(value), optim: None });
         id
     }
 
@@ -106,22 +124,26 @@ impl ParamStore {
     /// Adds a batch of `(id, grad)` contributions into the store.
     pub fn accumulate(&mut self, grads: impl IntoIterator<Item = (ParamId, Tensor)>) {
         for (id, g) in grads {
-            self.entries[id.0].grad.add_assign(&g);
+            let e = &mut self.entries[id.0];
+            Optim::get(&mut e.optim, e.value.shape()).grad.add_assign(&g);
         }
     }
 
     /// Zeroes all accumulated gradients.
     pub(crate) fn zero_grads(&mut self) {
-        for e in &mut self.entries {
-            e.grad.map_inplace(|_| 0.0);
+        for o in self.entries.iter_mut().filter_map(|e| e.optim.as_mut()) {
+            o.grad.map_inplace(|_| 0.0);
         }
     }
 
-    /// Global L2 norm of the accumulated gradients.
+    /// Global L2 norm of the accumulated gradients (an unallocated gradient
+    /// is zero).
     pub(crate) fn grad_norm(&self) -> f64 {
         self.entries
             .iter()
-            .map(|e| e.grad.data().iter().map(|&x| x * x).sum::<f64>())
+            .map(|e| {
+                e.optim.as_ref().map_or(0.0, |o| o.grad.data().iter().map(|&x| x * x).sum::<f64>())
+            })
             .sum::<f64>()
             .sqrt()
     }
@@ -144,9 +166,10 @@ impl ParamStore {
         let bias1 = 1.0 - cfg.beta1.powi(t);
         let bias2 = 1.0 - cfg.beta2.powi(t);
         for e in &mut self.entries {
-            let gdata = e.grad.data();
-            let mdata = e.m.data_mut();
-            let vdata = e.v.data_mut();
+            let o = Optim::get(&mut e.optim, e.value.shape());
+            let gdata = o.grad.data();
+            let mdata = o.m.data_mut();
+            let vdata = o.v.data_mut();
             let value = Arc::make_mut(&mut e.value).data_mut();
             for i in 0..gdata.len() {
                 let g = gdata[i] * scale * clip;
@@ -188,7 +211,8 @@ impl ParamStore {
 
     /// Imports a snapshot previously produced by [`ParamStore::export`] into a
     /// store with the *same registration order, names and shapes* (i.e. a model
-    /// rebuilt with the same configuration). Optimizer state is reset.
+    /// rebuilt with the same configuration). Optimizer state is released; the
+    /// next training step starts it from zeros again.
     ///
     /// # Errors
     /// Returns a description of the first mismatch.
@@ -217,9 +241,7 @@ impl ParamStore {
         }
         for (e, (_, value)) in self.entries.iter_mut().zip(&snap.params) {
             e.value = Arc::new(value.clone());
-            e.grad.map_inplace(|_| 0.0);
-            e.m.map_inplace(|_| 0.0);
-            e.v.map_inplace(|_| 0.0);
+            e.optim = None;
         }
         self.step = 0;
         Ok(())
@@ -312,9 +334,38 @@ mod tests {
             (w, Tensor::from_slice(&[1.0, 1.0])),
             (w, Tensor::from_slice(&[0.5, -1.0])),
         ]);
-        assert_eq!(store.entries[w.0].grad.data(), &[1.5, 0.0]);
+        let grad = |store: &ParamStore| store.entries[w.0].optim.as_ref().unwrap().grad.clone();
+        assert_eq!(grad(&store).data(), &[1.5, 0.0]);
         store.zero_grads();
-        assert_eq!(store.entries[w.0].grad.data(), &[0.0, 0.0]);
+        assert_eq!(grad(&store).data(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_store_that_never_trains_holds_no_optimizer_buffers() {
+        let allocated =
+            |store: &ParamStore| store.entries.iter().filter(|e| e.optim.is_some()).count();
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_slice(&[1.0, 2.0]));
+        let b = store.add("b", Tensor::scalar(0.5));
+        // Forward passes and a rebuild from an export allocate nothing.
+        let mut g = Graph::new();
+        let wv = g.param(&store, w);
+        let _ = g.mse(wv, &Tensor::from_slice(&[0.0, 0.0]));
+        let mut restored = ParamStore::new();
+        let mut restore = Restore::new(store.export());
+        restore.add(&mut restored, "w".into(), &[2]).unwrap();
+        restore.add(&mut restored, "b".into(), &[1]).unwrap();
+        restore.finish().unwrap();
+        assert_eq!((allocated(&store), allocated(&restored)), (0, 0));
+        // A gradient allocates its own parameter's state; a step, every one.
+        store.accumulate(vec![(w, Tensor::from_slice(&[1.0, -1.0]))]);
+        assert_eq!(allocated(&store), 1);
+        store.adam_step(&AdamConfig::default(), 1.0);
+        assert_eq!(allocated(&store), 2);
+        assert_eq!(store.value(b).at(0), 0.5, "a zero gradient leaves its parameter alone");
+        // Importing releases the state again.
+        store.import(&restored.export()).unwrap();
+        assert_eq!(allocated(&store), 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Machine-readable throughput harness for the `mvi-kernels` layer.
 //!
 //! Measures GFLOP/s of the seed's naive `ikj` matmul versus the blocked
-//! kernels (serial and parallel) across representative shapes, plus the
-//! end-to-end DeepMVI train-step latency, and writes the results as JSON so
+//! kernels (serial and parallel) across representative shapes, the CRC-32's
+//! MB/s on its portable and dispatched paths, plus the end-to-end DeepMVI
+//! train-step latency, and writes the results as JSON so
 //! the performance trajectory is tracked across PRs (`BENCH_1.json` is this
 //! PR's artifact; later PRs append `BENCH_<n>.json`).
 //!
@@ -85,6 +86,52 @@ fn measure_kernel(
     KernelRow { kernel, variant, m, k, n, secs, gflops }
 }
 
+struct CrcRow {
+    variant: &'static str,
+    bytes: usize,
+    secs: f64,
+    mb_per_s: f64,
+}
+
+/// CRC-32 throughput of `f` over a `len`-byte buffer. Each sample digests it
+/// enough times to cover ~1 MB, so a 640-byte input is not timed at the
+/// clock's resolution.
+fn measure_crc32(variant: &'static str, len: usize, budget: f64, f: fn(&[u8]) -> u32) -> CrcRow {
+    let buf: Vec<u8> =
+        (0..len as u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8).collect();
+    let reps = (1 << 20) / len.max(1) + 1;
+    let secs = best_secs(budget, || {
+        for _ in 0..reps {
+            std::hint::black_box(f(std::hint::black_box(&buf)));
+        }
+    }) / reps as f64;
+    let mb_per_s = len as f64 / secs / 1e6;
+    eprintln!(
+        "{:>10}/{variant:<16} {len:>8} B  {:>9.3} us  {mb_per_s:>9.1} MB/s",
+        "crc32",
+        secs * 1e6
+    );
+    CrcRow { variant, bytes: len, secs, mb_per_s }
+}
+
+/// The host's CPU model, logical CPU count and architecture: the artifact's
+/// `host` field (the model is read from `/proc/cpuinfo`, `unknown` elsewhere).
+fn host_description() -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|l| {
+                l.strip_prefix("model name")?.split_once(':').map(|(_, m)| m.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{model}, {} logical CPUs, {}",
+        mvi_parallel::available_threads(),
+        std::env::consts::ARCH
+    )
+}
+
 /// One DeepMVI training-step latency measurement (quick config, small data).
 fn measure_train_step(steps: usize) -> (usize, f64) {
     let ds = generate_with_shape(DatasetName::Chlorine, &[8], 400, 3);
@@ -103,8 +150,9 @@ fn measure_train_step(steps: usize) -> (usize, f64) {
     (report.steps, secs / report.steps.max(1) as f64)
 }
 
-fn json_escape_free(rows: &[KernelRow], extra: &str) -> String {
+fn json_escape_free(rows: &[KernelRow], crc_rows: &[CrcRow], extra: &str) -> String {
     let mut out = String::from("{\n  \"bench\": 1,\n");
+    let _ = writeln!(out, "  \"host\": \"{}\",", host_description().replace(['"', '\\'], ""));
     let _ = writeln!(
         out,
         "  \"threads_available\": {},\n  \"threads_used\": {},",
@@ -120,6 +168,15 @@ fn json_escape_free(rows: &[KernelRow], extra: &str) -> String {
             r.kernel, r.variant, r.m, r.k, r.n, r.secs, r.gflops
         );
         out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+    }
+    out.push_str("  ],\n  \"crc32\": [\n");
+    for (i, r) in crc_rows.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"variant\": \"{}\", \"bytes\": {}, \"secs\": {:.6e}, \"mb_per_s\": {:.1}}}",
+            r.variant, r.bytes, r.secs, r.mb_per_s
+        );
+        out.push_str(if i + 1 == crc_rows.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ],\n");
     out.push_str(extra);
@@ -212,6 +269,18 @@ fn main() {
         .expect("parallel 256 row");
     let speedup = seed_256.secs / par_256.secs;
 
+    // A cold tenant's spill file (732,693 bytes in perfbench's cold_tenants)
+    // and a warm reply's frame.
+    let mut crc_rows = Vec::new();
+    for len in [732_693, 640] {
+        crc_rows.push(measure_crc32("portable", len, budget, mvi_kernels::crc32::crc32_portable));
+        crc_rows.push(measure_crc32("dispatched", len, budget, mvi_kernels::crc32::crc32));
+    }
+    eprintln!(
+        "crc32 dispatched path at 732,693 bytes: {:?}",
+        mvi_kernels::crc32::path_for(732_693)
+    );
+
     let (steps, secs_per_step) = measure_train_step(if quick { 8 } else { 30 });
     eprintln!("train_step: {steps} steps, {:.3} ms/step", secs_per_step * 1e3);
     eprintln!("matmul 256^3 speedup over seed ikj (same build): {speedup:.2}x");
@@ -232,7 +301,7 @@ fn main() {
          {threads}}}\n",
         shipped.unwrap_or_default()
     );
-    let json = json_escape_free(&rows, &extra);
+    let json = json_escape_free(&rows, &crc_rows, &extra);
     std::fs::write(&out_path, &json).expect("write bench json");
     eprintln!("wrote {out_path}");
 }

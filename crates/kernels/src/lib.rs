@@ -1,9 +1,14 @@
-//! Cache-blocked, register-tiled, parallel `f64` compute kernels.
+//! Cache-blocked, register-tiled, parallel `f64` compute kernels, and the
+//! workspace's CRC-32 ([`crc32`]).
 //!
-//! This crate is the workspace's performance layer: every dense matmul in the
-//! repo — the baselines' factorization inner loops through `mvi_linalg::ops`
-//! and the autograd matmul nodes behind DeepMVI's attention — lowers to the
-//! slice-level kernels here. The design (see `PERFORMANCE.md`):
+//! This crate is the workspace's performance layer, and the one crate that
+//! holds `unsafe` SIMD code behind run-time feature detection: the
+//! hand-written AVX-512 GEMM tile below, and the carry-less-multiply CRC-32
+//! that checksums every snapshot file and network frame ([`crc32`] documents
+//! its two paths). Every dense matmul in the repo — the baselines'
+//! factorization inner loops through `mvi_linalg::ops` and the autograd
+//! matmul nodes behind DeepMVI's attention — lowers to the slice-level
+//! kernels here. The matmul design (see `PERFORMANCE.md`):
 //!
 //! * **Register tiling.** The GEMM core is a register-accumulator
 //!   microkernel: each output tile accumulates in SIMD registers across the
@@ -41,6 +46,8 @@
 //! a `0 × NaN` product now propagates instead of being skipped.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+
+pub mod crc32;
 
 /// Output rows per register tile.
 pub const MR: usize = 4;

@@ -50,7 +50,7 @@
 //! (`crates/net/tests/frame_fuzz.rs`) pins that contract the same way the
 //! snapshot codec's fuzz tests do.
 
-use mvi_serve::durable::crc32;
+use mvi_kernels::crc32::Crc32;
 use mvi_serve::ServeError;
 use std::io::{self, Read, Write};
 
@@ -451,14 +451,14 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 }
 
 /// The frame checksum: CRC-32 over version, type, payload length and the
-/// payload bytes (the magic is excluded — it is a constant).
+/// payload bytes (the magic is excluded — it is a constant), digested in
+/// place.
 fn frame_crc(ftype: u8, payload: &[u8]) -> u32 {
-    let mut input = Vec::with_capacity(6 + payload.len());
-    input.push(VERSION);
-    input.push(ftype);
-    input.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    input.extend_from_slice(payload);
-    crc32(&input)
+    Crc32::new()
+        .update(&[VERSION, ftype])
+        .update(&(payload.len() as u32).to_le_bytes())
+        .update(payload)
+        .finish()
 }
 
 /// A validated header: frame type, payload length, expected CRC (the

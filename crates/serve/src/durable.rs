@@ -8,7 +8,8 @@
 //! section. A flipped bit, a torn write or a truncated tail therefore fails
 //! the read with a typed [`ServeError::Corrupt`] naming what broke (`header`,
 //! a section such as `params/<name>`, or `trailer`) — never a panic, never a
-//! silently-wrong model.
+//! silently-wrong model. Where the CPU has carry-less multiply, checking
+//! every byte of a ~0.7 MB file costs tens of microseconds.
 //!
 //! | bytes | field |
 //! |---|---|
@@ -54,61 +55,14 @@ const MAGIC: &[u8; 8] = b"MVISNAP\0";
 /// Version of the file layout written by [`ServeSnapshot::to_path`].
 const FORMAT_VERSION: u32 = 1;
 
-/// Slice-by-8 lookup tables: `[0]` is the classic bytewise table, `[k]`
-/// advances a byte through `k` further zero bytes.
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) of `bytes`, eight bytes per
-/// step (slice-by-8) with a bytewise tail. This is the digest of every
-/// snapshot section (file and JSON alike) and of the network frame codec;
-/// exposed so external tooling (and the fault-injection suite) can produce
-/// or verify digests without reimplementing the table.
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) of `bytes`: the digest of
+/// every snapshot section (file and JSON alike) and of the network frame
+/// codec, exposed so external tooling (and the fault-injection suite) can
+/// produce or verify digests. It is [`mvi_kernels::crc32::crc32`], which
+/// runs a carry-less-multiply fold on x86-64 hosts with `pclmulqdq` and a
+/// slice-by-8 table loop elsewhere; both give the same digest.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = |k: usize, v: u32| CRC_TABLES[k][(v & 0xff) as usize];
-    let (words, tail) = bytes.as_chunks::<8>();
-    let mut c = !0u32;
-    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
-        let lo = u32::from_le_bytes([b0, b1, b2, b3]) ^ c;
-        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
-        c = t(7, lo)
-            ^ t(6, lo >> 8)
-            ^ t(5, lo >> 16)
-            ^ t(4, lo >> 24)
-            ^ t(3, hi)
-            ^ t(2, hi >> 8)
-            ^ t(1, hi >> 16)
-            ^ t(0, hi >> 24);
-    }
-    for &b in tail {
-        c = t(0, c ^ u32::from(b)) ^ (c >> 8);
-    }
-    !c
+    mvi_kernels::crc32::crc32(bytes)
 }
 
 fn corrupt(section: &str, detail: String) -> ServeError {
@@ -544,38 +498,6 @@ impl crate::ImputationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// The plain bytewise CRC-32 loop the slice-by-8 version replaced.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in bytes {
-            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-        }
-        !c
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The standard CRC-32 check vector.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Slice-by-8 agrees with the bytewise loop on every length and
-        /// alignment: the word loop, the tail loop and their seam.
-        #[test]
-        fn slice_by_8_matches_the_bytewise_loop(
-            buf in proptest::collection::vec(any::<u8>(), 0..4104usize),
-            start in 0usize..8,
-        ) {
-            let bytes = buf.get(start.min(buf.len())..).unwrap_or_default();
-            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
-        }
-    }
 
     #[test]
     fn reader_fails_typed_on_every_short_read() {
