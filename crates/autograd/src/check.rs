@@ -1,10 +1,12 @@
 //! Finite-difference gradient verification.
 //!
-//! Every operator's backward closure in this crate is validated against central
-//! finite differences, by the hand-picked cases below and the randomized
-//! compositions in `tests/property_gradients.rs`. This is the single most effective
+//! Every op's gradient rule in [`Graph::backward`] is validated against central
+//! finite differences, by the hand-picked cases below (one test walks every
+//! recorded op kind to its case) and the randomized compositions in
+//! `tests/property_gradients.rs`. This is the single most effective
 //! defence against silent training bugs in a from-scratch autodiff engine.
 
+use crate::eval::Evaluator;
 use crate::graph::{Graph, VarId};
 use crate::params::ParamStore;
 
@@ -89,13 +91,30 @@ pub fn check_gradients(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Op;
     use crate::nn::{Embedding, GruCell, Linear};
     use mvi_tensor::{Mask, Tensor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
+    use std::mem::{discriminant, Discriminant};
 
     fn rngs(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    thread_local! {
+        /// The op kinds the cases run on this thread have checked.
+        static CHECKED: RefCell<Vec<Discriminant<Op>>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// [`check_gradients`], panicking on a mismatch, and noting the op kinds
+    /// the loss records in [`CHECKED`].
+    fn check(store: &mut ParamStore, f: &mut LossFn<'_>, eps: f64, tol: f64) {
+        check_gradients(store, f, eps, tol).unwrap();
+        let mut g = Graph::new();
+        f(store, &mut g);
+        CHECKED.with(|c| c.borrow_mut().extend(g.ops().map(discriminant)));
     }
 
     #[test]
@@ -106,7 +125,7 @@ mod tests {
         let l2 = Linear::new(&mut store, &mut rng, "l2", 4, 1);
         let x = Tensor::from_vec(vec![2, 3], vec![0.3, -0.5, 0.8, 1.0, 0.2, -0.4]);
         let target = Tensor::from_vec(vec![2, 1], vec![0.7, -0.3]);
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let xv = g.constant(x.clone());
@@ -117,15 +136,14 @@ mod tests {
             },
             1e-5,
             1e-6,
-        )
-        .unwrap();
+        );
     }
 
     #[test]
     fn grad_check_sigmoid_tanh_exp_chain() {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::from_slice(&[0.4, -0.2, 0.9]));
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let wv = g.param(store, w);
@@ -137,8 +155,7 @@ mod tests {
             },
             1e-6,
             1e-6,
-        )
-        .unwrap();
+        );
     }
 
     #[test]
@@ -146,7 +163,7 @@ mod tests {
         let mut store = ParamStore::new();
         let a = store.add("a", Tensor::from_slice(&[1.2, 0.8]));
         let b = store.add("b", Tensor::from_slice(&[2.0, 3.0]));
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let av = g.param(store, a);
@@ -157,8 +174,7 @@ mod tests {
             },
             1e-6,
             1e-5,
-        )
-        .unwrap();
+        );
     }
 
     #[test]
@@ -174,7 +190,7 @@ mod tests {
         mask.set(&[0, 1], false);
         mask.set(&[2, 0], false);
         let target = Tensor::from_vec(vec![3, 2], vec![0.2, 0.4, 0.1, 0.3, 0.6, 0.2]);
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let xv = g.constant(x.clone());
@@ -189,8 +205,7 @@ mod tests {
             },
             1e-6,
             1e-5,
-        )
-        .unwrap();
+        );
     }
 
     #[test]
@@ -200,7 +215,7 @@ mod tests {
         let mut rng = rngs(12);
         let emb = Embedding::new(&mut store, &mut rng, "emb", 4, 3);
         let sib_vals = Tensor::from_slice(&[0.7, -0.2, 0.4]);
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let target_e = emb.lookup(g, store, &[0]); // [1,3]
@@ -220,8 +235,7 @@ mod tests {
             },
             1e-6,
             1e-5,
-        )
-        .unwrap();
+        );
     }
 
     #[test]
@@ -229,7 +243,7 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store
             .add("w", Tensor::from_vec(vec![4, 2], vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]));
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let wv = g.param(store, w);
@@ -245,8 +259,7 @@ mod tests {
             },
             1e-6,
             1e-6,
-        )
-        .unwrap();
+        );
     }
 
     #[test]
@@ -256,7 +269,7 @@ mod tests {
         let cell = GruCell::new(&mut store, &mut rng, "gru", 2, 3);
         let x1 = Tensor::from_slice(&[0.5, -0.1]);
         let x2 = Tensor::from_slice(&[-0.7, 0.3]);
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let h0 = g.constant(Tensor::zeros(&[3]));
@@ -269,8 +282,7 @@ mod tests {
             },
             1e-6,
             1e-5,
-        )
-        .unwrap();
+        );
     }
 
     #[test]
@@ -278,7 +290,7 @@ mod tests {
         let mut store = ParamStore::new();
         let a = store.add("a", Tensor::from_vec(vec![2, 3], vec![0.1, -0.2, 0.3, 0.4, 0.5, -0.6]));
         let w = store.add("w", Tensor::from_vec(vec![2, 2], vec![1.5, -0.5, 0.25, 2.0]));
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let av = g.param(store, a);
@@ -290,8 +302,7 @@ mod tests {
             },
             1e-6,
             1e-6,
-        )
-        .unwrap();
+        );
     }
 
     #[test]
@@ -307,7 +318,7 @@ mod tests {
                 ],
             ),
         );
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let av = g.param(store, a);
@@ -320,8 +331,7 @@ mod tests {
             },
             1e-6,
             1e-6,
-        )
-        .unwrap();
+        );
     }
 
     /// The stacked attention ops: a row stack from two tables, scores whose
@@ -339,7 +349,7 @@ mod tests {
             "v",
             Tensor::from_vec(vec![5, 2], vec![0.1, 0.7, -0.3, 0.5, 0.6, -0.2, 0.8, 0.4, -0.5, 0.9]),
         );
-        check_gradients(
+        check(
             &mut store,
             &mut |store, g| {
                 let (qv, kv) = (g.param(store, q), g.param(store, k));
@@ -354,7 +364,148 @@ mod tests {
             },
             1e-6,
             1e-6,
-        )
-        .unwrap();
+        );
+    }
+
+    #[test]
+    fn grad_check_concat1d() {
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::from_slice(&[0.3, -0.8, 1.1]));
+        let b = store.add("b", Tensor::from_slice(&[0.6, -0.4]));
+        check(
+            &mut store,
+            &mut |store, g| {
+                let (av, bv) = (g.param(store, a), g.param(store, b));
+                // `a` appears twice, so its two slices of the gradient add up.
+                let cat = g.concat1d(&[av, bv, av]);
+                let sq = g.square(cat);
+                let w = g.constant_slice(&[1.0, -2.0, 0.5, 3.0, 0.25, -1.5, 2.0, 0.75]);
+                g.dot(sq, w)
+            },
+            1e-6,
+            1e-6,
+        );
+    }
+
+    #[test]
+    fn grad_check_neg_mean() {
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::from_vec(vec![2, 2], vec![0.5, -1.2, 0.7, 0.9]));
+        let b = store.add("b", Tensor::from_vec(vec![2, 2], vec![-0.3, 0.8, 1.4, -0.6]));
+        check(
+            &mut store,
+            &mut |store, g| {
+                let (av, bv) = (g.param(store, a), g.param(store, b));
+                let n = g.neg(av);
+                let p = g.mul(n, bv);
+                g.mean(p)
+            },
+            1e-6,
+            1e-6,
+        );
+    }
+
+    #[test]
+    fn grad_check_index1d() {
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::from_slice(&[0.4, -0.9, 1.3, 0.2]));
+        check(
+            &mut store,
+            &mut |store, g| {
+                let av = g.param(store, a);
+                let e = g.index1d(av, 2);
+                let f = g.index1d(av, 0);
+                let p = g.mul(e, f);
+                let sq = g.square(e);
+                g.add(p, sq)
+            },
+            1e-6,
+            1e-6,
+        );
+    }
+
+    #[test]
+    fn grad_check_stack_rows() {
+        let mut store = ParamStore::new();
+        let p = store.add("p", Tensor::from_vec(vec![3, 2], vec![0.2, -0.5, 0.9, 0.1, -0.7, 0.4]));
+        let q = store.add("q", Tensor::from_vec(vec![1, 2], vec![1.1, -0.3]));
+        check(
+            &mut store,
+            &mut |store, g| {
+                let (pv, qv) = (g.param(store, p), g.param(store, q));
+                // Row 1 of `p` is stacked twice and row 0 not at all.
+                let s = g.stack_rows(&[pv, qv], &[(0, 1), (1, 0), (0, 2), (0, 1)]);
+                let sq = g.square(s);
+                g.sum(sq)
+            },
+            1e-6,
+            1e-6,
+        );
+    }
+
+    /// Walks every op kind to a finite-difference case that records it. The
+    /// match has no `_` arm, so a new `Op` variant does not compile until it
+    /// names its case.
+    #[test]
+    fn every_op_has_a_finite_difference_case() {
+        fn case(op: &Op) -> fn() {
+            match op {
+                Op::Add | Op::ConcatCols | Op::Row(_) | Op::ShiftRows(_) => {
+                    grad_check_shift_concat_row_ops
+                }
+                Op::Sub | Op::Mul => grad_check_gru_cell,
+                Op::Div | Op::Sum => grad_check_div,
+                Op::Scale(_) => grad_check_neg_mean,
+                Op::AddScalar | Op::SubRowvec | Op::Dot | Op::SumAxis1 => {
+                    grad_check_embedding_kernel_weights
+                }
+                Op::GatherRows(_) | Op::Reshape => grad_check_embedding_kernel_weights,
+                Op::AddRowvec | Op::Matmul | Op::Relu => grad_check_linear_relu_mse,
+                Op::MatmulRows(_) | Op::MatmulNtRows(_) => grad_check_row_range_matmuls,
+                Op::Transpose => grad_check_transpose,
+                Op::Sigmoid | Op::Tanh | Op::Exp | Op::Square => grad_check_sigmoid_tanh_exp_chain,
+                Op::Concat1d => grad_check_concat1d,
+                Op::Index1d(_) => grad_check_index1d,
+                Op::StackRows(_) => grad_check_stack_rows,
+                Op::MaskedSoftmaxRows => grad_check_masked_softmax_attention,
+            }
+        }
+        let every_op = [
+            Op::Add,
+            Op::Sub,
+            Op::Mul,
+            Op::Div,
+            Op::Scale(1.0),
+            Op::AddScalar,
+            Op::AddRowvec,
+            Op::SubRowvec,
+            Op::Matmul,
+            Op::MatmulRows(0..0),
+            Op::MatmulNtRows(0..0),
+            Op::Transpose,
+            Op::Dot,
+            Op::Relu,
+            Op::Sigmoid,
+            Op::Tanh,
+            Op::Exp,
+            Op::Square,
+            Op::Sum,
+            Op::SumAxis1,
+            Op::Concat1d,
+            Op::ConcatCols,
+            Op::Row(0),
+            Op::Index1d(0),
+            Op::GatherRows(0..0),
+            Op::StackRows(0..0),
+            Op::ShiftRows(0),
+            Op::Reshape,
+            Op::MaskedSoftmaxRows,
+        ];
+        for op in &every_op {
+            CHECKED.with(|c| c.borrow_mut().clear());
+            case(op)();
+            let covered = CHECKED.with(|c| c.borrow().contains(&discriminant(op)));
+            assert!(covered, "{op:?}: its case records no such op");
+        }
     }
 }

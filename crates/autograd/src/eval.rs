@@ -1,39 +1,31 @@
-//! The forward-evaluation backends: the [`Evaluator`] trait and the tape-free
-//! value-only [`Eval`] backend.
+//! The forward operator set: the [`Evaluator`] trait and its value-only
+//! backend [`Eval`].
 //!
-//! ## The train/infer execution split
+//! ## One forward body per op
 //!
-//! Training and serving want the same forward pass executed two very
-//! different ways:
+//! Every op's value is computed in one place, [`Eval`]'s body for it: an
+//! eager computation into a slot arena of recycled scratch tensors. Model
+//! code is written once against [`Evaluator`] and runs on two backends:
 //!
-//! * **Training** needs gradients, so it records a differentiation tape: one
-//!   [`crate::Graph`] node per op, each carrying its parents and a boxed
-//!   backward closure, plus a fresh heap tensor per intermediate so the
-//!   reverse pass can read every value later.
-//! * **Serving** needs *values only*. Keeping the tape machinery on that path
-//!   means paying — per op, per window, per query — for a node push, a boxed
-//!   closure allocation and a heap tensor that nothing will ever read back.
+//! * **Serving** runs it on [`Eval`]: values only, and (after the first pass
+//!   has sized the slot pool) no heap allocation at all.
+//! * **Training** runs it on [`crate::Graph`], which owns an `Eval` arena,
+//!   computes each value with the same `Eval` body and records
+//!   `(op, inputs, output)`. Its backward pass reads parent and output values
+//!   back from the arena.
 //!
-//! The [`Evaluator`] trait abstracts exactly the operator subset the forward
-//! pass uses, so model code is written once and executes on either backend:
-//! [`crate::Graph`] implements it by recording the tape as before, while
-//! [`Eval`] implements it by computing each op **eagerly into recycled
-//! scratch buffers** — no nodes, no closures, and (after the first pass has
-//! sized the slot pool) **no heap allocation at all**. Parameters are bound
-//! by sharing the store's `Arc` (a refcount bump), never by cloning the
-//! tensor.
+//! Both bind parameters by sharing the store's `Arc` (a refcount bump), never
+//! by cloning the tensor.
 //!
-//! ## Bitwise equivalence contract
+//! ## Fused composites
 //!
-//! `Eval` is not "approximately" the tape: every op performs the same
-//! floating-point operations in the same order as the corresponding
-//! [`crate::Graph`] op (elementwise maps use identical expressions,
-//! reductions identical iteration order, matmuls the identical
-//! `mvi_kernels` GEMMs, and order-sensitive ops like the masked softmax are
-//! literally the same function — see \[`crate::vops`\]). Inference through
-//! `Eval` is therefore **bitwise identical** to inference through the tape,
-//! which is what lets the serving engine switch backends without touching
-//! its 1e-9 consistency and determinism guarantees.
+//! The two backends differ only in the composite ops ([`Evaluator::affine`],
+//! [`Evaluator::affine_vec`], [`Evaluator::rbf_similarities`]). The tape
+//! records the trait's default op chain, whose nodes backward needs; `Eval`
+//! overrides each with one fused pass that performs the same floating-point
+//! operations in the same order. Inference through `Eval` is therefore
+//! **bitwise identical** to the same pass recorded on the tape, which the
+//! tests below and `tests/eval_equivalence.rs` hold it to.
 
 use crate::params::{ParamId, ParamStore};
 use crate::vops;
@@ -44,12 +36,12 @@ use std::sync::Arc;
 /// list, valid until the next [`Eval::recycle`]).
 pub type EvalVar = usize;
 
-/// The forward-pass operator set, implemented by both the differentiation
-/// tape ([`crate::Graph`], which records ops for a later backward pass) and
-/// the value-only evaluator ([`Eval`], which computes eagerly into recycled
-/// buffers). Model forward code is generic over this trait; training
-/// instantiates it with the tape, serving with the evaluator, and both
-/// produce bitwise-identical values (see the module docs).
+/// The forward-pass operator set, implemented by the value-only evaluator
+/// ([`Eval`], which computes eagerly into recycled buffers) and by the
+/// differentiation tape ([`crate::Graph`], which computes with `Eval`'s
+/// bodies and records each op for a later backward pass). Model forward code
+/// is generic over this trait; training instantiates it with the tape,
+/// serving with the evaluator (see the module docs).
 pub trait Evaluator {
     /// Handle to a value produced by this backend.
     type Var: Copy + core::fmt::Debug;
@@ -72,6 +64,10 @@ pub trait Evaluator {
 
     /// Elementwise `a + b` (same shape).
     fn add(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
+    /// Elementwise `a - b` (same shape).
+    fn sub(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
+    /// Elementwise `a * b` (same shape).
+    fn mul(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
     /// Elementwise `a / b` (same shape); caller keeps `b` away from zero.
     fn div(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
     /// `a * c` for a scalar `c`.
@@ -105,10 +101,16 @@ pub trait Evaluator {
         keys: &[Self::Var],
         rows: &[(usize, usize)],
     ) -> Self::Var;
+    /// Transpose of a rank-2 value.
+    fn transpose(&mut self, a: Self::Var) -> Self::Var;
     /// Dot product of two rank-1 values, `[1]`-shaped.
     fn dot(&mut self, a: Self::Var, b: Self::Var) -> Self::Var;
     /// Rectified linear unit.
     fn relu(&mut self, a: Self::Var) -> Self::Var;
+    /// Logistic sigmoid.
+    fn sigmoid(&mut self, a: Self::Var) -> Self::Var;
+    /// Hyperbolic tangent.
+    fn tanh(&mut self, a: Self::Var) -> Self::Var;
     /// Elementwise exponential.
     fn exp(&mut self, a: Self::Var) -> Self::Var;
     /// Elementwise square.
@@ -123,6 +125,8 @@ pub trait Evaluator {
     fn concat_cols(&mut self, parts: &[Self::Var]) -> Self::Var;
     /// Row `i` of a rank-2 value, as a rank-1 value.
     fn row(&mut self, a: Self::Var, i: usize) -> Self::Var;
+    /// Element `i` of a rank-1 value, as a `[1]` scalar.
+    fn index1d(&mut self, a: Self::Var, i: usize) -> Self::Var;
     /// Gathers rows of `table[v,d]` by index (embedding lookup).
     fn gather_rows(&mut self, table: Self::Var, idx: &[usize]) -> Self::Var;
     /// Stacks rows of rank-2 values with equal column counts: output row `r`
@@ -140,9 +144,30 @@ pub trait Evaluator {
     // Composite ops. The default bodies ARE the canonical op sequences (the
     // tape records them unchanged); a backend may override with a fused
     // computation only if it reproduces the default's per-element operation
-    // order exactly — bitwise, not approximately. `Eval` does so for the two
+    // order exactly — bitwise, not approximately. `Eval` does so for the
     // chains that dominate the per-position serving cost.
     // ------------------------------------------------------------------
+
+    /// Elementwise negation.
+    fn neg(&mut self, a: Self::Var) -> Self::Var {
+        self.scale(a, -1.0)
+    }
+
+    /// Mean of all elements, `[1]`-shaped.
+    fn mean(&mut self, a: Self::Var) -> Self::Var {
+        let n = self.value(a).len().max(1) as f64;
+        let s = self.sum(a);
+        self.scale(s, 1.0 / n)
+    }
+
+    /// Mean squared error between a prediction and a constant target,
+    /// `[1]`-shaped.
+    fn mse(&mut self, pred: Self::Var, target: &Tensor) -> Self::Var {
+        let t = self.input(target.shape(), |t| t.data_mut().copy_from_slice(target.data()));
+        let d = self.sub(pred, t);
+        let sq = self.square(d);
+        self.mean(sq)
+    }
 
     /// A dense layer applied to a `[m, in]` value: `x·W + b`, yielding
     /// `[m, out]`.
@@ -335,7 +360,7 @@ impl Eval {
         var
     }
 
-    /// Elementwise map with the same per-element expression as the tape op.
+    /// `out = f(value(a))` elementwise.
     fn map_op(&mut self, a: EvalVar, f: impl Fn(f64) -> f64) -> EvalVar {
         let shape = ShapeBuf::of(self.value_of(a));
         self.unary(a, shape.as_slice(), false, |av, out| {
@@ -345,7 +370,7 @@ impl Eval {
         })
     }
 
-    /// Elementwise zip with the same per-element expression as the tape op.
+    /// `out = f(value(a), value(b))` elementwise (same shape).
     fn zip_op(&mut self, a: EvalVar, b: EvalVar, f: impl Fn(f64, f64) -> f64) -> EvalVar {
         let shape = ShapeBuf::of(self.value_of(a));
         assert_eq!(
@@ -358,6 +383,11 @@ impl Eval {
                 *o = f(x, y);
             }
         })
+    }
+
+    /// The number of vars issued in the current pass.
+    pub(crate) fn vars(&self) -> usize {
+        self.slots.len()
     }
 
     #[inline]
@@ -409,6 +439,14 @@ impl Evaluator for Eval {
         self.zip_op(a, b, |x, y| x + y)
     }
 
+    fn sub(&mut self, a: EvalVar, b: EvalVar) -> EvalVar {
+        self.zip_op(a, b, |x, y| x - y)
+    }
+
+    fn mul(&mut self, a: EvalVar, b: EvalVar) -> EvalVar {
+        self.zip_op(a, b, |x, y| x * y)
+    }
+
     fn div(&mut self, a: EvalVar, b: EvalVar) -> EvalVar {
         self.zip_op(a, b, |x, y| x / y)
     }
@@ -436,8 +474,7 @@ impl Evaluator for Eval {
     }
 
     fn sub_rowvec(&mut self, a: EvalVar, v: EvalVar) -> EvalVar {
-        // The tape lowers this to `a + neg(v)`; `x + (-b)` is bitwise `x - b`
-        // under IEEE 754, so one fused pass preserves the equivalence.
+        // `x + (-b)`, which is bitwise `x - b` under IEEE 754.
         let shape = ShapeBuf::of(self.value_of(a));
         let n = shape.as_slice()[1];
         assert_eq!(self.value_of(v).shape(), &[n], "sub_rowvec dim mismatch");
@@ -511,6 +548,21 @@ impl Evaluator for Eval {
         var
     }
 
+    fn transpose(&mut self, a: EvalVar) -> EvalVar {
+        let (m, n) = {
+            let av = self.value_of(a);
+            (av.rows(), av.cols())
+        };
+        self.unary(a, &[n, m], false, |av, out| {
+            let od = out.data_mut();
+            for (i, row) in av.data().chunks_exact(n.max(1)).enumerate() {
+                for (j, &x) in row.iter().enumerate() {
+                    od[j * m + i] = x;
+                }
+            }
+        })
+    }
+
     fn dot(&mut self, a: EvalVar, b: EvalVar) -> EvalVar {
         assert_eq!(self.value_of(a).shape(), self.value_of(b).shape(), "dot shape");
         self.binary(a, b, &[1], false, |av, bv, out| {
@@ -520,6 +572,14 @@ impl Evaluator for Eval {
 
     fn relu(&mut self, a: EvalVar) -> EvalVar {
         self.map_op(a, |x| x.max(0.0))
+    }
+
+    fn sigmoid(&mut self, a: EvalVar) -> EvalVar {
+        self.map_op(a, |x| 1.0 / (1.0 + (-x).exp()))
+    }
+
+    fn tanh(&mut self, a: EvalVar) -> EvalVar {
+        self.map_op(a, f64::tanh)
     }
 
     fn exp(&mut self, a: EvalVar) -> EvalVar {
@@ -532,7 +592,7 @@ impl Evaluator for Eval {
 
     fn sum(&mut self, a: EvalVar) -> EvalVar {
         self.unary(a, &[1], false, |av, out| {
-            // Same sequential fold as `Tensor::sum` on the tape path.
+            // The same sequential fold as `Tensor::sum`.
             out.data_mut()[0] = av.data().iter().sum();
         })
     }
@@ -603,6 +663,12 @@ impl Evaluator for Eval {
         self.unary(a, &[n], false, |av, out| {
             out.data_mut().copy_from_slice(av.row(i));
         })
+    }
+
+    fn index1d(&mut self, a: EvalVar, i: usize) -> EvalVar {
+        let n = self.value_of(a).len();
+        assert!(i < n, "index {i} out of {n}");
+        self.unary(a, &[1], false, |av, out| out.data_mut()[0] = av.at(i))
     }
 
     fn gather_rows(&mut self, table: EvalVar, idx: &[usize]) -> EvalVar {
@@ -764,172 +830,49 @@ mod tests {
                     a.wrapping_mul(31).wrapping_add(i as u64 + 1)
                 })
                 .wrapping_mul(0xD1B5_4A32_D192_ED03);
-            // The 0.123 offset keeps every value away from exactly zero, so
-            // the division case stays finite on the tape.
             ((h >> 32) % 1000) as f64 / 250.0 - 2.0 + 0.123
         })
     }
 
-    /// Runs the same op sequence on both backends and asserts bitwise-equal
-    /// results — the per-op equivalence the big property tests build on.
-    fn assert_same<GF, EF>(mut gf: GF, mut ef: EF)
-    where
-        GF: FnMut(&mut Graph) -> crate::VarId,
-        EF: FnMut(&mut Eval) -> EvalVar,
-    {
-        let mut g = Graph::new();
-        let gv = gf(&mut g);
-        let mut e = Eval::default();
-        let ev = ef(&mut e);
-        let (gt, et) = (g.value(gv), e.value(ev));
-        assert_eq!(gt.shape(), et.shape(), "shape diverged");
-        let gb: Vec<u64> = gt.data().iter().map(|x| x.to_bits()).collect();
-        let eb: Vec<u64> = et.data().iter().map(|x| x.to_bits()).collect();
-        assert_eq!(gb, eb, "values diverged bitwise");
+    fn input<E: Evaluator>(e: &mut E, x: &Tensor) -> E::Var {
+        e.input(x.shape(), |t| t.data_mut().copy_from_slice(x.data()))
     }
 
-    #[test]
-    fn elementwise_and_reductions_match_the_tape_bitwise() {
-        let a = t(&[3, 5], 1);
-        let b = t(&[3, 5], 2);
-        let v = t(&[5], 3);
-        type Op = fn(&mut Graph, crate::VarId, crate::VarId, crate::VarId) -> crate::VarId;
-        type EvOp = fn(&mut Eval, EvalVar, EvalVar, EvalVar) -> EvalVar;
-        let cases: Vec<(Op, EvOp)> = vec![
-            (|g, a, b, _| g.add(a, b), |e, a, b, _| e.add(a, b)),
-            (|g, a, b, _| g.div(a, b), |e, a, b, _| e.div(a, b)),
-            (|g, a, _, _| g.scale(a, -1.7), |e, a, _, _| e.scale(a, -1.7)),
-            (|g, a, _, _| g.add_scalar(a, 1e-9), |e, a, _, _| e.add_scalar(a, 1e-9)),
-            (|g, a, _, v| g.add_rowvec(a, v), |e, a, _, v| e.add_rowvec(a, v)),
-            (|g, a, _, v| g.sub_rowvec(a, v), |e, a, _, v| e.sub_rowvec(a, v)),
-            (|g, a, _, _| g.relu(a), |e, a, _, _| e.relu(a)),
-            (|g, a, _, _| g.exp(a), |e, a, _, _| e.exp(a)),
-            (|g, a, _, _| g.square(a), |e, a, _, _| e.square(a)),
-            (|g, a, _, _| g.sum(a), |e, a, _, _| e.sum(a)),
-            (|g, a, _, _| g.sum_axis1(a), |e, a, _, _| e.sum_axis1(a)),
-            (|g, a, _, _| g.shift_rows(a, 1), |e, a, _, _| e.shift_rows(a, 1)),
-            (|g, a, _, _| g.shift_rows(a, -2), |e, a, _, _| e.shift_rows(a, -2)),
-            (|g, a, _, _| g.row(a, 2), |e, a, _, _| e.row(a, 2)),
-            (|g, a, _, _| g.reshape(a, &[5, 3]), |e, a, _, _| e.reshape(a, &[5, 3])),
-            (|g, a, b, _| g.concat_cols(&[a, b]), |e, a, b, _| e.concat_cols(&[a, b])),
-        ];
-        for (gop, eop) in cases {
-            let (ac, bc, vc) = (a.clone(), b.clone(), v.clone());
-            assert_same(
-                move |g| {
-                    let (a, b) = (g.constant(ac.clone()), g.constant(bc.clone()));
-                    let v = g.constant(vc.clone());
-                    gop(g, a, b, v)
-                },
-                |e| {
-                    let a = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
-                    let b = e.input(b.shape(), |x| x.data_mut().copy_from_slice(b.data()));
-                    let v = e.input(v.shape(), |x| x.data_mut().copy_from_slice(v.data()));
-                    eop(e, a, b, v)
-                },
-            );
-        }
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The row-range products against the gather-then-multiply sequences
+    /// they replace (and gather-transpose-multiply for the `nt` form).
     #[test]
-    fn matmul_dot_gather_softmax_match_the_tape_bitwise() {
+    fn row_range_products_match_gathered_products_bitwise() {
         let a = t(&[4, 6], 7);
-        let b = t(&[6, 5], 8);
-        let mut mask = Mask::trues(&[4, 4]);
-        mask.set(&[0, 3], false);
-        mask.set(&[2, 0], false);
-        mask.set(&[3, 0], false);
-        mask.set(&[3, 1], false);
-        mask.set(&[3, 2], false);
-        mask.set(&[3, 3], false); // fully masked row
-        let sc = t(&[4, 4], 9);
-        let r1 = t(&[6], 10);
-        let r2 = t(&[6], 11);
-
-        assert_same(
-            |g| {
-                let (av, bv) = (g.constant(a.clone()), g.constant(b.clone()));
-                g.matmul(av, bv)
-            },
-            |e| {
-                let av = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
-                let bv = e.input(b.shape(), |x| x.data_mut().copy_from_slice(b.data()));
-                e.matmul(av, bv)
-            },
-        );
-        // Row ranges against the tape's gather-then-multiply (and
-        // transpose-then-multiply for the `nt` form).
         let wide = t(&[9, 6], 13);
-        assert_same(
-            |g| {
-                let (av, bv) = (g.constant(a.clone()), g.constant(wide.clone()));
-                let rows = g.gather_rows(bv, &[2, 3, 4, 5, 6, 7]);
-                g.matmul(av, rows)
-            },
-            |e| {
-                let av = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
-                let bv = e.input(wide.shape(), |x| x.data_mut().copy_from_slice(wide.data()));
-                e.matmul_rows(av, bv, &[2; 4])
-            },
-        );
+        let mut e = Eval::default();
+        let (av, bv) = (input(&mut e, &a), input(&mut e, &wide));
+        let banded = e.matmul_rows(av, bv, &[2; 4]);
+        let rows = e.gather_rows(bv, &[2, 3, 4, 5, 6, 7]);
+        let gathered = e.matmul(av, rows);
+        assert_eq!(bits(e.value(banded).data()), bits(e.value(gathered).data()));
+
         let b_t = t(&[9, 6], 14);
-        assert_same(
-            |g| {
-                let (av, bv) = (g.constant(a.clone()), g.constant(b_t.clone()));
-                let rows = g.gather_rows(bv, &[1, 2, 3, 4, 5]);
-                let rows_t = g.transpose(rows);
-                g.matmul(av, rows_t)
-            },
-            |e| {
-                let av = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
-                let bv = e.input(b_t.shape(), |x| x.data_mut().copy_from_slice(b_t.data()));
-                let keys: Vec<(usize, usize)> = (1..6).map(|r| (0, r)).collect();
-                e.matmul_nt_rows(av, &[bv], &keys.repeat(4))
-            },
-        );
-        assert_same(
-            |g| {
-                let (x, y) = (g.constant(r1.clone()), g.constant(r2.clone()));
-                g.dot(x, y)
-            },
-            |e| {
-                let x = e.input(r1.shape(), |t| t.data_mut().copy_from_slice(r1.data()));
-                let y = e.input(r2.shape(), |t| t.data_mut().copy_from_slice(r2.data()));
-                e.dot(x, y)
-            },
-        );
-        assert_same(
-            |g| {
-                let tb = g.constant(a.clone());
-                g.gather_rows(tb, &[3, 0, 0, 2])
-            },
-            |e| {
-                let tb = e.input(a.shape(), |x| x.data_mut().copy_from_slice(a.data()));
-                e.gather_rows(tb, &[3, 0, 0, 2])
-            },
-        );
-        assert_same(
-            |g| {
-                let s = g.constant(sc.clone());
-                g.masked_softmax_rows(s, &mask)
-            },
-            |e| {
-                let s = e.input(sc.shape(), |x| x.data_mut().copy_from_slice(sc.data()));
-                e.masked_softmax_rows(s, &mask)
-            },
-        );
+        let bv = input(&mut e, &b_t);
+        let keys: Vec<(usize, usize)> = (1..6).map(|r| (0, r)).collect();
+        let keyed = e.matmul_nt_rows(av, &[bv], &keys.repeat(4));
+        let rows = e.gather_rows(bv, &[1, 2, 3, 4, 5]);
+        let rows_t = e.transpose(rows);
+        let gathered = e.matmul(av, rows_t);
+        assert_eq!(bits(e.value(keyed).data()), bits(e.value(gathered).data()));
     }
 
-    /// The three multi-row ops the stacked attention pass uses, each on both
-    /// backends; the banded product against per-row products with copied
-    /// bands and the keyed scores against one-element products.
+    /// The multi-row ops the stacked attention pass uses: the banded product
+    /// against per-row products with copied bands and the keyed scores
+    /// against one-element products.
     #[test]
-    fn stacked_row_ops_match_the_tape_bitwise() {
+    fn stacked_row_ops_match_per_row_products_bitwise() {
         let a = t(&[5, 3], 15);
         let wide = t(&[7, 4], 16);
-        let edge = t(&[2, 4], 17);
         let starts = [0, 0, 3, 1, 1];
-        let rows = [(1, 1), (0, 6), (0, 0), (1, 0), (0, 6)];
         // Each query row reads 3 keys, `(0, r)` from `keys` or `(1, r)` from
         // `edge_k`: two rows with the same keys (one block of a table key
         // between two edge keys), a row of consecutive table keys, and rows
@@ -944,19 +887,6 @@ mod tests {
             [(0, 6), (1, 0), (1, 1)],
         ]
         .concat();
-        let input = |e: &mut Eval, x: &Tensor| {
-            e.input(x.shape(), |t| t.data_mut().copy_from_slice(x.data()))
-        };
-        assert_same(
-            |g| {
-                let (av, bv) = (g.constant(a.clone()), g.constant(wide.clone()));
-                g.matmul_rows(av, bv, &starts)
-            },
-            |e| {
-                let (av, bv) = (input(e, &a), input(e, &wide));
-                e.matmul_rows(av, bv, &starts)
-            },
-        );
         let mut e = Eval::default();
         let (av, bv) = (input(&mut e, &a), input(&mut e, &wide));
         let banded = e.matmul_rows(av, bv, &starts);
@@ -966,35 +896,13 @@ mod tests {
             let band = e.gather_rows(bv, &band);
             let row = e.matmul(a_row, band);
             assert_eq!(
-                e.value(row).data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                e.value(banded).row(i).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                bits(e.value(row).data()),
+                bits(e.value(banded).row(i)),
                 "row {i} of the banded product"
             );
         }
-        assert_same(
-            |g| {
-                let (wv, ev) = (g.constant(wide.clone()), g.constant(edge.clone()));
-                g.stack_rows(&[wv, ev], &rows)
-            },
-            |e| {
-                let (wv, ev) = (input(e, &wide), input(e, &edge));
-                e.stack_rows(&[wv, ev], &rows)
-            },
-        );
-        assert_same(
-            |g| {
-                let (av, kv, ev) =
-                    (g.constant(a.clone()), g.constant(keys.clone()), g.constant(edge_k.clone()));
-                g.matmul_nt_rows(av, &[kv, ev], &key_rows)
-            },
-            |e| {
-                let (av, kv, ev) = (input(e, &a), input(e, &keys), input(e, &edge_k));
-                e.matmul_nt_rows(av, &[kv, ev], &key_rows)
-            },
-        );
         // Each score is the one-element product of its query row and key.
-        let mut e = Eval::default();
-        let (av, kv, ev) = (input(&mut e, &a), input(&mut e, &keys), input(&mut e, &edge_k));
+        let (kv, ev) = (input(&mut e, &keys), input(&mut e, &edge_k));
         let scores = e.matmul_nt_rows(av, &[kv, ev], &key_rows);
         assert_eq!(e.shape(scores), &[5, 3]);
         for (ij, &(part, r)) in key_rows.iter().enumerate() {
@@ -1005,25 +913,43 @@ mod tests {
         }
     }
 
+    /// `Eval`'s fused `affine`, `affine_vec` and `rbf_similarities` against
+    /// the default op chains the tape records, bitwise.
     #[test]
-    fn params_bind_by_sharing_and_layers_match_across_backends() {
+    fn fused_composites_match_the_recorded_chains_bitwise() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(5);
         let layer = Linear::new(&mut store, &mut rng, "l", 6, 4);
+        let bare = Linear::new_no_bias(&mut store, &mut rng, "n", 6, 3);
+        let head = Linear::new(&mut store, &mut rng, "h", 6, 2);
         let x = glorot(&mut rng, 3, 6);
+        let (sib, own) = (t(&[5, 4], 20), t(&[4], 21));
 
+        fn run<E: Evaluator>(
+            e: &mut E,
+            store: &ParamStore,
+            layers: [&Linear; 3],
+            inputs: [&Tensor; 3],
+        ) -> Vec<E::Var> {
+            let xv = input(e, inputs[0]);
+            let y = layers[0].forward(e, store, xv);
+            let yb = layers[1].forward(e, store, xv);
+            let r = e.row(xv, 1);
+            let yv = layers[2].forward_vec(e, store, r);
+            let (sv, ov) = (input(e, inputs[1]), input(e, inputs[2]));
+            let k = e.rbf_similarities(sv, ov, 0.35);
+            vec![y, yb, yv, k]
+        }
+        let (layers, inputs) = ([&layer, &bare, &head], [&x, &sib, &own]);
         let mut g = Graph::new();
-        let xg = g.constant(x.clone());
-        let yg = layer.forward(&mut g, &store, xg);
-
+        let recorded = run(&mut g, &store, layers, inputs);
         let mut e = Eval::default();
-        let xe = e.input(x.shape(), |t| t.data_mut().copy_from_slice(x.data()));
-        let ye = layer.forward(&mut e, &store, xe);
-
-        assert_eq!(
-            g.value(yg).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            e.value(ye).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
+        let fused = run(&mut e, &store, layers, inputs);
+        for (which, (&gv, &ev)) in recorded.iter().zip(&fused).enumerate() {
+            let (gt, et) = (g.value(gv), e.value(ev));
+            assert_eq!(gt.shape(), et.shape(), "composite {which}");
+            assert_eq!(bits(gt.data()), bits(et.data()), "composite {which}");
+        }
         // The bound parameter shares the store's allocation, byte for byte.
         let pw = e.param(&store, layer.w);
         assert!(std::ptr::eq(e.value(pw).data().as_ptr(), store.value(layer.w).data().as_ptr()));

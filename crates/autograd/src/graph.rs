@@ -1,39 +1,68 @@
-//! The differentiation tape and its operator set.
+//! The differentiation tape: an [`Eval`] slot arena plus a record of
+//! `(op, inputs, output)` per op.
+//!
+//! Every tape op computes its value with `Eval`'s body for that op (the only
+//! forward body in the crate), then pushes one `Op` record carrying the
+//! op's non-tensor arguments. [`Graph::backward`] walks the records in
+//! reverse; one `match` holds each op's gradient rule, reading parent and
+//! output values back from the arena.
 
+use crate::eval::{Eval, Evaluator};
 use crate::params::{ParamId, ParamStore};
+use crate::vops;
 use mvi_linalg::ops as la;
 use mvi_tensor::{Mask, Tensor};
-use std::sync::Arc;
+use std::ops::Range;
 
-/// Index of a node on the tape.
+/// Index of a value on the tape (a slot of its arena).
 pub type VarId = usize;
 
-/// Backward closure: given the gradient flowing into this node and the values of its
-/// parents, produce the gradient contribution for each parent (same order/shapes).
-type BackwardFn = Box<dyn Fn(&Tensor, &[&Tensor]) -> Vec<Tensor>>;
-
-/// A node's value: owned for computed intermediates, shared for parameter
-/// leaves (binding a parameter is a refcount bump on the store's `Arc`, not a
-/// tensor clone — the store only copies-on-write at the next optimizer step).
-enum NodeValue {
-    Owned(Tensor),
-    Param(Arc<Tensor>),
+/// One recorded op and its non-tensor arguments. Index lists live in the
+/// graph's side buffers, addressed by range (`idx` for `usize` lists,
+/// `pairs` for `(part, row)` lists); shapes and widths are read back from
+/// the arena.
+#[derive(Clone, Debug)]
+pub(crate) enum Op {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Scale(f64),
+    AddScalar,
+    AddRowvec,
+    SubRowvec,
+    Matmul,
+    /// Band starts, in `idx`.
+    MatmulRows(Range<usize>),
+    /// Key rows, in `pairs`.
+    MatmulNtRows(Range<usize>),
+    Transpose,
+    Dot,
+    Relu,
+    Sigmoid,
+    Tanh,
+    Exp,
+    Square,
+    Sum,
+    SumAxis1,
+    Concat1d,
+    ConcatCols,
+    Row(usize),
+    Index1d(usize),
+    /// Gathered rows, in `idx`.
+    GatherRows(Range<usize>),
+    /// Stacked `(part, row)`s, in `pairs`.
+    StackRows(Range<usize>),
+    ShiftRows(i64),
+    Reshape,
+    MaskedSoftmaxRows,
 }
 
-impl NodeValue {
-    #[inline]
-    fn get(&self) -> &Tensor {
-        match self {
-            NodeValue::Owned(t) => t,
-            NodeValue::Param(t) => t,
-        }
-    }
-}
-
-struct Node {
-    value: NodeValue,
-    parents: Vec<VarId>,
-    backward: Option<BackwardFn>,
+struct Record {
+    op: Op,
+    /// The op's input vars, in `Graph::inputs`.
+    inputs: Range<usize>,
+    out: VarId,
 }
 
 /// Gradients produced by [`Graph::backward`], indexed by [`VarId`].
@@ -48,11 +77,22 @@ impl Gradients {
     }
 }
 
-/// A write-once computation tape. Build one per forward pass.
+/// A write-once computation tape over a recycled [`Eval`] arena. Build one
+/// per worker and [`Graph::recycle`] it between forward passes.
 #[derive(Default)]
 pub struct Graph {
-    nodes: Vec<Node>,
+    eval: Eval,
+    records: Vec<Record>,
+    inputs: Vec<VarId>,
+    idx: Vec<usize>,
+    pairs: Vec<(usize, usize)>,
     param_binds: Vec<(VarId, ParamId)>,
+}
+
+/// Appends `items` to `buf`, returning where they landed.
+fn stash<T: Copy>(buf: &mut Vec<T>, items: &[T]) -> Range<usize> {
+    buf.extend_from_slice(items);
+    buf.len() - items.len()..buf.len()
 }
 
 impl Graph {
@@ -61,241 +101,136 @@ impl Graph {
         Self::default()
     }
 
-    /// Clears the tape for reuse, keeping the node and binding vectors'
-    /// capacity. Inference paths that evaluate many small forward passes
-    /// (one per window task) recycle one `Graph` instead of reallocating the
-    /// tape spine per pass; all previously issued [`VarId`]s are invalidated.
+    /// Clears the tape for reuse, keeping the arena's buffers and the record
+    /// vectors' capacity, so a recycled tape records a pass of the same shape
+    /// without reallocating. All previously issued [`VarId`]s are
+    /// invalidated.
     pub fn recycle(&mut self) {
-        self.nodes.clear();
+        self.eval.recycle();
+        self.records.clear();
+        self.inputs.clear();
+        self.idx.clear();
+        self.pairs.clear();
         self.param_binds.clear();
-    }
-
-    fn push(&mut self, value: Tensor, parents: Vec<VarId>, backward: Option<BackwardFn>) -> VarId {
-        debug_assert!(value.all_finite(), "non-finite value entered the tape");
-        let id = self.nodes.len();
-        self.nodes.push(Node { value: NodeValue::Owned(value), parents, backward });
-        id
     }
 
     /// Leaf holding a constant (no gradient will be requested for it, but one is
     /// still accumulated so constants can be promoted to parameters in tests).
     pub fn constant(&mut self, value: Tensor) -> VarId {
-        self.push(value, vec![], None)
+        self.input(value.shape(), |t| t.data_mut().copy_from_slice(value.data()))
     }
 
-    /// Convenience: rank-1 constant from a slice.
-    pub fn constant_slice(&mut self, v: &[f64]) -> VarId {
-        self.constant(Tensor::from_slice(v))
-    }
-
-    /// Convenience: `[1]`-shaped scalar constant.
-    pub fn scalar(&mut self, v: f64) -> VarId {
-        self.constant(Tensor::scalar(v))
-    }
-
-    /// Binds a parameter from the store as a leaf, recording the association so
-    /// [`Graph::param_grads`] can route its gradient back after `backward`.
-    /// Binding shares the store's tensor (`Arc` clone) — no data is copied,
-    /// no matter how large the parameter or how often it is bound.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> VarId {
-        debug_assert!(
-            store.value(id).all_finite(),
-            "non-finite parameter `{}` entered the tape",
-            store.name(id)
-        );
-        let v = self.nodes.len();
-        self.nodes.push(Node {
-            value: NodeValue::Param(Arc::clone(store.value_arc(id))),
-            parents: vec![],
-            backward: None,
-        });
-        self.param_binds.push((v, id));
+    /// Passes a new var through, checking in debug builds that its value is
+    /// finite, as every value on the tape must be.
+    fn checked(&self, v: VarId) -> VarId {
+        debug_assert!(self.eval.value(v).all_finite(), "non-finite value entered the tape");
         v
     }
 
-    /// Value of a node.
-    pub fn value(&self, id: VarId) -> &Tensor {
-        self.nodes[id].value.get()
+    /// Computes an op's value with `Eval`'s body and records it.
+    fn op(
+        &mut self,
+        op: Op,
+        inputs: impl IntoIterator<Item = VarId>,
+        value: impl FnOnce(&mut Eval) -> VarId,
+    ) -> VarId {
+        let out = value(&mut self.eval);
+        let start = self.inputs.len();
+        self.inputs.extend(inputs);
+        self.records.push(Record { op, inputs: start..self.inputs.len(), out });
+        self.checked(out)
     }
 
-    /// Shape of a node's value.
-    pub(crate) fn shape(&self, id: VarId) -> &[usize] {
-        self.nodes[id].value.get().shape()
+    /// Reverse pass from a `[1]`-shaped loss node. Returns all accumulated
+    /// gradients; leaves keep theirs so parameters and constants can be inspected.
+    pub fn backward(&self, loss: VarId) -> Gradients {
+        assert_eq!(self.value(loss).shape(), &[1], "loss must be a [1] scalar");
+        let mut grads: Vec<Option<Tensor>> = (0..self.eval.vars()).map(|_| None).collect();
+        grads[loss] = Some(Tensor::scalar(1.0));
+        for rec in self.records.iter().rev().skip_while(|r| r.out > loss) {
+            let Some(g) = grads[rec.out].take() else { continue };
+            let mut put = |p: VarId, pg: Tensor| {
+                debug_assert_eq!(pg.shape(), self.value(p).shape(), "gradient shape mismatch");
+                match &mut grads[p] {
+                    Some(acc) => acc.add_assign(&pg),
+                    slot => *slot = Some(pg),
+                }
+            };
+            self.backward_op(rec, &g, &mut put);
+        }
+        Gradients { grads }
     }
 
-    // ==================================================================
-    // Arithmetic
-    // ==================================================================
-
-    /// Elementwise `a + b` (same shape).
-    pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a].value.get().zip_map(self.nodes[b].value.get(), |x, y| x + y);
-        self.push(v, vec![a, b], Some(Box::new(|g, _| vec![g.clone(), g.clone()])))
-    }
-
-    /// Elementwise `a - b` (same shape).
-    pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a].value.get().zip_map(self.nodes[b].value.get(), |x, y| x - y);
-        self.push(v, vec![a, b], Some(Box::new(|g, _| vec![g.clone(), g.map(|x| -x)])))
-    }
-
-    /// Elementwise `a * b` (same shape).
-    pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a].value.get().zip_map(self.nodes[b].value.get(), |x, y| x * y);
-        self.push(
-            v,
-            vec![a, b],
-            Some(Box::new(|g, p| {
-                vec![g.zip_map(p[1], |gi, bi| gi * bi), g.zip_map(p[0], |gi, ai| gi * ai)]
-            })),
-        )
-    }
-
-    /// Elementwise `a / b` (same shape). The caller is responsible for keeping `b`
-    /// away from zero (use [`Graph::add_scalar`] for an epsilon).
-    pub fn div(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a].value.get().zip_map(self.nodes[b].value.get(), |x, y| x / y);
-        self.push(
-            v,
-            vec![a, b],
-            Some(Box::new(|g, p| {
-                let da = g.zip_map(p[1], |gi, bi| gi / bi);
-                let mut db = g.zip_map(p[0], |gi, ai| gi * ai);
-                for (d, &bi) in db.data_mut().iter_mut().zip(p[1].data()) {
+    /// One op's gradient rule: hands `put` each input's gradient contribution,
+    /// in input order, given the gradient `g` flowing into the op's output.
+    fn backward_op(&self, rec: &Record, g: &Tensor, put: &mut impl FnMut(VarId, Tensor)) {
+        let ins = &self.inputs[rec.inputs.clone()];
+        let a = ins[0];
+        let (x, y) = (self.value(a), self.value(rec.out));
+        match rec.op {
+            Op::Add => {
+                put(a, g.clone());
+                put(ins[1], g.clone());
+            }
+            Op::Sub => {
+                put(a, g.clone());
+                put(ins[1], g.map(|x| -x));
+            }
+            Op::Mul => {
+                put(a, g.zip_map(self.value(ins[1]), |gi, bi| gi * bi));
+                put(ins[1], g.zip_map(x, |gi, ai| gi * ai));
+            }
+            Op::Div => {
+                let b = self.value(ins[1]);
+                put(a, g.zip_map(b, |gi, bi| gi / bi));
+                let mut db = g.zip_map(x, |gi, ai| gi * ai);
+                for (d, &bi) in db.data_mut().iter_mut().zip(b.data()) {
                     *d = -*d / (bi * bi);
                 }
-                vec![da, db]
-            })),
-        )
-    }
-
-    /// `a * c` for a compile-time scalar `c`.
-    pub fn scale(&mut self, a: VarId, c: f64) -> VarId {
-        let v = self.nodes[a].value.get().map(|x| x * c);
-        self.push(v, vec![a], Some(Box::new(move |g, _| vec![g.map(|x| x * c)])))
-    }
-
-    /// `a + c` for a compile-time scalar `c`.
-    pub fn add_scalar(&mut self, a: VarId, c: f64) -> VarId {
-        let v = self.nodes[a].value.get().map(|x| x + c);
-        self.push(v, vec![a], Some(Box::new(|g, _| vec![g.clone()])))
-    }
-
-    /// Elementwise negation.
-    pub fn neg(&mut self, a: VarId) -> VarId {
-        self.scale(a, -1.0)
-    }
-
-    /// Broadcast add of a row vector: `a[m,n] + v[n]`.
-    pub fn add_rowvec(&mut self, a: VarId, v: VarId) -> VarId {
-        let (m, n) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
-        assert_eq!(self.nodes[v].value.get().shape(), &[n], "add_rowvec dim mismatch");
-        let mut out = self.nodes[a].value.get().clone();
-        let vv = self.nodes[v].value.get().data().to_vec();
-        for i in 0..m {
-            for (o, &b) in out.row_mut(i).iter_mut().zip(&vv) {
-                *o += b;
+                put(ins[1], db);
             }
-        }
-        self.push(
-            out,
-            vec![a, v],
-            Some(Box::new(move |g, _| {
+            Op::Scale(c) => put(a, g.map(|x| x * c)),
+            Op::AddScalar => put(a, g.clone()),
+            Op::AddRowvec | Op::SubRowvec => {
+                let n = x.cols();
                 let mut gv = vec![0.0; n];
-                for i in 0..m {
+                for i in 0..x.rows() {
                     for (s, &gi) in gv.iter_mut().zip(g.row(i)) {
                         *s += gi;
                     }
                 }
-                vec![g.clone(), Tensor::from_vec(vec![n], gv)]
-            })),
-        )
-    }
-
-    /// Broadcast subtract of a row vector: `a[m,n] - v[n]`.
-    pub fn sub_rowvec(&mut self, a: VarId, v: VarId) -> VarId {
-        let nv = self.neg(v);
-        self.add_rowvec(a, nv)
-    }
-
-    // ==================================================================
-    // Linear algebra
-    // ==================================================================
-
-    /// Matrix product `a[m,k] · b[k,n]`.
-    pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = la::matmul(self.nodes[a].value.get(), self.nodes[b].value.get());
-        self.push(
-            v,
-            vec![a, b],
-            Some(Box::new(|g, p| vec![la::matmul_nt(g, p[1]), la::matmul_tn(p[0], g)])),
-        )
-    }
-
-    /// `a[m,k] · b[bands]`: row `i` is row `i` of `a` times the `k` rows of
-    /// `b[·,n]` from `starts[i]`, one GEMM per run of rows that share a band.
-    /// Rows of `b` outside every band get zero gradient.
-    pub fn matmul_rows(&mut self, a: VarId, b: VarId, starts: &[usize]) -> VarId {
-        let (m, k) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
-        let (b_rows, n) = (self.nodes[b].value.get().rows(), self.nodes[b].value.get().cols());
-        assert_eq!(starts.len(), m, "matmul_rows needs one band start per row");
-        assert!(starts.iter().all(|&s| s + k <= b_rows), "matmul_rows band past {b_rows} rows");
-        let starts = starts.to_vec();
-        let mut v = Tensor::zeros(&[m, n]);
-        let (av, bv) = (self.nodes[a].value.get().data(), self.nodes[b].value.get().data());
-        for (rows, s) in crate::vops::bands(&starts) {
-            let c = &mut v.data_mut()[rows.start * n..rows.end * n];
-            let a_rows = &av[rows.start * k..rows.end * k];
-            mvi_kernels::matmul(rows.len(), k, n, a_rows, &bv[s * n..(s + k) * n], c);
-        }
-        self.push(
-            v,
-            vec![a, b],
-            Some(Box::new(move |g, p| {
-                let (mut da, mut db) = (Tensor::zeros(p[0].shape()), Tensor::zeros(p[1].shape()));
-                for (rows, s) in crate::vops::bands(&starts) {
+                put(a, g.clone());
+                let gv = Tensor::from_vec(vec![n], gv);
+                put(ins[1], if matches!(rec.op, Op::SubRowvec) { gv.map(|x| -x) } else { gv });
+            }
+            Op::Matmul => {
+                let b = self.value(ins[1]);
+                put(a, la::matmul_nt(g, b));
+                put(ins[1], la::matmul_tn(x, g));
+            }
+            Op::MatmulRows(ref starts) => {
+                let b = self.value(ins[1]);
+                let (k, n) = (x.cols(), b.cols());
+                let (mut da, mut db) = (Tensor::zeros(x.shape()), Tensor::zeros(b.shape()));
+                for (rows, s) in vops::bands(&self.idx[starts.clone()]) {
                     let g_rows = &g.data()[rows.start * n..rows.end * n];
-                    let band = &p[1].data()[s * n..(s + k) * n];
+                    let band = &b.data()[s * n..(s + k) * n];
                     let da_rows = &mut da.data_mut()[rows.start * k..rows.end * k];
                     mvi_kernels::matmul_nt(rows.len(), n, k, g_rows, band, da_rows);
-                    let a_rows = &p[0].data()[rows.start * k..rows.end * k];
+                    let a_rows = &x.data()[rows.start * k..rows.end * k];
                     let db_band = &mut db.data_mut()[s * n..(s + k) * n];
                     mvi_kernels::matmul_tn(rows.len(), k, n, a_rows, g_rows, db_band);
                 }
-                vec![da, db]
-            })),
-        )
-    }
-
-    /// `a[m,k]` against per-row keys, `(part, row)` pairs into `keys`
-    /// ([`crate::eval::Evaluator::matmul_nt_rows`]), yielding `[m, c]`. Key
-    /// rows no output reads get zero gradient.
-    pub fn matmul_nt_rows(&mut self, a: VarId, keys: &[VarId], rows: &[(usize, usize)]) -> VarId {
-        let (m, k) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
-        for &key in keys {
-            assert_eq!(self.nodes[key].value.get().cols(), k, "matmul_nt_rows inner dims");
-        }
-        assert!(
-            rows.iter().all(|&(part, r)| r < self.nodes[keys[part]].value.get().rows()),
-            "matmul_nt_rows key row out of range"
-        );
-        let c = rows.len() / m.max(1);
-        let mut v = Tensor::zeros(&[m, c]);
-        let part = |j: usize| self.nodes[keys[j]].value.get().data();
-        let av = self.nodes[a].value.get().data();
-        let (mut seg, mut pack) = (Vec::new(), Vec::new());
-        crate::vops::matmul_nt_keyed_into(m, k, av, part, rows, v.data_mut(), &mut seg, &mut pack);
-        let rows = rows.to_vec();
-        let mut inputs = vec![a];
-        inputs.extend_from_slice(keys);
-        self.push(
-            v,
-            inputs,
-            Some(Box::new(move |g, p| {
-                let mut grads: Vec<Tensor> = p.iter().map(|t| Tensor::zeros(t.shape())).collect();
+                put(a, da);
+                put(ins[1], db);
+            }
+            Op::MatmulNtRows(ref rows) => {
+                let (m, k, c) = (x.rows(), x.cols(), y.cols());
+                let mut grads: Vec<Tensor> =
+                    ins.iter().map(|&p| Tensor::zeros(self.value(p).shape())).collect();
                 let (da, dkeys) = grads.split_first_mut().expect("a has a gradient");
                 let mut g_seg = Vec::new();
-                for b in crate::vops::key_blocks(&rows, m) {
+                for b in vops::key_blocks(&self.pairs[rows.clone()], m) {
                     let (nr, w) = (b.rows.len(), b.cols.len());
                     // This block's columns of the incoming gradient, [nr, w].
                     let g_rows = &g.data()[b.rows.start * c..b.rows.end * c];
@@ -308,398 +243,121 @@ impl Graph {
                             .for_each(|r| g_seg.extend_from_slice(&r[b.cols.clone()]));
                         &g_seg[..]
                     };
-                    let key_rows = &p[1 + b.part].data()[b.first * k..(b.first + w) * k];
+                    let key_rows =
+                        &self.value(ins[1 + b.part]).data()[b.first * k..(b.first + w) * k];
                     let da_rows = &mut da.data_mut()[b.rows.start * k..b.rows.end * k];
                     mvi_kernels::matmul(nr, w, k, g_blk, key_rows, da_rows);
-                    let a_rows = &p[0].data()[b.rows.start * k..b.rows.end * k];
+                    let a_rows = &x.data()[b.rows.start * k..b.rows.end * k];
                     let dkey_rows = &mut dkeys[b.part].data_mut()[b.first * k..(b.first + w) * k];
                     mvi_kernels::matmul_tn(nr, w, k, g_blk, a_rows, dkey_rows);
                 }
-                grads
-            })),
-        )
-    }
-
-    /// Transpose of a rank-2 value.
-    pub fn transpose(&mut self, a: VarId) -> VarId {
-        let v = la::transpose(self.nodes[a].value.get());
-        self.push(v, vec![a], Some(Box::new(|g, _| vec![la::transpose(g)])))
-    }
-
-    /// Dot product of two rank-1 values, yielding a `[1]` scalar.
-    pub fn dot(&mut self, a: VarId, b: VarId) -> VarId {
-        assert_eq!(
-            self.nodes[a].value.get().shape(),
-            self.nodes[b].value.get().shape(),
-            "dot shape"
-        );
-        let v: f64 = la::dot(self.nodes[a].value.get().data(), self.nodes[b].value.get().data());
-        self.push(
-            Tensor::scalar(v),
-            vec![a, b],
-            Some(Box::new(|g, p| {
+                for (&p, pg) in ins.iter().zip(grads) {
+                    put(p, pg);
+                }
+            }
+            Op::Transpose => put(a, la::transpose(g)),
+            Op::Dot => {
                 let gs = g.at(0);
-                vec![p[1].map(|x| gs * x), p[0].map(|x| gs * x)]
-            })),
-        )
-    }
-
-    // ==================================================================
-    // Nonlinearities
-    // ==================================================================
-
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a].value.get().map(|x| x.max(0.0));
-        self.push(
-            v,
-            vec![a],
-            Some(Box::new(|g, p| vec![g.zip_map(p[0], |gi, xi| if xi > 0.0 { gi } else { 0.0 })])),
-        )
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a].value.get().map(|x| 1.0 / (1.0 + (-x).exp()));
-        let saved = v.clone();
-        self.push(
-            v,
-            vec![a],
-            Some(Box::new(move |g, _| vec![g.zip_map(&saved, |gi, si| gi * si * (1.0 - si))])),
-        )
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a].value.get().map(f64::tanh);
-        let saved = v.clone();
-        self.push(
-            v,
-            vec![a],
-            Some(Box::new(move |g, _| vec![g.zip_map(&saved, |gi, ti| gi * (1.0 - ti * ti))])),
-        )
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a].value.get().map(f64::exp);
-        let saved = v.clone();
-        self.push(v, vec![a], Some(Box::new(move |g, _| vec![g.zip_map(&saved, |gi, ei| gi * ei)])))
-    }
-
-    /// Elementwise square.
-    pub fn square(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a].value.get().map(|x| x * x);
-        self.push(v, vec![a], Some(Box::new(|g, p| vec![g.zip_map(p[0], |gi, xi| 2.0 * gi * xi)])))
-    }
-
-    // ==================================================================
-    // Reductions
-    // ==================================================================
-
-    /// Sum of all elements, `[1]`-shaped.
-    pub fn sum(&mut self, a: VarId) -> VarId {
-        let shape = self.nodes[a].value.get().shape().to_vec();
-        let v = self.nodes[a].value.get().sum();
-        self.push(
-            Tensor::scalar(v),
-            vec![a],
-            Some(Box::new(move |g, _| vec![Tensor::full(&shape, g.at(0))])),
-        )
-    }
-
-    /// Mean of all elements, `[1]`-shaped.
-    pub fn mean(&mut self, a: VarId) -> VarId {
-        let n = self.nodes[a].value.get().len().max(1) as f64;
-        let s = self.sum(a);
-        self.scale(s, 1.0 / n)
-    }
-
-    /// Row sums of `a[m,n]`, yielding `[m]`.
-    pub fn sum_axis1(&mut self, a: VarId) -> VarId {
-        let (m, n) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
-        let mut out = vec![0.0; m];
-        for i in 0..m {
-            out[i] = self.nodes[a].value.get().row(i).iter().sum();
-        }
-        self.push(
-            Tensor::from_vec(vec![m], out),
-            vec![a],
-            Some(Box::new(move |g, _| {
-                let mut da = Tensor::zeros(&[m, n]);
-                for i in 0..m {
+                put(a, self.value(ins[1]).map(|x| gs * x));
+                put(ins[1], x.map(|x| gs * x));
+            }
+            Op::Relu => put(a, g.zip_map(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 })),
+            Op::Sigmoid => put(a, g.zip_map(y, |gi, si| gi * si * (1.0 - si))),
+            Op::Tanh => put(a, g.zip_map(y, |gi, ti| gi * (1.0 - ti * ti))),
+            Op::Exp => put(a, g.zip_map(y, |gi, ei| gi * ei)),
+            Op::Square => put(a, g.zip_map(x, |gi, xi| 2.0 * gi * xi)),
+            Op::Sum => put(a, Tensor::full(x.shape(), g.at(0))),
+            Op::SumAxis1 => {
+                let mut da = Tensor::zeros(x.shape());
+                for i in 0..x.rows() {
                     let gi = g.at(i);
                     for d in da.row_mut(i) {
                         *d = gi;
                     }
                 }
-                vec![da]
-            })),
-        )
-    }
-
-    // ==================================================================
-    // Structure: concat / slicing / gather / shifting / reshape
-    // ==================================================================
-
-    /// Concatenates rank-1 values into one rank-1 value.
-    pub fn concat1d(&mut self, parts: &[VarId]) -> VarId {
-        assert!(!parts.is_empty(), "concat1d of nothing");
-        let mut data = Vec::new();
-        let mut lens = Vec::with_capacity(parts.len());
-        for &p in parts {
-            let v = self.nodes[p].value.get();
-            assert_eq!(v.ndim(), 1, "concat1d needs rank-1 parts");
-            lens.push(v.len());
-            data.extend_from_slice(v.data());
-        }
-        let total = data.len();
-        self.push(
-            Tensor::from_vec(vec![total], data),
-            parts.to_vec(),
-            Some(Box::new(move |g, _| {
-                let mut out = Vec::with_capacity(lens.len());
+                put(a, da);
+            }
+            Op::Concat1d => {
                 let mut off = 0;
-                for &l in &lens {
-                    out.push(Tensor::from_slice(&g.data()[off..off + l]));
+                for &p in ins {
+                    let l = self.value(p).len();
+                    put(p, Tensor::from_slice(&g.data()[off..off + l]));
                     off += l;
                 }
-                out
-            })),
-        )
-    }
-
-    /// Concatenates rank-2 values with equal row counts along the column axis.
-    pub fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
-        assert!(!parts.is_empty(), "concat_cols of nothing");
-        let m = self.nodes[parts[0]].value.get().rows();
-        let widths: Vec<usize> = parts
-            .iter()
-            .map(|&p| {
-                assert_eq!(self.nodes[p].value.get().rows(), m, "concat_cols row mismatch");
-                self.nodes[p].value.get().cols()
-            })
-            .collect();
-        let total: usize = widths.iter().sum();
-        let mut out = Tensor::zeros(&[m, total]);
-        for i in 0..m {
-            let orow = out.row_mut(i);
-            let mut off = 0;
-            for (&p, &w) in parts.iter().zip(&widths) {
-                orow[off..off + w].copy_from_slice(self.nodes[p].value.get().row(i));
-                off += w;
             }
-        }
-        self.push(
-            out,
-            parts.to_vec(),
-            Some(Box::new(move |g, _| {
+            Op::ConcatCols => {
+                let m = y.rows();
                 let mut outs: Vec<Tensor> =
-                    widths.iter().map(|&w| Tensor::zeros(&[m, w])).collect();
+                    ins.iter().map(|&p| Tensor::zeros(&[m, self.value(p).cols()])).collect();
                 for i in 0..m {
                     let grow = g.row(i);
                     let mut off = 0;
-                    for (t, &w) in outs.iter_mut().zip(&widths) {
+                    for t in &mut outs {
+                        let w = t.cols();
                         t.row_mut(i).copy_from_slice(&grow[off..off + w]);
                         off += w;
                     }
                 }
-                outs
-            })),
-        )
-    }
-
-    /// Row `i` of a rank-2 value, as a rank-1 value.
-    pub fn row(&mut self, a: VarId, i: usize) -> VarId {
-        let (m, n) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
-        assert!(i < m, "row {i} out of {m}");
-        let v = Tensor::from_slice(self.nodes[a].value.get().row(i));
-        self.push(
-            v,
-            vec![a],
-            Some(Box::new(move |g, _| {
-                let mut da = Tensor::zeros(&[m, n]);
+                for (&p, pg) in ins.iter().zip(outs) {
+                    put(p, pg);
+                }
+            }
+            Op::Row(i) => {
+                let mut da = Tensor::zeros(x.shape());
                 da.row_mut(i).copy_from_slice(g.data());
-                vec![da]
-            })),
-        )
-    }
-
-    /// Element `i` of a rank-1 value, as a `[1]` scalar.
-    pub fn index1d(&mut self, a: VarId, i: usize) -> VarId {
-        let n = self.nodes[a].value.get().len();
-        assert!(i < n, "index {i} out of {n}");
-        let v = Tensor::scalar(self.nodes[a].value.get().at(i));
-        self.push(
-            v,
-            vec![a],
-            Some(Box::new(move |g, _| {
-                let mut da = Tensor::zeros(&[n]);
+                put(a, da);
+            }
+            Op::Index1d(i) => {
+                let mut da = Tensor::zeros(x.shape());
                 da.data_mut()[i] = g.at(0);
-                vec![da]
-            })),
-        )
-    }
-
-    /// Gathers rows of `table[v,d]` by index, yielding `[idx.len(), d]`. Backward
-    /// scatter-adds, which makes this the embedding-lookup primitive.
-    pub fn gather_rows(&mut self, table: VarId, idx: &[usize]) -> VarId {
-        let (vocab, d) =
-            (self.nodes[table].value.get().rows(), self.nodes[table].value.get().cols());
-        let mut out = Tensor::zeros(&[idx.len(), d]);
-        for (r, &i) in idx.iter().enumerate() {
-            assert!(i < vocab, "gather index {i} out of vocabulary {vocab}");
-            out.row_mut(r).copy_from_slice(self.nodes[table].value.get().row(i));
-        }
-        let idx = idx.to_vec();
-        self.push(
-            out,
-            vec![table],
-            Some(Box::new(move |g, _| {
-                let mut dt = Tensor::zeros(&[vocab, d]);
-                for (r, &i) in idx.iter().enumerate() {
+                put(a, da);
+            }
+            Op::GatherRows(ref idx) => {
+                let mut dt = Tensor::zeros(x.shape());
+                for (r, &i) in self.idx[idx.clone()].iter().enumerate() {
                     for (acc, &gv) in dt.row_mut(i).iter_mut().zip(g.row(r)) {
                         *acc += gv;
                     }
                 }
-                vec![dt]
-            })),
-        )
-    }
-
-    /// Stacks rows of rank-2 values with equal column counts: output row `r`
-    /// is row `idx[r].1` of `parts[idx[r].0]`. Backward scatter-adds into
-    /// each part.
-    pub fn stack_rows(&mut self, parts: &[VarId], idx: &[(usize, usize)]) -> VarId {
-        assert!(!parts.is_empty(), "stack_rows of nothing");
-        let d = self.nodes[parts[0]].value.get().cols();
-        let mut out = Tensor::zeros(&[idx.len(), d]);
-        for (r, &(part, i)) in idx.iter().enumerate() {
-            let src = self.nodes[parts[part]].value.get();
-            assert_eq!(src.cols(), d, "stack_rows column mismatch");
-            out.row_mut(r).copy_from_slice(src.row(i));
-        }
-        let idx = idx.to_vec();
-        self.push(
-            out,
-            parts.to_vec(),
-            Some(Box::new(move |g, p| {
-                let mut dp: Vec<Tensor> = p.iter().map(|t| Tensor::zeros(t.shape())).collect();
-                for (r, &(part, i)) in idx.iter().enumerate() {
+                put(a, dt);
+            }
+            Op::StackRows(ref idx) => {
+                let mut dp: Vec<Tensor> =
+                    ins.iter().map(|&p| Tensor::zeros(self.value(p).shape())).collect();
+                for (r, &(part, i)) in self.pairs[idx.clone()].iter().enumerate() {
                     for (acc, &gv) in dp[part].row_mut(i).iter_mut().zip(g.row(r)) {
                         *acc += gv;
                     }
                 }
-                dp
-            })),
-        )
-    }
-
-    /// Shifts the rows of `a[m,n]` by `offset` (positive = down), zero-filling.
-    ///
-    /// `shift_rows(Y, 1)` yields `Y_{j-1}` at row `j` — the "left window" of Eq 8;
-    /// `shift_rows(Y, -1)` yields `Y_{j+1}` — the "right window".
-    pub fn shift_rows(&mut self, a: VarId, offset: i64) -> VarId {
-        let (m, n) = (self.nodes[a].value.get().rows(), self.nodes[a].value.get().cols());
-        let mut out = Tensor::zeros(&[m, n]);
-        crate::vops::shift_rows_into(self.nodes[a].value.get(), offset, &mut out);
-        self.push(
-            out,
-            vec![a],
-            Some(Box::new(move |g, _| {
-                let mut da = Tensor::zeros(&[m, n]);
-                for j in 0..m as i64 {
+                for (&p, pg) in ins.iter().zip(dp) {
+                    put(p, pg);
+                }
+            }
+            Op::ShiftRows(offset) => {
+                let m = x.rows() as i64;
+                let mut da = Tensor::zeros(x.shape());
+                for j in 0..m {
                     let src = j - offset;
-                    if src >= 0 && src < m as i64 {
+                    if src >= 0 && src < m {
                         da.row_mut(src as usize).copy_from_slice(g.row(j as usize));
                     }
                 }
-                vec![da]
-            })),
-        )
-    }
-
-    /// Reinterprets the value under a new shape (same volume).
-    pub fn reshape(&mut self, a: VarId, new_shape: &[usize]) -> VarId {
-        let old_shape = self.nodes[a].value.get().shape().to_vec();
-        let v = self.nodes[a].value.get().clone().reshape(new_shape);
-        self.push(v, vec![a], Some(Box::new(move |g, _| vec![g.clone().reshape(&old_shape)])))
-    }
-
-    // ==================================================================
-    // Attention & losses
-    // ==================================================================
-
-    /// Row-wise softmax over `scores[m,n]` with entries where `mask` is `false`
-    /// excluded (their output weight is exactly zero). Rows whose mask is entirely
-    /// `false` produce an all-zero row (and propagate zero gradient), which encodes
-    /// "no available key window" (Eq 9).
-    pub fn masked_softmax_rows(&mut self, scores: VarId, mask: &Mask) -> VarId {
-        let (m, n) = (self.nodes[scores].value.get().rows(), self.nodes[scores].value.get().cols());
-        let mut out = Tensor::zeros(&[m, n]);
-        // Shared with the value-only evaluator so the two backends cannot
-        // drift (see `crate::vops`).
-        crate::vops::masked_softmax_rows_into(self.nodes[scores].value.get(), mask, &mut out);
-        let saved = out.clone();
-        self.push(
-            out,
-            vec![scores],
-            Some(Box::new(move |g, _| {
+                put(a, da);
+            }
+            Op::Reshape => put(a, g.clone().reshape(x.shape())),
+            Op::MaskedSoftmaxRows => {
                 // d s_j = y_j (g_j - Σ_k g_k y_k) per row; masked entries have y = 0.
-                let mut ds = Tensor::zeros(&[m, n]);
-                for i in 0..m {
-                    let yrow = saved.row(i);
-                    let grow = g.row(i);
+                let mut ds = Tensor::zeros(y.shape());
+                for i in 0..y.rows() {
+                    let (yrow, grow) = (y.row(i), g.row(i));
                     let inner: f64 = yrow.iter().zip(grow).map(|(&y, &gv)| y * gv).sum();
                     for (j, d) in ds.row_mut(i).iter_mut().enumerate() {
                         *d = yrow[j] * (grow[j] - inner);
                     }
                 }
-                vec![ds]
-            })),
-        )
-    }
-
-    /// Mean squared error between a prediction and a constant target, `[1]`-shaped.
-    pub fn mse(&mut self, pred: VarId, target: &Tensor) -> VarId {
-        let t = self.constant(target.clone());
-        let d = self.sub(pred, t);
-        let sq = self.square(d);
-        self.mean(sq)
-    }
-
-    // ==================================================================
-    // Backward
-    // ==================================================================
-
-    /// Reverse pass from a `[1]`-shaped loss node. Returns all accumulated
-    /// gradients; leaves keep theirs so parameters and constants can be inspected.
-    pub fn backward(&self, loss: VarId) -> Gradients {
-        assert_eq!(self.nodes[loss].value.get().shape(), &[1], "loss must be a [1] scalar");
-        let n = self.nodes.len();
-        let mut grads: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-        grads[loss] = Some(Tensor::scalar(1.0));
-        for id in (0..=loss).rev() {
-            let node = &self.nodes[id];
-            let Some(backward) = node.backward.as_ref() else { continue };
-            let Some(g) = grads[id].take() else { continue };
-            let parent_vals: Vec<&Tensor> =
-                node.parents.iter().map(|&p| self.nodes[p].value.get()).collect();
-            let pgrads = backward(&g, &parent_vals);
-            debug_assert_eq!(pgrads.len(), node.parents.len());
-            for (&p, pg) in node.parents.iter().zip(pgrads) {
-                debug_assert_eq!(
-                    pg.shape(),
-                    self.nodes[p].value.get().shape(),
-                    "gradient shape mismatch"
-                );
-                match &mut grads[p] {
-                    Some(acc) => acc.add_assign(&pg),
-                    slot => *slot = Some(pg),
-                }
+                put(a, ds);
             }
         }
-        Gradients { grads }
     }
 
     /// Extracts the gradients of all bound parameters as `(ParamId, grad)` pairs.
@@ -711,131 +369,171 @@ impl Graph {
             .filter_map(|&(vid, pid)| grads.get(vid).map(|g| (pid, g.clone())))
             .collect()
     }
+
+    /// The recorded ops, in issue order.
+    #[cfg(test)]
+    pub(crate) fn ops(&self) -> impl Iterator<Item = &Op> {
+        self.records.iter().map(|r| &r.op)
+    }
 }
 
-/// The tape is one of the two forward backends (the recording one): model
-/// forward code written against [`crate::eval::Evaluator`] runs on the tape
-/// during training — gaining a backward pass — and on [`crate::eval::Eval`]
-/// during inference, with bitwise-identical values.
-impl crate::eval::Evaluator for Graph {
+/// The recording backend: each op's value comes from `Eval`'s body, and the
+/// composites (`affine`, `affine_vec`, `rbf_similarities`, `neg`, `mean`,
+/// `mse`) keep the trait's default op chains, whose records backward needs.
+impl Evaluator for Graph {
     type Var = VarId;
 
+    /// Binds a parameter from the store as a leaf (an `Arc` share, no copy),
+    /// recording the association so [`Graph::param_grads`] can route its
+    /// gradient back after `backward`.
     fn param(&mut self, store: &ParamStore, id: ParamId) -> VarId {
-        Graph::param(self, store, id)
+        let v = self.eval.param(store, id);
+        self.param_binds.push((v, id));
+        v
     }
 
     fn input(&mut self, shape: &[usize], fill: impl FnOnce(&mut Tensor)) -> VarId {
-        let mut t = Tensor::zeros(shape);
-        fill(&mut t);
-        Graph::constant(self, t)
+        let v = self.eval.input(shape, fill);
+        self.checked(v)
     }
 
     fn scalar(&mut self, v: f64) -> VarId {
-        Graph::scalar(self, v)
+        let v = self.eval.scalar(v);
+        self.checked(v)
     }
 
     fn constant_slice(&mut self, v: &[f64]) -> VarId {
-        Graph::constant_slice(self, v)
+        let v = self.eval.constant_slice(v);
+        self.checked(v)
     }
 
     fn value(&self, v: VarId) -> &Tensor {
-        Graph::value(self, v)
+        self.eval.value(v)
     }
 
     fn shape(&self, v: VarId) -> &[usize] {
-        Graph::shape(self, v)
+        self.eval.shape(v)
     }
 
     fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        Graph::add(self, a, b)
+        self.op(Op::Add, [a, b], |e| e.add(a, b))
+    }
+
+    fn sub(&mut self, a: VarId, b: VarId) -> VarId {
+        self.op(Op::Sub, [a, b], |e| e.sub(a, b))
+    }
+
+    fn mul(&mut self, a: VarId, b: VarId) -> VarId {
+        self.op(Op::Mul, [a, b], |e| e.mul(a, b))
     }
 
     fn div(&mut self, a: VarId, b: VarId) -> VarId {
-        Graph::div(self, a, b)
+        self.op(Op::Div, [a, b], |e| e.div(a, b))
     }
 
     fn scale(&mut self, a: VarId, c: f64) -> VarId {
-        Graph::scale(self, a, c)
+        self.op(Op::Scale(c), [a], |e| e.scale(a, c))
     }
 
     fn add_scalar(&mut self, a: VarId, c: f64) -> VarId {
-        Graph::add_scalar(self, a, c)
+        self.op(Op::AddScalar, [a], |e| e.add_scalar(a, c))
     }
 
     fn add_rowvec(&mut self, a: VarId, v: VarId) -> VarId {
-        Graph::add_rowvec(self, a, v)
+        self.op(Op::AddRowvec, [a, v], |e| e.add_rowvec(a, v))
     }
 
     fn sub_rowvec(&mut self, a: VarId, v: VarId) -> VarId {
-        Graph::sub_rowvec(self, a, v)
+        self.op(Op::SubRowvec, [a, v], |e| e.sub_rowvec(a, v))
     }
 
     fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        Graph::matmul(self, a, b)
+        self.op(Op::Matmul, [a, b], |e| e.matmul(a, b))
     }
 
     fn matmul_rows(&mut self, a: VarId, b: VarId, starts: &[usize]) -> VarId {
-        Graph::matmul_rows(self, a, b, starts)
+        let at = stash(&mut self.idx, starts);
+        self.op(Op::MatmulRows(at), [a, b], |e| e.matmul_rows(a, b, starts))
     }
 
     fn matmul_nt_rows(&mut self, a: VarId, keys: &[VarId], rows: &[(usize, usize)]) -> VarId {
-        Graph::matmul_nt_rows(self, a, keys, rows)
+        let at = stash(&mut self.pairs, rows);
+        let inputs = std::iter::once(a).chain(keys.iter().copied());
+        self.op(Op::MatmulNtRows(at), inputs, |e| e.matmul_nt_rows(a, keys, rows))
+    }
+
+    fn transpose(&mut self, a: VarId) -> VarId {
+        self.op(Op::Transpose, [a], |e| e.transpose(a))
     }
 
     fn dot(&mut self, a: VarId, b: VarId) -> VarId {
-        Graph::dot(self, a, b)
+        self.op(Op::Dot, [a, b], |e| e.dot(a, b))
     }
 
     fn relu(&mut self, a: VarId) -> VarId {
-        Graph::relu(self, a)
+        self.op(Op::Relu, [a], |e| e.relu(a))
+    }
+
+    fn sigmoid(&mut self, a: VarId) -> VarId {
+        self.op(Op::Sigmoid, [a], |e| e.sigmoid(a))
+    }
+
+    fn tanh(&mut self, a: VarId) -> VarId {
+        self.op(Op::Tanh, [a], |e| e.tanh(a))
     }
 
     fn exp(&mut self, a: VarId) -> VarId {
-        Graph::exp(self, a)
+        self.op(Op::Exp, [a], |e| e.exp(a))
     }
 
     fn square(&mut self, a: VarId) -> VarId {
-        Graph::square(self, a)
+        self.op(Op::Square, [a], |e| e.square(a))
     }
 
     fn sum(&mut self, a: VarId) -> VarId {
-        Graph::sum(self, a)
+        self.op(Op::Sum, [a], |e| e.sum(a))
     }
 
     fn sum_axis1(&mut self, a: VarId) -> VarId {
-        Graph::sum_axis1(self, a)
+        self.op(Op::SumAxis1, [a], |e| e.sum_axis1(a))
     }
 
     fn concat1d(&mut self, parts: &[VarId]) -> VarId {
-        Graph::concat1d(self, parts)
+        self.op(Op::Concat1d, parts.iter().copied(), |e| e.concat1d(parts))
     }
 
     fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
-        Graph::concat_cols(self, parts)
+        self.op(Op::ConcatCols, parts.iter().copied(), |e| e.concat_cols(parts))
     }
 
     fn row(&mut self, a: VarId, i: usize) -> VarId {
-        Graph::row(self, a, i)
+        self.op(Op::Row(i), [a], |e| e.row(a, i))
+    }
+
+    fn index1d(&mut self, a: VarId, i: usize) -> VarId {
+        self.op(Op::Index1d(i), [a], |e| e.index1d(a, i))
     }
 
     fn gather_rows(&mut self, table: VarId, idx: &[usize]) -> VarId {
-        Graph::gather_rows(self, table, idx)
+        let at = stash(&mut self.idx, idx);
+        self.op(Op::GatherRows(at), [table], |e| e.gather_rows(table, idx))
     }
 
     fn stack_rows(&mut self, parts: &[VarId], idx: &[(usize, usize)]) -> VarId {
-        Graph::stack_rows(self, parts, idx)
+        let at = stash(&mut self.pairs, idx);
+        self.op(Op::StackRows(at), parts.iter().copied(), |e| e.stack_rows(parts, idx))
     }
 
     fn shift_rows(&mut self, a: VarId, offset: i64) -> VarId {
-        Graph::shift_rows(self, a, offset)
+        self.op(Op::ShiftRows(offset), [a], |e| e.shift_rows(a, offset))
     }
 
     fn reshape(&mut self, a: VarId, new_shape: &[usize]) -> VarId {
-        Graph::reshape(self, a, new_shape)
+        self.op(Op::Reshape, [a], |e| e.reshape(a, new_shape))
     }
 
     fn masked_softmax_rows(&mut self, scores: VarId, mask: &Mask) -> VarId {
-        Graph::masked_softmax_rows(self, scores, mask)
+        self.op(Op::MaskedSoftmaxRows, [scores], |e| e.masked_softmax_rows(scores, mask))
     }
 }
 

@@ -3,28 +3,27 @@
 //! DeepMVI and the deep baselines (BRITS, GP-VAE, vanilla Transformer) are all
 //! gradient-trained; this crate is the from-scratch substrate that trains them.
 //!
-//! Design: a [`graph::Graph`] is a write-once tape of [`graph::VarId`]-indexed nodes.
-//! Every operator records its parents and a boxed backward closure; calling
-//! [`graph::Graph::backward`] walks the tape in reverse and accumulates gradients.
-//! Model parameters live *outside* the tape in a [`params::ParamStore`]; a forward
-//! pass binds them in with [`graph::Graph::param`], and after `backward` the
-//! per-parameter gradients are routed back with [`graph::Graph::param_grads`]. One
-//! graph is built per training sample, which makes data-parallel gradient
-//! accumulation trivial (each worker thread owns its graph; gradients are summed into
-//! the shared store under a lock).
+//! Design: the operator set is the [`eval::Evaluator`] trait, and every op's
+//! value is computed by one body, [`eval::Eval`]'s, into a recycled slot arena.
+//! Serving runs model code on `Eval` directly. Training runs the same code on a
+//! [`graph::Graph`], which computes each value with `Eval`'s body and records
+//! `(op, inputs, output)`; [`graph::Graph::backward`] walks the records in
+//! reverse, one gradient rule per op, and accumulates gradients. Model
+//! parameters live *outside* the tape in a [`params::ParamStore`]; a forward
+//! pass binds them in with [`eval::Evaluator::param`] (an `Arc` share, no
+//! copy), and after `backward` the per-parameter gradients are routed back
+//! with [`graph::Graph::param_grads`]. Each training worker owns one graph and
+//! recycles it between samples, which makes data-parallel gradient
+//! accumulation trivial (gradients are summed into the shared store
+//! afterwards).
 //!
 //! The operator set is exactly what the reproduced models need — matmul, broadcast
 //! arithmetic, pointwise nonlinearities, reductions, row gather/scatter for
 //! embeddings, row shifting for the left/right-window features of Eq 8–9, and masked
 //! row softmax for availability-aware attention (Eq 9/11).
 //!
-//! Everything is validated against finite differences by [`check::check_gradients`].
-//!
-//! Inference does not need the tape at all: the [`eval`] module defines the
-//! [`eval::Evaluator`] trait (the forward operator set, implemented by both
-//! [`graph::Graph`] and the tape-free [`eval::Eval`] backend) so the serving
-//! hot path executes the same forward pass value-only, into recycled scratch
-//! buffers, with bitwise-identical results.
+//! Every op's gradient rule is validated against finite differences by
+//! [`check::check_gradients`].
 
 pub mod check;
 pub mod eval;

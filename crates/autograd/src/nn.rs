@@ -1,7 +1,6 @@
 //! Neural-network building blocks: initializers, layers and the positional encoding.
 
 use crate::eval::Evaluator;
-use crate::graph::{Graph, VarId};
 use crate::params::{ParamId, ParamStore, Restore};
 use mvi_tensor::Tensor;
 use rand::Rng;
@@ -202,7 +201,13 @@ impl GruCell {
 
     /// One step: `h' = (1-z)·h + z·h̃` with update gate `z`, reset gate `r`,
     /// candidate `h̃ = tanh(W_h [x, r·h])`. `x: [input]`, `h: [hidden]` (rank-1).
-    pub fn step(&self, g: &mut Graph, store: &ParamStore, x: VarId, h: VarId) -> VarId {
+    pub fn step<E: Evaluator>(
+        &self,
+        g: &mut E,
+        store: &ParamStore,
+        x: E::Var,
+        h: E::Var,
+    ) -> E::Var {
         let xh = g.concat1d(&[x, h]);
         let z_lin = self.wz.forward_vec(g, store, xh);
         let z = g.sigmoid(z_lin);
@@ -222,6 +227,7 @@ impl GruCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -307,6 +307,7 @@ impl Restore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Evaluator;
     use crate::graph::Graph;
 
     #[test]

@@ -1,10 +1,8 @@
-//! Value-level forward kernels shared by the differentiation tape
-//! ([`crate::Graph`]) and the tape-free evaluator ([`crate::eval::Eval`]).
-//!
-//! Anything with a non-obvious iteration order lives here so the two backends
-//! cannot drift apart numerically: the bitwise tape/eval equivalence that
-//! inference relies on (see `crates/core`'s evaluator tests) holds because
-//! both execute *this* code, not two hand-kept copies.
+//! The kernels of [`crate::eval::Eval`]'s forward bodies that have a
+//! non-obvious iteration order, and the band and key-block iterators that a
+//! banded or keyed product's forward body and its gradient rule in
+//! [`crate::Graph::backward`] both walk, so backward visits exactly the
+//! GEMM blocks forward issued.
 
 use core::ops::Range;
 use mvi_tensor::{Mask, Tensor};

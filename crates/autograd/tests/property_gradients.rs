@@ -2,7 +2,7 @@
 //! operators must always agree with central finite differences. This complements
 //! the hand-picked cases in `src/check.rs` with adversarial shapes and values.
 
-use mvi_autograd::{check_gradients, Graph, ParamStore, VarId};
+use mvi_autograd::{check_gradients, Evaluator, Graph, ParamStore, VarId};
 use mvi_tensor::{Mask, Tensor};
 use proptest::prelude::*;
 

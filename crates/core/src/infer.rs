@@ -1,20 +1,21 @@
 //! The inference half of the train/infer split: value-only forward passes over
 //! a **frozen** parameter store.
 //!
-//! Training ([`crate::train`]) builds one differentiation tape per instance and
-//! walks it backwards; serving needs neither gradients nor optimizer state.
-//! Since the tape-free evaluator landed, the serving path does not touch the
-//! tape at all: [`InferScratch`] wraps an [`mvi_autograd::Eval`] backend whose
-//! recycled slot arena executes the window forward pass with **zero heap
-//! allocation** at steady state — no tape nodes, no boxed backward closures,
-//! no per-op tensors, parameters read by `Arc` share from the frozen store.
+//! Training ([`crate::train`]) records each instance on a recycled
+//! differentiation tape and walks it backwards; serving needs neither
+//! gradients nor optimizer state. The serving path does not touch the tape:
+//! [`InferScratch`] wraps an [`mvi_autograd::Eval`] backend whose recycled
+//! slot arena executes the window forward pass with **zero heap allocation**
+//! at steady state — no op records, no per-op tensors, parameters read by
+//! `Arc` share from the frozen store.
 //!
 //! * [`WindowQuery`] — one unit of inference work: "impute these positions of
 //!   window `j` in series `s`".
 //! * [`InferScratch`] — recycled evaluator + forward buffers; one per worker.
-//! * [`TapeScratch`] — the old tape-backed path, kept as the reference
-//!   implementation: differential tests assert the two are **bitwise
-//!   identical**, and `infer_bench` measures the evaluator's speedup over it.
+//! * [`TapeScratch`] — the same pass recorded on the tape, kept as the
+//!   whole-pass oracle for the evaluator's fused composites: differential
+//!   tests assert the two are **bitwise identical**, and `infer_bench`
+//!   measures what recording costs over the evaluator.
 //! * [`FrozenModel`] — a trained [`DeepMviModel`] sealed for inference: built
 //!   by [`DeepMviModel::freeze`] or rehydrated from an exported parameter
 //!   snapshot with [`FrozenModel::from_snapshot`], shared read-only across
@@ -91,9 +92,11 @@ impl InferScratch {
     }
 }
 
-/// The tape-backed forward scratch — the pre-evaluator serving path, retained
-/// as the reference implementation. [`DeepMviModel::predict_window_tape`]
-/// runs the identical op sequence through [`mvi_autograd::Graph`]; the
+/// The tape-backed forward scratch. [`DeepMviModel::predict_window_tape`]
+/// records the window pass on [`mvi_autograd::Graph`], which computes every
+/// op with the evaluator's body but runs the composites (dense layer, output
+/// head, RBF similarity) as their default op chains where the evaluator runs
+/// fused passes. So it is the whole-pass oracle for those fusions: the
 /// evaluator path is required (and tested) to match it **bitwise**, and
 /// `infer_bench` reports the throughput ratio between the two as
 /// `BENCH_4.json`.

@@ -515,9 +515,9 @@ impl DeepMviModel {
     /// Generic over the execution backend ([`Evaluator`]): training runs it on
     /// the differentiation tape ([`mvi_autograd::Graph`]) and gets a backward
     /// pass; inference runs it on the value-only evaluator
-    /// ([`mvi_autograd::Eval`]) — same op order, same kernels, bitwise
-    /// identical values, but no tape nodes, no boxed closures, parameters
-    /// bound by borrow, and zero heap allocation once the scratch is warm.
+    /// ([`mvi_autograd::Eval`]) — the same op bodies (the tape computes each
+    /// value with the evaluator's), bitwise identical values, but no records,
+    /// fused composites, and zero heap allocation once the scratch is warm.
     ///
     /// The task's dataset may be *longer* than the series length the model was
     /// trained on (`task.obs.t_len() >= self.t_len`): a window beyond the

@@ -3,11 +3,18 @@
 
 use crate::model::{DeepMviModel, ForwardScratch, WindowTask};
 use crate::sampling::{sample_instance, TrainInstance};
-use mvi_autograd::{AdamConfig, Graph, ParamStore, VarId};
+use mvi_autograd::{AdamConfig, Eval, EvalVar, Evaluator, Graph, ParamId, ParamStore, VarId};
 use mvi_data::dataset::ObservedDataset;
 use mvi_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
+
+/// The recycled tapes of one fit, at most one per worker: each worker takes
+/// one for its share of a batch and puts it back, so every step after the
+/// first records into buffers that are already sized. Dropped when `fit`
+/// returns, so a trained model keeps no arena.
+type Tapes = Mutex<Vec<(Graph, ForwardScratch<VarId>)>>;
 
 /// Summary of one training run.
 #[derive(Clone, Debug)]
@@ -37,6 +44,8 @@ impl DeepMviModel {
         let mut stale_evals = 0usize;
         let mut val_trace = Vec::new();
         let mut steps_run = 0usize;
+        let tapes = Tapes::default();
+        let mut val_eval = (Eval::default(), ForwardScratch::default());
 
         for step in 0..cfg.max_steps {
             let batch: Vec<TrainInstance> =
@@ -45,13 +54,13 @@ impl DeepMviModel {
                 break;
             }
             let n_batch = batch.len();
-            let grads = self.batch_gradients(obs, &batch);
+            let grads = self.batch_gradients(obs, &batch, &tapes);
             self.store.accumulate(grads);
             self.store.adam_step(&adam, 1.0 / n_batch as f64);
             steps_run = step + 1;
 
             if !val_set.is_empty() && (step + 1) % cfg.eval_every == 0 {
-                let val = self.evaluate(obs, &val_set);
+                let val = self.evaluate(&mut val_eval, obs, &val_set);
                 val_trace.push(val);
                 if val + 1e-6 < best_val {
                     best_val = val;
@@ -75,19 +84,23 @@ impl DeepMviModel {
     }
 
     /// Summed parameter gradients over a batch, data-parallel across
-    /// `cfg.threads` workers via the shared `mvi_parallel` pool (each worker owns
-    /// its tape; the shared store is read only).
+    /// `cfg.threads` workers via the shared `mvi_parallel` pool (each worker
+    /// records on its own tape from `tapes`; the shared store is read only).
     fn batch_gradients(
         &self,
         obs: &ObservedDataset,
         batch: &[TrainInstance],
-    ) -> Vec<(mvi_autograd::ParamId, Tensor)> {
+        tapes: &Tapes,
+    ) -> Vec<(ParamId, Tensor)> {
         let threads = self.cfg.threads.max(1).min(batch.len());
-        if threads <= 1 {
-            return batch.iter().flat_map(|inst| self.instance_gradients(obs, inst)).collect();
-        }
         mvi_parallel::map_chunks(batch, threads, |part| {
-            part.iter().flat_map(|inst| self.instance_gradients(obs, inst)).collect::<Vec<_>>()
+            let (mut g, mut fs) = tapes.lock().expect("tape pool").pop().unwrap_or_default();
+            let grads: Vec<_> = part
+                .iter()
+                .flat_map(|inst| self.instance_gradients(&mut g, &mut fs, obs, inst))
+                .collect();
+            tapes.lock().expect("tape pool").push((g, fs));
+            grads
         })
         .into_iter()
         .flatten()
@@ -96,25 +109,26 @@ impl DeepMviModel {
 
     fn instance_gradients(
         &self,
+        g: &mut Graph,
+        fs: &mut ForwardScratch<VarId>,
         obs: &ObservedDataset,
         inst: &TrainInstance,
-    ) -> Vec<(mvi_autograd::ParamId, Tensor)> {
-        let mut g = Graph::new();
-        let mut fs = ForwardScratch::default();
-        let loss = self.instance_loss(&self.store, &mut g, &mut fs, obs, inst);
+    ) -> Vec<(ParamId, Tensor)> {
+        g.recycle();
+        let loss = self.instance_loss(&self.store, g, fs, obs, inst);
         let grads = g.backward(loss);
         g.param_grads(&grads)
     }
 
     /// Squared-error loss of one instance (mean over its masked positions).
-    fn instance_loss(
+    fn instance_loss<E: Evaluator>(
         &self,
         store: &ParamStore,
-        g: &mut Graph,
-        fs: &mut ForwardScratch<VarId>,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
         obs: &ObservedDataset,
         inst: &TrainInstance,
-    ) -> VarId {
+    ) -> E::Var {
         let task = WindowTask {
             obs,
             s: inst.s,
@@ -133,14 +147,19 @@ impl DeepMviModel {
         g.mean(stacked)
     }
 
-    /// Mean validation MSE over a fixed instance set (no gradients).
-    fn evaluate(&self, obs: &ObservedDataset, val_set: &[TrainInstance]) -> f64 {
+    /// Mean validation MSE over a fixed instance set, value-only on the
+    /// fit's recycled evaluator.
+    fn evaluate(
+        &self,
+        (ev, fs): &mut (Eval, ForwardScratch<EvalVar>),
+        obs: &ObservedDataset,
+        val_set: &[TrainInstance],
+    ) -> f64 {
         let mut total = 0.0;
-        let mut fs = ForwardScratch::default();
         for inst in val_set {
-            let mut g = Graph::new();
-            let loss = self.instance_loss(&self.store, &mut g, &mut fs, obs, inst);
-            total += g.value(loss).at(0);
+            ev.recycle();
+            let loss = self.instance_loss(&self.store, ev, fs, obs, inst);
+            total += ev.value(loss).at(0);
         }
         total / val_set.len() as f64
     }

@@ -1,6 +1,6 @@
 //! BRITS \[4\]: bidirectional recurrent imputation for time series (Cao et al.).
 
-use mvi_autograd::{AdamConfig, Graph, GruCell, Linear, ParamStore, VarId};
+use mvi_autograd::{AdamConfig, Evaluator, Graph, GruCell, Linear, ParamStore, VarId};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::imputer::Imputer;
 use mvi_tensor::Tensor;

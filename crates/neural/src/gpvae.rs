@@ -4,7 +4,7 @@
 //! means, keeping the defining behaviour (temporally correlated latents, imputation
 //! by decoding the posterior mean) without banded-precision variational machinery.
 
-use mvi_autograd::{randn, AdamConfig, Graph, Linear, ParamStore, VarId};
+use mvi_autograd::{randn, AdamConfig, Evaluator, Graph, Linear, ParamStore, VarId};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::imputer::Imputer;
 use mvi_tensor::Tensor;

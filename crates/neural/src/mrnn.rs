@@ -14,7 +14,7 @@
 //! The empirical study of \[12\] found MRNN to be both slow and surprisingly weak;
 //! this reproduction exists so that comparison can be made rather than assumed.
 
-use mvi_autograd::{AdamConfig, Graph, GruCell, Linear, ParamStore, VarId};
+use mvi_autograd::{AdamConfig, Evaluator, Graph, GruCell, Linear, ParamStore, VarId};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::imputer::Imputer;
 use mvi_tensor::Tensor;

@@ -10,7 +10,7 @@
 //! grow with the square of the raw context length — this is the baseline DeepMVI's
 //! window features beat by 2.5–7× in runtime (Fig 10a).
 
-use mvi_autograd::{positional_encoding, AdamConfig, Graph, Linear, ParamStore, VarId};
+use mvi_autograd::{positional_encoding, AdamConfig, Evaluator, Graph, Linear, ParamStore, VarId};
 use mvi_data::dataset::ObservedDataset;
 use mvi_data::imputer::Imputer;
 use mvi_tensor::{Mask, Tensor};
